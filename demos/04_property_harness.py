@@ -41,15 +41,11 @@ for name, r in bundle.items():
 # classification: the four canonical maps are recognized; a sawtooth-driven
 # transformer is provably different (watch the displaced-ball witness)
 print("\nclassification:")
-for label, T in {
-    "identity": lambda f: f,
-    "two-point": polar,
-    "reflection": lambda f: sk.reflect_grid_function(f, plane),
-}.items():
-    got, _ = sk.classify_rearrangement(T, grid, plane, seed=0)
-    print(f"  {label:10s} -> {got}")
+for label, T in sk.CANONICAL_TRANSFORMERS.items():
+    got, _ = sk.classify_rearrangement(lambda f: T(f, plane), grid, plane, seed=0)
+    print(f"  {label:19s} -> {got}")
 
 saw_map = sk.chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=plane)
 saw_T = lambda f: layer_cake_rearrangement(saw_map, f)
 got, witness = sk.classify_rearrangement(saw_T, grid, plane, seed=0)
-print(f"  sawtooth   -> {got}, witness: ball at +0.75 lands at {witness['image_center']}")
+print(f"  {'sawtooth':19s} -> {got}, witness: ball at +0.75 lands at {witness['image_center']}")

@@ -33,12 +33,12 @@ from .errors import (
     NonConvexColumn,
     NonMonotoneMap,
     NotARearrangement,
+    OffGrid,
     SymmkitError,
     UnknownName,
 )
 from .experiments import (
     ConvergenceTrace,
-    ExperimentConfig,
     run_convergence,
     run_gallery,
     run_verify,
@@ -49,6 +49,7 @@ from .geometry import (
     GridFunction,
     GridSet,
     OrientedHyperplane,
+    Reflection,
     axis_plane,
     box_raster,
     centered_grid,
@@ -57,7 +58,6 @@ from .geometry import (
     plus_mask,
     reflect_grid_function,
     reflect_grid_set,
-    reflect_point,
     set_from_indicator,
 )
 from .harness import (
@@ -73,10 +73,11 @@ from .harness import (
 from .polygons import ConvexPolygon, chord, convex_hull, polygon_raster
 from .rearrange import (
     ASSOCIATED_PAIRS,
+    CANONICAL_TRANSFORMERS,
     AssociatedFunctionPair,
     MonotonePL,
     MonotoneStep,
-    build_pointwise_map,
+    PointwiseTransformer,
     check_fvalues,
     compose_monotone,
     induced_set_map,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
-from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn
+from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid
 from .geometry import GridSet, reflect_grid_set
 from .polygons import chords_at, clip_convex, perp
 from .rearrange import polarize_set
@@ -221,7 +221,8 @@ def chord_move_gridset(a, phi, axis):
 
     Columns run along ``axis`` with the hyperplane fixed at coordinate 0;
     each run keeps its cell count and has its midpoint t moved to phi(t).
-    Half-cell ties round toward the positive axis direction.
+    Half-cell ties round toward the positive axis direction.  Raises OffGrid
+    when a run would be pushed past the edge of the grid.
     """
     h = a.grid.spacing
     coords = a.grid.axis_centers(axis)
@@ -234,6 +235,8 @@ def chord_move_gridset(a, phi, axis):
     steps = np.floor(shift / h + 0.5).astype(np.int64)
     new_first = first[nonempty] + steps
     new_last = last[nonempty] + steps
+    if np.any(new_first < 0) or np.any(new_last >= m):
+        raise OffGrid("chord movement pushes a run past the edge of the grid")
     cols = np.arange(m)
     sel = (cols[None, :] >= new_first[:, None]) & (cols[None, :] <= new_last[:, None])
     out[nonempty] = sel

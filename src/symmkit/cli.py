@@ -15,7 +15,7 @@ import numpy as np
 from . import gridio
 from .chordmaps import chord_move_gridset, chord_move_polygon
 from .errors import GalleryMismatch, SymmkitError
-from .experiments import ExperimentConfig, run_convergence, run_gallery, run_verify
+from .experiments import run_convergence, run_gallery, run_verify
 from .geometry import OrientedHyperplane
 from .rearrange import polarize, schwarz_symmetrize_set, steiner_symmetrize_function
 
@@ -127,16 +127,8 @@ def _cmd_verify(args):
 
 def _cmd_converge(args):
     f = gridio.read_grid_function(args.inp)
-    config = ExperimentConfig(
-        name="converge",
-        input_path=args.inp,
-        axis=args.axis,
-        iterations=args.iters,
-        seed=args.seed,
-        trace_path=args.out,
-    )
-    trace = run_convergence(f, config.axis, config.iterations, config.seed)
-    trace.to_csv(config.trace_path)
+    trace = run_convergence(f, args.axis, args.iters, args.seed)
+    trace.to_csv(args.out)
     if args.final:
         gridio.write_grid_function(args.final, trace.final)
     print(f"converge: initial L1 {trace.initial_l1!r}, final L1 {trace.final_l1!r}")

@@ -11,6 +11,14 @@ from .errors import UnknownName
 SLOPE_TOL = 1e-12
 
 
+def terminal_slope_eval(ts, ys, t):
+    """Linear interpolation through ``(ts, ys)``, continued past both ends at the terminal slopes."""
+    t = np.asarray(t, dtype=float)
+    slopes = np.diff(ys) / np.diff(ts)
+    out = np.where(t < ts[0], ys[0] + slopes[0] * (t - ts[0]), np.interp(t, ts, ys))
+    return np.where(t > ts[-1], ys[-1] + slopes[-1] * (t - ts[-1]), out)
+
+
 @dataclass(frozen=True)
 class PLContraction:
     """Piecewise-linear real map with every slope in [-1, 1].
@@ -28,6 +36,8 @@ class PLContraction:
         ys = np.asarray(self.ys, dtype=float)
         if ts.ndim != 1 or ts.shape != ys.shape or len(ts) < 2:
             raise ValueError("need at least two breakpoints of equal length")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ys))):
+            raise ValueError("breakpoints must be finite")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("breakpoint abscissae must be strictly increasing")
         slopes = np.diff(ys) / np.diff(ts)
@@ -43,17 +53,8 @@ class PLContraction:
         return np.diff(self.ys) / np.diff(self.ts)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        ts, ys = self.ts, self.ys
-        slopes = self.slopes
-        out = np.interp(t, ts, ys)
-        below = t < ts[0]
-        above = t > ts[-1]
-        out[below] = ys[0] + slopes[0] * (t[below] - ts[0])
-        out[above] = ys[-1] + slopes[-1] * (t[above] - ts[-1])
-        return float(out[0]) if scalar else out
+        out = terminal_slope_eval(self.ts, self.ys, t)
+        return float(out) if out.ndim == 0 else out
 
     @classmethod
     def from_breakpoints(cls, pairs):

@@ -13,6 +13,10 @@ class NonMonotoneMap(SymmkitError):
     """A map required to be increasing has a decreasing breakpoint."""
 
 
+class OffGrid(SymmkitError):
+    """An operation would move cells past the edge of the grid."""
+
+
 class NonConvexColumn(SymmkitError):
     """A grid column that must be a contiguous run of cells is not."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,6 @@ from .geometry import (
     box_raster,
     centered_grid,
     distribution,
-    reflect_grid_function,
 )
 from .harness import (
     check_equimeasurable,
@@ -43,7 +43,12 @@ from .harness import (
     two_disk_symmetric_set,
 )
 from .polygons import ConvexPolygon, polygon_raster
-from .rearrange import layer_cake_rearrangement, polarize, steiner_symmetrize_function
+from .rearrange import (
+    CANONICAL_TRANSFORMERS,
+    layer_cake_rearrangement,
+    polarize,
+    steiner_symmetrize_function,
+)
 
 
 def worker_count():
@@ -53,27 +58,6 @@ def worker_count():
         return max(1, int(raw))
     except ValueError:
         return 1
-
-
-@dataclass
-class ExperimentConfig:
-    """File-level description of one experiment run."""
-
-    name: str
-    input_path: str = ""
-    axis: int = 0
-    iterations: int = 1
-    seed: int = 0
-    strategy: str = "random"
-    trace_path: str = ""
-    report_path: str = ""
-    output_path: str = ""
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iteration count must be at least 1")
-        if self.input_path and not os.path.exists(self.input_path):
-            raise ValueError(f"input path does not exist: {self.input_path}")
 
 
 @dataclass
@@ -132,6 +116,8 @@ def run_convergence(f, axis, iterations, seed=0, planes=None):
     L1 monotonicity is measured, not assumed: steps that increase the
     distance are collected in ``increased_steps``.
     """
+    if iterations < 1:
+        raise ValueError("iteration count must be at least 1")
     grid = f.grid
     target = steiner_symmetrize_function(f, axis)
     profile = distribution(f)
@@ -174,12 +160,7 @@ def run_verify(trials=200, seed=7, grid=None):
     """
     grid = grid or centered_grid((32, 32), 1.0 / 8.0)
     plane = axis_plane(1, grid.n, 0.0, 1)
-    transformers = {
-        "two_point": lambda f: polarize(f, plane),
-        "reflection": lambda f: reflect_grid_function(f, plane),
-        "identity": lambda f: f,
-        "two_point_reflected": lambda f: reflect_grid_function(polarize(f, plane), plane),
-    }
+    transformers = {name: functools.partial(t, plane=plane) for name, t in CANONICAL_TRANSFORMERS.items()}
     report = {"transformers": {}, "set_maps": {}}
     all_hold = True
 

@@ -43,8 +43,10 @@ class Grid:
             raise ValueError("origin and dims must have the same length")
         if any(d <= 0 for d in dims):
             raise ValueError("dims must be positive")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not np.all(np.isfinite(origin)):
+            raise ValueError("origin must be finite")
+        if not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be positive and finite")
 
     @property
     def n(self):
@@ -95,7 +97,7 @@ class GridFunction:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.dims:
-            values = values.reshape(self.grid.dims)
+            raise ValueError(f"values have shape {values.shape}, grid has dims {self.grid.dims}")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid function values must be finite")
         values = values.copy()
@@ -126,7 +128,7 @@ class GridSet:
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != self.grid.dims:
-            mask = mask.reshape(self.grid.dims)
+            raise ValueError(f"mask has shape {mask.shape}, grid has dims {self.grid.dims}")
         mask = mask.copy()
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
@@ -177,11 +179,13 @@ class OrientedHyperplane:
         pos = int(pos)
         if pos not in (1, -1):
             raise ValueError("positive must be +1 or -1")
-        norm = float(np.linalg.norm(normal))
-        if abs(norm - 1.0) > UNIT_TOL:
-            raise ValueError("normal must be a unit vector")
+        if not np.all(np.isfinite(normal)) or abs(float(np.linalg.norm(normal)) - 1.0) > UNIT_TOL:
+            raise ValueError("normal must be a finite unit vector")
+        offset = float(self.offset)
+        if not np.isfinite(offset):
+            raise ValueError("offset must be finite")
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "positive", pos)
 
     @property
@@ -211,31 +215,38 @@ def axis_plane(axis, n, offset=0.0, positive=1):
     return OrientedHyperplane(normal, offset, positive)
 
 
-def reflect_point(x, plane):
-    """Mirror image of a single point: x + 2(offset - x.normal) normal."""
-    return plane.reflect(np.asarray(x, dtype=float))
+class Reflection:
+    """Mirror read of one grid across one hyperplane, built from one ``centers()`` pass.
 
-
-def _reflection_gather(grid, plane):
-    """Flat gather indices of the reflected cell centers plus an in-grid mask.
-
-    Raises MisalignedHyperplane when the reflection does not map the
-    cell-center lattice to itself.
+    Holds the clipped flat gather of the reflected cell centers, the mask of
+    cells whose mirror lies in the grid, and the H+ mask.  Raises
+    MisalignedHyperplane when the reflection does not map the cell-center
+    lattice to itself.
     """
-    centers = grid.centers()
-    reflected = plane.reflect(centers)
-    frac = (reflected - np.asarray(grid.origin)) / grid.spacing - 0.5
-    idx = np.rint(frac)
-    if np.abs(frac - idx).max() > LATTICE_TOL:
-        raise MisalignedHyperplane(
-            "reflection in the hyperplane does not preserve the cell-center lattice"
-        )
-    idx = idx.astype(np.int64)
-    dims = np.asarray(grid.dims)
-    inside = np.all((idx >= 0) & (idx < dims), axis=1)
-    clipped = np.clip(idx, 0, dims - 1)
-    flat = np.ravel_multi_index(tuple(clipped.T), grid.dims)
-    return flat, inside
+
+    def __init__(self, grid, plane):
+        centers = grid.centers()
+        frac = (plane.reflect(centers) - np.asarray(grid.origin)) / grid.spacing - 0.5
+        idx = np.rint(frac)
+        if np.abs(frac - idx).max() > LATTICE_TOL:
+            raise MisalignedHyperplane(
+                "reflection in the hyperplane does not preserve the cell-center lattice"
+            )
+        idx = idx.astype(np.int64)
+        dims = np.asarray(grid.dims)
+        self.dims = grid.dims
+        self.inside = np.all((idx >= 0) & (idx < dims), axis=1)
+        self.flat = np.ravel_multi_index(tuple(np.clip(idx, 0, dims - 1).T), grid.dims)
+        self.hplus = (plane.signed(centers) >= 0.0).reshape(grid.dims)
+
+    def mirror(self, values, fill):
+        """``values`` read at each cell's mirror image; ``fill`` where it leaves the grid."""
+        return np.where(self.inside, values.ravel()[self.flat], fill).reshape(self.dims)
+
+    def two_point(self, values, fill, fplus, fminus):
+        """``fplus(v, mirror)`` on H+ and ``fminus(v, mirror)`` on H-, cell by cell."""
+        mirrored = self.mirror(values, fill)
+        return np.where(self.hplus, fplus(values, mirrored), fminus(values, mirrored))
 
 
 def plus_mask(grid, plane):
@@ -245,18 +256,12 @@ def plus_mask(grid, plane):
 
 def reflect_grid_function(f, plane):
     """Function x -> f(reflection of x); out-of-grid reads give the minimum value."""
-    flat, inside = _reflection_gather(f.grid, plane)
-    vals = f.values.ravel()
-    out = np.where(inside, vals[flat], f.essinf)
-    return GridFunction(f.grid, out.reshape(f.grid.dims))
+    return GridFunction(f.grid, Reflection(f.grid, plane).mirror(f.values, f.essinf))
 
 
 def reflect_grid_set(a, plane):
     """Mirror image of a grid set; cells reflecting outside the grid read False."""
-    flat, inside = _reflection_gather(a.grid, plane)
-    vals = a.mask.ravel()
-    out = np.where(inside, vals[flat], False)
-    return GridSet(a.grid, out.reshape(a.grid.dims))
+    return GridSet(a.grid, Reflection(a.grid, plane).mirror(a.mask, False))
 
 
 @dataclass(frozen=True)

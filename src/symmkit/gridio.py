@@ -38,6 +38,8 @@ def read_grid_function(path):
         raw = fh.read(8 * grid.num_cells)
         if len(raw) != 8 * grid.num_cells:
             raise ValueError("GRD1 payload truncated")
+        if fh.read(1):
+            raise ValueError("GRD1 payload has trailing bytes")
         values = np.frombuffer(raw, dtype="<f8").reshape(grid.dims)
     return GridFunction(grid, values)
 

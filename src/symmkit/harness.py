@@ -20,11 +20,10 @@ from .geometry import (
     centered_grid,
     disk_raster,
     distribution,
-    reflect_grid_function,
     reflect_grid_set,
 )
 from .polygons import ConvexPolygon, convex_hull, polygon_raster
-from .rearrange import induced_set_map, polarize
+from .rearrange import CANONICAL_TRANSFORMERS, induced_set_map
 
 DEFAULT_GRID = centered_grid((32, 32), 1.0 / 8.0)
 
@@ -453,18 +452,6 @@ def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=N
 # Rearrangement classifier
 # ---------------------------------------------------------------------------
 
-CANONICAL_LABELS = ("identity", "reflection", "two_point", "two_point_reflected")
-
-
-def _canonical_transformers(plane):
-    return {
-        "identity": lambda f: f,
-        "reflection": lambda f: reflect_grid_function(f, plane),
-        "two_point": lambda f: polarize(f, plane),
-        "two_point_reflected": lambda f: reflect_grid_function(polarize(f, plane), plane),
-    }
-
-
 def _cone_probes(grid, plane, seed, count=8):
     rng = trial_rng(seed, 987)
     u = np.asarray(plane.normal, dtype=float)
@@ -555,8 +542,8 @@ def classify_rearrangement(transformer, grid, plane, seed=0, probe_offset=0.75, 
     if two_disk is False:
         return "other", {"reason": "not invariant on mirror-image two-disk unions"}
     label = table[key]
-    candidate = _canonical_transformers(plane)[label]
+    candidate = CANONICAL_TRANSFORMERS[label]
     for f in probes:
-        if transformer(f) != candidate(f):
+        if transformer(f) != candidate(f, plane):
             return "other", {"reason": f"probe disagrees with {label}"}
     return label, None

@@ -9,34 +9,37 @@ transformer from the images of super-level sets (layer-cake reconstruction).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonMonotoneMap
-from .geometry import (
-    GridFunction,
-    GridSet,
-    plus_mask,
-    reflect_grid_function,
-    reflect_grid_set,
-)
+from .contractions import terminal_slope_eval
+from .errors import NonMonotoneMap, UnknownName
+from .geometry import GridFunction, GridSet, OrientedHyperplane, Reflection, reflect_grid_function
 
 
 def polarize(f, plane):
     """Two-point rearrangement of a grid function across an oriented hyperplane."""
-    mirrored = reflect_grid_function(f, plane)
-    hplus = plus_mask(f.grid, plane)
-    out = np.where(hplus, np.maximum(f.values, mirrored.values), np.minimum(f.values, mirrored.values))
+    out = Reflection(f.grid, plane).two_point(f.values, f.essinf, np.maximum, np.minimum)
     return GridFunction(f.grid, out)
 
 
 def polarize_set(a, plane):
     """Set version: union with the mirror image on H+, intersection on H-."""
-    mirrored = reflect_grid_set(a, plane)
-    hplus = plus_mask(a.grid, plane)
-    out = np.where(hplus, a.mask | mirrored.mask, a.mask & mirrored.mask)
+    out = Reflection(a.grid, plane).two_point(a.mask, False, np.logical_or, np.logical_and)
     return GridSet(a.grid, out)
+
+
+# the four canonical maps, each a function (f, plane) -> f; the lambdas look
+# the operators up at call time, so wrappers installed on the module
+# functions (the benchmark's tracer) see these calls too
+CANONICAL_TRANSFORMERS = {
+    "two_point": lambda f, plane: polarize(f, plane),
+    "reflection": lambda f, plane: reflect_grid_function(f, plane),
+    "identity": lambda f, plane: f,
+    "two_point_reflected": lambda f, plane: reflect_grid_function(polarize(f, plane), plane),
+}
 
 
 def _center_out_order(m):
@@ -153,19 +156,8 @@ class PointwiseTransformer:
             object.__setattr__(self, "name", f"pointwise[{self.pair.name}]")
 
     def __call__(self, f):
-        mirrored = reflect_grid_function(f, self.plane)
-        hplus = plus_mask(f.grid, self.plane)
-        out = np.where(
-            hplus,
-            self.pair.fplus(f.values, mirrored.values),
-            self.pair.fminus(f.values, mirrored.values),
-        )
-        return GridFunction(f.grid, out)
-
-
-def build_pointwise_map(pair, plane):
-    """Transformer f -> F+(f, f_mirror) on H+, F-(f, f_mirror) on H-."""
-    return PointwiseTransformer(pair, plane)
+        plan = Reflection(f.grid, self.plane)
+        return GridFunction(f.grid, plan.two_point(f.values, f.essinf, self.pair.fplus, self.pair.fminus))
 
 
 def check_fvalues(pair, samples):
@@ -229,6 +221,8 @@ class MonotonePL:
         ys = np.asarray(self.ys, dtype=float)
         if ts.ndim != 1 or ts.shape != ys.shape or len(ts) < 2:
             raise NonMonotoneMap("need at least two breakpoints")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ys))):
+            raise NonMonotoneMap("breakpoints must be finite")
         if np.any(np.diff(ts) <= 0):
             raise NonMonotoneMap("breakpoint abscissae must be strictly increasing")
         if np.any(np.diff(ys) < 0):
@@ -239,15 +233,7 @@ class MonotonePL:
         object.__setattr__(self, "ys", ys)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        ts, ys = self.ts, self.ys
-        slopes = np.diff(ys) / np.diff(ts)
-        out = np.interp(t, ts, ys)
-        below = t < ts[0]
-        above = t > ts[-1]
-        out = np.where(below, ys[0] + slopes[0] * (t - ts[0]), out)
-        out = np.where(above, ys[-1] + slopes[-1] * (t - ts[-1]), out)
-        return out
+        return terminal_slope_eval(self.ts, self.ys, t)
 
 
 @dataclass(frozen=True)
@@ -286,6 +272,15 @@ def compose_monotone(f, phi):
     return GridFunction(f.grid, np.asarray(phi(f.values), dtype=float))
 
 
+# config names of the canonical maps
+_CONFIG_LABELS = {
+    "identity": "identity",
+    "reflect": "reflection",
+    "polarize": "two_point",
+    "polarize_reflect": "two_point_reflected",
+}
+
+
 def transformer_from_config(config):
     """Named function transformer from a JSON-style config dict.
 
@@ -295,26 +290,20 @@ def transformer_from_config(config):
         {"map": "reflect" | "identity" | "polarize_reflect", ...}
         {"map": "pointwise", "pair": "max_min", ...}
 
-    ``pair`` names an entry of :data:`ASSOCIATED_PAIRS`.
+    ``pair`` names an entry of :data:`ASSOCIATED_PAIRS`; the other names
+    select an entry of :data:`CANONICAL_TRANSFORMERS`.
     """
-    from .errors import UnknownName
-    from .geometry import OrientedHyperplane
-
     name = config.get("map")
-    if name == "identity":
-        return lambda f: f
-    plane = OrientedHyperplane(
-        tuple(config["normal"]), float(config.get("offset", 0.0)), config.get("positive", "+")
-    )
-    if name == "polarize":
-        return lambda f: polarize(f, plane)
-    if name == "reflect":
-        return lambda f: reflect_grid_function(f, plane)
-    if name == "polarize_reflect":
-        return lambda f: reflect_grid_function(polarize(f, plane), plane)
+    plane = None
+    if name != "identity":
+        plane = OrientedHyperplane(
+            tuple(config["normal"]), float(config.get("offset", 0.0)), config.get("positive", "+")
+        )
     if name == "pointwise":
         pair = ASSOCIATED_PAIRS.get(config.get("pair"))
         if pair is None:
             raise UnknownName(f"unknown associated pair {config.get('pair')!r}")
-        return build_pointwise_map(pair, plane)
-    raise UnknownName(f"unknown transformer {name!r}")
+        return PointwiseTransformer(pair, plane)
+    if name not in _CONFIG_LABELS:
+        raise UnknownName(f"unknown transformer {name!r}")
+    return functools.partial(CANONICAL_TRANSFORMERS[_CONFIG_LABELS[name]], plane=plane)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import symmkit as sk
-from symmkit.errors import EmptySet, NonConvexColumn
+from symmkit.errors import EmptySet, NonConvexColumn, OffGrid
 from symmkit.harness import (
     random_convex_polygon,
     random_convex_raster,
@@ -269,6 +269,17 @@ class TestGridChordMove:
         mask[4, [3, 7]] = True
         with pytest.raises(NonConvexColumn):
             sk.chord_move_gridset(sk.GridSet(GRID, mask), sk.canonical_contraction("id"), 1)
+
+    def test_run_pushed_past_edge_raises(self):
+        g = sk.Grid((1, 16), (0.0, 0.0), 1.0)
+        mask = np.zeros(g.dims, dtype=bool)
+        mask[0, 4:16] = True  # a 12-cell run touching the upper edge
+        a = sk.GridSet(g, mask)
+        shift = lambda d: sk.PLContraction([0.0, 1.0], [d, 1.0 + d])
+        with pytest.raises(OffGrid):
+            sk.chord_move_gridset(a, shift(3.0), 1)
+        down = sk.chord_move_gridset(a, shift(-4.0), 1)  # lands exactly on the lower edge
+        assert np.array_equal(down.mask[0], np.arange(16) < 12)
 
     def test_empty_set_passes_through(self):
         empty = sk.GridSet(GRID, np.zeros(GRID.dims, dtype=bool))

@@ -58,6 +58,18 @@ def test_schwarz(tmp_path):
     assert gridio.read_grid_set(out) == sk.schwarz_symmetrize_set(a, 0)
 
 
+def test_converge_rejects_zero_iters(tmp_path, sample_grd):
+    path, _ = sample_grd
+    argv = ["converge", "--in", str(path), "--axis", "1", "--iters", "0", "--out", str(tmp_path / "t.csv")]
+    assert cli_dispatch(argv) == 2
+
+
+def test_converge_rejects_missing_input(tmp_path):
+    argv = ["converge", "--in", str(tmp_path / "missing.grd"), "--axis", "1", "--iters", "3",
+            "--out", str(tmp_path / "t.csv")]
+    assert cli_dispatch(argv) == 2
+
+
 def test_chordmap_grid_mode(tmp_path):
     g = sk.centered_grid((16, 16), 0.25)
     a = sk.disk_raster(g, (0.0, -1.0), 0.7)

@@ -4,7 +4,6 @@ import pytest
 import symmkit as sk
 from symmkit.errors import GalleryMismatch
 from symmkit.experiments import (
-    ExperimentConfig,
     draw_polarization_plane,
     run_convergence,
     run_gallery,
@@ -13,17 +12,10 @@ from symmkit.experiments import (
 from symmkit.harness import random_blob_function
 
 
-def test_config_validates_iterations():
+def test_run_convergence_rejects_zero_iterations():
+    f = sk.GridFunction(sk.centered_grid((8,), 0.25), np.arange(8.0))
     with pytest.raises(ValueError):
-        ExperimentConfig(name="x", iterations=0)
-
-
-def test_config_requires_resolvable_input(tmp_path):
-    with pytest.raises(ValueError):
-        ExperimentConfig(name="x", input_path=str(tmp_path / "missing.grd"))
-    existing = tmp_path / "f.grd"
-    existing.write_bytes(b"")
-    ExperimentConfig(name="x", input_path=str(existing))  # must not raise
+        run_convergence(f, 0, 0)
 
 
 def test_symmetric_input_all_distances_zero():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import symmkit as sk
-from symmkit.errors import MisalignedHyperplane
+from symmkit.errors import MisalignedHyperplane, NonMonotoneMap
 
 
 def unit(v):
@@ -51,19 +51,52 @@ class TestGridFunction:
         assert a.measure == 2.0
 
 
+NONFINITE_INPUTS = {
+    "grid_origin_nan": (lambda: sk.Grid((2, 2), (np.nan, 0.0), 1.0), ValueError),
+    "grid_spacing_nan": (lambda: sk.Grid((2, 2), (0.0, 0.0), np.nan), ValueError),
+    "grid_spacing_inf": (lambda: sk.Grid((2, 2), (0.0, 0.0), np.inf), ValueError),
+    "plane_normal_nan": (lambda: sk.OrientedHyperplane((np.nan, 1.0)), ValueError),
+    "plane_offset_nan": (lambda: sk.OrientedHyperplane((0.0, 1.0), np.nan), ValueError),
+    "plane_offset_inf": (lambda: sk.OrientedHyperplane((0.0, 1.0), np.inf), ValueError),
+    "contraction_t_nan": (lambda: sk.PLContraction([0.0, np.nan], [0.0, 0.0]), ValueError),
+    "contraction_y_nan": (lambda: sk.PLContraction([0.0, 1.0], [0.0, np.nan]), ValueError),
+    "monotone_t_nan": (lambda: sk.MonotonePL([0.0, np.nan], [0.0, 0.0]), NonMonotoneMap),
+    "monotone_y_nan": (lambda: sk.MonotonePL([0.0, 1.0], [0.0, np.nan]), NonMonotoneMap),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONFINITE_INPUTS))
+def test_rejects_nonfinite_inputs(name):
+    build, error = NONFINITE_INPUTS[name]
+    with pytest.raises(error):
+        build()
+
+
+class TestShapes:
+    def test_grid_function_rejects_transposed_values(self):
+        g = sk.Grid((2, 3), (0.0, 0.0), 1.0)
+        with pytest.raises(ValueError):
+            sk.GridFunction(g, np.zeros((3, 2)))
+
+    def test_grid_set_rejects_flat_mask(self):
+        g = sk.Grid((2, 3), (0.0, 0.0), 1.0)
+        with pytest.raises(ValueError):
+            sk.GridSet(g, np.zeros(6, dtype=bool))
+
+
 class TestReflectPoint:
     def test_axis_reflection(self):
         plane = sk.OrientedHyperplane((1.0, 0.0), 0.0)
-        assert np.allclose(sk.reflect_point([1.0, 0.0], plane), [-1.0, 0.0])
+        assert np.allclose(plane.reflect([1.0, 0.0]), [-1.0, 0.0])
 
     def test_fixed_points_on_plane(self):
         plane = sk.OrientedHyperplane(unit([1.0, 1.0]), 0.0)
         x = np.array([1.0, -1.0])
-        assert np.allclose(sk.reflect_point(x, plane), x)
+        assert np.allclose(plane.reflect(x), x)
 
     def test_affine_offset(self):
         plane = sk.OrientedHyperplane((0.0, 1.0), 1.0)
-        assert np.allclose(sk.reflect_point([3.0, 2.0], plane), [3.0, 0.0])
+        assert np.allclose(plane.reflect([3.0, 2.0]), [3.0, 0.0])
 
     def test_involution(self):
         rng = np.random.default_rng(0)
@@ -95,6 +128,13 @@ class TestHalfSpaces:
         assert np.all(plus | minus)
         on_plane = np.abs(plane.signed(g.centers())).reshape(g.dims) == 0.0
         assert np.array_equal(plus & minus, on_plane)
+
+    def test_reflection_plan_hplus_matches_plus_mask(self):
+        g = sk.centered_grid((6, 6), 0.5)
+        planes = [sk.axis_plane(k, 2, j * 0.25, s) for k in (0, 1) for j in (-3, 0, 2) for s in (1, -1)]
+        planes.append(sk.OrientedHyperplane(unit([1.0, -1.0]), 0.0, -1))
+        for plane in planes:
+            assert np.array_equal(sk.Reflection(g, plane).hplus, sk.plus_mask(g, plane))
 
 
 class TestReflectGridFunction:

@@ -28,7 +28,7 @@ class TestEquimeasurable:
         assert report.counterexample["trial"] == 0
 
     def test_mean_pair_fails(self):
-        T = sk.build_pointwise_map(ASSOCIATED_PAIRS["mean"], PLANE)
+        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)
         assert not sk.check_equimeasurable(T, trials=50, seed=3).holds
 
 
@@ -192,7 +192,7 @@ class TestEquivalenceBattery:
         small = sk.centered_grid((12, 12), 1.0 / 3.0)
         plane = sk.axis_plane(1, 2, 0.0, 1)
         for name in ("max_min", "min_max", "first", "second", "mean"):
-            T = sk.build_pointwise_map(ASSOCIATED_PAIRS[name], plane)
+            T = sk.PointwiseTransformer(ASSOCIATED_PAIRS[name], plane)
             if not sk.check_equimeasurable(T, trials=40, seed=11, grid=small).holds:
                 assert name == "mean"
                 continue

@@ -59,6 +59,15 @@ def test_truncated_payload(tmp_path):
         gridio.read_grid_function(path)
 
 
+def test_trailing_bytes_rejected(tmp_path):
+    g = sk.Grid((4,), (0.0,), 1.0)
+    path = tmp_path / "f.grd"
+    gridio.write_grid_function(path, sk.GridFunction(g, np.arange(4.0)))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError):
+        gridio.read_grid_function(path)
+
+
 def test_polygon_roundtrip(tmp_path):
     poly = sk.ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
     path = tmp_path / "k.json"

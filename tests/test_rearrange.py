@@ -219,19 +219,19 @@ class TestSchwarz:
 
 class TestPointwiseMaps:
     def test_max_min_is_polarization(self):
-        T = sk.build_pointwise_map(ASSOCIATED_PAIRS["max_min"], PLANE)
+        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["max_min"], PLANE)
         for i in range(20):
             f = rand_fn(i)
             assert T(f) == sk.polarize(f, PLANE)
 
     def test_first_projection_is_identity(self):
-        T = sk.build_pointwise_map(ASSOCIATED_PAIRS["first"], PLANE)
+        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["first"], PLANE)
         for i in range(10):
             f = rand_fn(i)
             assert T(f) == f
 
     def test_second_projection_is_reflection(self):
-        T = sk.build_pointwise_map(ASSOCIATED_PAIRS["second"], PLANE)
+        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["second"], PLANE)
         for i in range(10):
             f = rand_fn(i)
             assert T(f) == sk.reflect_grid_function(f, PLANE)
@@ -287,7 +287,7 @@ class TestFvalues:
                     zip(f.values.ravel()[::37], mirrored.values.ravel()[::37])
                 )
             ok, _ = sk.check_fvalues(pair, samples)
-            T = sk.build_pointwise_map(pair, PLANE)
+            T = sk.PointwiseTransformer(pair, PLANE)
             equi = all(sk.distribution(T(f)) == sk.distribution(f) for f in fns)
             assert ok == equi, name
 

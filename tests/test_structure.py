@@ -70,7 +70,7 @@ class TestInducedMapsOfPointwiseTransformers:
 
     def test_indicator_images(self):
         for name, expected in self.cases().items():
-            T = sk.build_pointwise_map(ASSOCIATED_PAIRS[name], PLANE)
+            T = sk.PointwiseTransformer(ASSOCIATED_PAIRS[name], PLANE)
             dmap = sk.induced_set_map(T)
             for i in range(15):
                 rng = trial_rng(223, i)
@@ -80,7 +80,7 @@ class TestInducedMapsOfPointwiseTransformers:
                 assert dmap(a) == expected(a)
 
     def test_mean_pair_breaks_indicators(self):
-        T = sk.build_pointwise_map(ASSOCIATED_PAIRS["mean"], PLANE)
+        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)
         a = sk.disk_raster(GRID, (0.0, -0.75), 0.5)
         image = T(a.indicator())
         assert not set(np.unique(image.values)) <= {0.0, 1.0}
