@@ -8,6 +8,7 @@ grids have no null sets, so no measure-zero slack is granted anywhere.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,21 +291,42 @@ def modulus_profile(f):
     Returns (distances, omegas): omegas[i] is the modulus of continuity at
     d = distances[i], i.e. the sup over all pairs at distance <= distances[i].
     Distances are grouped exactly via integer index offsets (cell distances
-    on a uniform grid are spacing * sqrt(integer)).
+    on a uniform grid are spacing * sqrt(integer)).  A one-cell grid has no
+    pairs and gives two empty arrays.
+
+    Walks one of each +-o pair of index offsets instead of every cell pair,
+    so memory stays O(N * dims[-1]).  The last axis is vectorised: a
+    NaN-padded copy of it holds every last-axis offset as one window, and
+    np.fmax skips the reads that fall off the grid (values are finite).
     """
-    idx = np.stack([m.ravel() for m in np.indices(f.grid.dims)], axis=-1).astype(np.int64)
-    vals = f.values.ravel()
-    n = len(vals)
-    diff = np.abs(vals[:, None] - vals[None, :])
-    d2 = np.sum((idx[:, None, :] - idx[None, :, :]) ** 2, axis=-1)
-    iu = np.triu_indices(n, k=1)
-    d2 = d2[iu]
-    diff = diff[iu]
-    order = np.argsort(d2, kind="stable")
+    values = f.values
+    *lead, m = values.shape
+    padded = np.full((*lead, 3 * m - 2), np.nan)
+    padded[..., m - 1 : 2 * m - 1] = values
+    # windows[..., s, i] reads the cell i + s - (m - 1) of the same row
+    windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=-1)
+    r2 = (np.arange(2 * m - 1) - (m - 1)) ** 2
+    zero = (0,) * len(lead)
+    d2s, peaks = [], []
+    for o in itertools.product(*(range(1 - k, k) for k in lead)):
+        if o < zero:
+            continue  # the mirror offset -o covers these pairs
+        near = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(o, lead))
+        far = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(o, lead))
+        diff = windows[far] - values[near][..., None, :]
+        np.abs(diff, out=diff)
+        peak = np.fmax.reduce(diff, axis=tuple(range(len(lead))) + (len(lead) + 1,))
+        first = m if o == zero else 0  # at o = 0 keep the positive last-axis offsets
+        d2s.append(sum(k * k for k in o) + r2[first:])
+        peaks.append(peak[first:])
+    d2 = np.concatenate(d2s)
+    if d2.size == 0:
+        return np.empty(0), np.empty(0)
+    order = np.argsort(d2)  # a max per group does not depend on the order within it
     d2 = d2[order]
-    running = np.maximum.accumulate(diff[order])
-    last = np.nonzero(np.concatenate([np.diff(d2) > 0, [True]]))[0]
-    return f.grid.spacing * np.sqrt(d2[last].astype(float)), running[last]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(d2) > 0]))
+    omegas = np.maximum.accumulate(np.maximum.reduceat(np.concatenate(peaks)[order], starts))
+    return f.grid.spacing * np.sqrt(d2[starts].astype(float)), omegas
 
 
 def check_modulus_reducing(transformer, trials=50, seed=0, grid=DEFAULT_GRID, tol=1e-12):

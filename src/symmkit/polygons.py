@@ -126,14 +126,25 @@ def chords_at(vertices, u, xs):
     hi = np.full(xs.shape, np.inf)
     ok = np.ones(xs.shape, dtype=bool)
     scale = max(1.0, float(np.abs(v).max()))
+    # free / au carries a rounding error of about eps * scale * |a| / |au|, so
+    # an edge nearly parallel to u bounds its chords only loosely; the
+    # emptiness test widens by that factor for the edges that bound a chord
+    norm = np.hypot(normals[:, 0], normals[:, 1]) * np.linalg.norm(u)
+    widen = np.maximum(1.0, norm / np.maximum(np.abs(au), CLIP_EPS))
+    lo_widen = np.ones(xs.shape)
+    hi_widen = np.ones(xs.shape)
     for j in range(len(v)):
         if au[j] > CLIP_EPS:
-            lo = np.maximum(lo, free[j] / au[j])
+            t = free[j] / au[j]
+            lo_widen = np.where(t > lo, widen[j], lo_widen)
+            lo = np.maximum(lo, t)
         elif au[j] < -CLIP_EPS:
-            hi = np.minimum(hi, free[j] / au[j])
+            t = free[j] / au[j]
+            hi_widen = np.where(t < hi, widen[j], hi_widen)
+            hi = np.minimum(hi, t)
         else:
             ok &= free[j] <= CLIP_EPS * scale
-    ok &= lo <= hi + CLIP_EPS * scale
+    ok &= lo <= hi + CLIP_EPS * scale * np.maximum(lo_widen, hi_widen)
     return lo, hi, ok
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import symmkit as sk
-from symmkit.harness import random_convex_polygon
+from symmkit.harness import random_convex_polygon, trial_rng
 from symmkit.polygons import chords_at, clip_convex, perp
 
 U = np.array([0.0, 1.0])
@@ -80,6 +80,22 @@ def test_degenerate_touching_chord_kept():
     seg = sk.chord(tri, U, 2.0)  # line through the right vertex
     assert seg is not None
     assert abs(seg[1] - seg[0]) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, u", [(745, (0.0, 1.0)), (275, (1.0, 0.0)), (2094, (0.6, 0.8))]
+)
+def test_vertex_station_beside_near_parallel_edge(seed, u):
+    # an edge almost parallel to u (dx = -2.2e-5 for seed 745) bounds the
+    # chord at its endpoint's station only to about 1e-11; that chord holds
+    # the vertex, so it must not be rejected as empty
+    poly = random_convex_polygon(trial_rng(seed, 0), box=2.0)
+    u = np.asarray(u)
+    _, _, ok = chords_at(poly.vertices, u, np.unique(poly.vertices @ perp(u)))
+    assert ok.all()
+    region = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), u)
+    assert abs(region.area() - poly.area()) < 1e-9
+    assert abs(sk.perimeter_region(region) - poly.perimeter()) < 1e-9
 
 
 def test_clip_convex_intersection_area():
