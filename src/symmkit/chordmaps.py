@@ -16,10 +16,11 @@ import numpy as np
 from .contractions import PLContraction, canonical_contraction
 from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid
 from .geometry import GridSet, reflect_grid_set
-from .polygons import chords_at, clip_convex, perp
+from .polygons import chords_at, perp
 from .rearrange import polarize_set
 
 BREAK_TOL = 1e-12
+ORACLE_STATIONS = 64  # interior stations sampled by union_of_translates
 
 
 @dataclass(frozen=True)
@@ -150,42 +151,38 @@ def region_from_polygon(poly, u):
     return chord_move_polygon(poly, canonical_contraction("id"), u)
 
 
-def union_of_translates(poly, phi, u, samples, stations=64):
+def union_of_translates(poly, phi, u, samples):
     """Brute-force union of the symmetric cores translated by the contraction.
 
     For a uniform sample of midpoint positions t, the H-symmetric core
-    (poly - t u) intersect (poly_reflected + t u) is built by polygon
-    clipping, translated by phi(t) u, and accumulated chordwise at interior
-    stations.  Serves as a sampling oracle for :func:`chord_move_polygon`.
+    (poly - t u) intersect (poly_reflected + t u) is translated by phi(t) u
+    and accumulated chordwise at interior stations.  On each line orthogonal
+    to H the core's chord is the intersection of the two translated chords,
+    so no polygon is clipped.  Serves as a sampling oracle for
+    :func:`chord_move_polygon`.
     """
     if samples < 2:
         raise ValueError("need at least two midpoint samples")
     u = np.asarray(u, dtype=float)
     w = perp(u)
     vstations = np.unique(poly.vertices @ w)
-    edges = np.linspace(vstations[0], vstations[-1], stations + 1)
+    edges = np.linspace(vstations[0], vstations[-1], ORACLE_STATIONS + 1)
     xs = (edges[:-1] + edges[1:]) / 2.0
-    lo_v, hi_v, ok = chords_at(poly.vertices, u, vstations)
+    lo_v, hi_v, _ = chords_at(poly.vertices, u, vstations)
     mids = (lo_v + hi_v) / 2.0
     ts = np.linspace(float(mids.min()), float(mids.max()), samples)
-    reflected = poly.reflect_across(u)
-    lower = np.full(xs.shape, np.inf)
-    upper = np.full(xs.shape, -np.inf)
-    touched = np.zeros(xs.shape, dtype=bool)
-    for t in ts:
-        core = clip_convex(poly.vertices - t * u, reflected.vertices + t * u)
-        if len(core) < 3:
-            continue
-        lo, hi, ok = chords_at(core, u, xs)
-        offset = float(phi(t))
-        # degenerate cores (collinear clip output) leave unbounded chords behind
-        sel = ok & (hi >= lo) & np.isfinite(lo) & np.isfinite(hi)
-        lower[sel] = np.minimum(lower[sel], lo[sel] + offset)
-        upper[sel] = np.maximum(upper[sel], hi[sel] + offset)
-        touched |= sel
-    if not np.all(touched):
-        xs, lower, upper = xs[touched], lower[touched], upper[touched]
-    return ChordMovedRegion(tuple(u), xs, lower, upper)
+    lo, hi, ok = chords_at(poly.vertices, u, xs)
+    lo_r, hi_r, ok_r = chords_at(poly.reflect_across(u).vertices, u, xs)
+    # (samples, stations): chord of (poly - t u) meets chord of (reflected + t u)
+    t = ts[:, None]
+    core_lo = np.maximum(lo - t, lo_r + t)
+    core_hi = np.minimum(hi - t, hi_r + t)
+    sel = ok & ok_r & (core_hi >= core_lo)
+    offset = np.asarray(phi(ts), dtype=float)[:, None]
+    lower = np.where(sel, core_lo + offset, np.inf).min(axis=0)
+    upper = np.where(sel, core_hi + offset, -np.inf).max(axis=0)
+    touched = sel.any(axis=0)
+    return ChordMovedRegion(tuple(u), xs[touched], lower[touched], upper[touched])
 
 
 def chordwise_distance(region_a, region_b):
@@ -224,6 +221,7 @@ def chord_move_gridset(a, phi, axis):
     Half-cell ties round toward the positive axis direction.  Raises OffGrid
     when a run would be pushed past the edge of the grid.
     """
+    a.grid.require_axis(axis)
     h = a.grid.spacing
     coords = a.grid.axis_centers(axis)
     flat, counts, first, last, _ = _column_runs(np.asarray(a.mask), axis)

@@ -26,10 +26,10 @@ from .geometry import (
     GridSet,
     axis_plane,
     box_raster,
-    centered_grid,
     distribution,
 )
 from .harness import (
+    DEFAULT_GRID,
     check_equimeasurable,
     check_lp_contracting,
     check_modulus_reducing,
@@ -153,12 +153,13 @@ def run_convergence(f, axis, iterations, seed=0, planes=None):
 # ---------------------------------------------------------------------------
 
 
-def run_verify(trials=200, seed=7, grid=None):
+def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
     """Property suites for the four canonical transformers and two set maps.
 
     Everything here is expected to hold; returns (report dict, all_hold).
     """
-    grid = grid or centered_grid((32, 32), 1.0 / 8.0)
+    if trials < 1:
+        raise ValueError("trial count must be at least 1")
     plane = axis_plane(1, grid.n, 0.0, 1)
     transformers = {name: functools.partial(t, plane=plane) for name, t in CANONICAL_TRANSFORMERS.items()}
     report = {"transformers": {}, "set_maps": {}}
@@ -196,10 +197,6 @@ def run_verify(trials=200, seed=7, grid=None):
 # ---------------------------------------------------------------------------
 # Counterexample gallery
 # ---------------------------------------------------------------------------
-
-
-def _gallery_grid():
-    return centered_grid((32, 32), 1.0 / 8.0)
 
 
 def _verdict(flag):
@@ -329,13 +326,14 @@ def _row_closure(grid, plane, seed, trials):
     return {"grid_scale_effect": "not_representable"}, {"grid_scale_effect": "not_representable"}
 
 
-def run_gallery(seed=7, trials=20, grid=None, strict=True):
+def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID, strict=True):
     """Reproduce the counterexample fixtures and compare verdict matrices.
 
     Returns a summary dict with one row per fixture; with ``strict`` a
     mismatch raises GalleryMismatch (the summary rides on the exception).
     """
-    grid = grid or _gallery_grid()
+    if trials < 1:
+        raise ValueError("trial count must be at least 1")
     plane = axis_plane(1, grid.n, 0.0, 1)
     rows = (
         ("sawtooth_chord_movement", _row_sawtooth),

@@ -68,6 +68,11 @@ class Grid:
     def center(self):
         return tuple((o + u) / 2.0 for o, u in zip(self.origin, self.upper))
 
+    def require_axis(self, axis):
+        """Raise ValueError unless ``axis`` is a 0-based axis index of this grid."""
+        if not 0 <= axis < self.n:
+            raise ValueError(f"axis {axis} is outside 0..{self.n - 1} for a {self.n}D grid")
+
     def axis_centers(self, axis):
         """Cell-center coordinates along one axis."""
         o = self.origin[axis]

@@ -474,14 +474,19 @@ def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=N
 # Rearrangement classifier
 # ---------------------------------------------------------------------------
 
-def _cone_probes(grid, plane, seed, count=8):
+CONE_PROBES = 8  # concave-bump probe functions per classification
+PROBE_OFFSET = 0.75  # displacement of the ball probes from the hyperplane
+WITNESS_RADIUS_CELLS = 4.8  # ball probe radius in grid spacings
+
+
+def _cone_probes(grid, plane, seed):
     rng = trial_rng(seed, 987)
     u = np.asarray(plane.normal, dtype=float)
     mid = np.asarray(grid.center)
     base = mid - ((mid @ u) - plane.offset) * u
     span = 0.5 * min(up - o for o, up in zip(grid.origin, grid.upper))
     probes = []
-    for _ in range(count):
+    for _ in range(CONE_PROBES):
         t = float(rng.integers(-8, 9)) * grid.spacing
         radius = (0.3 + 0.5 * rng.random()) * span
         levels = int(rng.integers(2, 7))
@@ -489,7 +494,7 @@ def _cone_probes(grid, plane, seed, count=8):
     return probes
 
 
-def classify_rearrangement(transformer, grid, plane, seed=0, probe_offset=0.75, witness_radius=None):
+def classify_rearrangement(transformer, grid, plane, seed=0):
     """Match an equimeasurable monotone transformer against the four canonical maps.
 
     Probes the induced set map with displaced ball rasters to read off the
@@ -499,7 +504,6 @@ def classify_rearrangement(transformer, grid, plane, seed=0, probe_offset=0.75, 
     the witness is None for a canonical label and a payload describing the
     separating probe otherwise.
     """
-    h = grid.spacing
     probes = _cone_probes(grid, plane, seed)
     for f in probes:
         if distribution(transformer(f)) != distribution(f):
@@ -513,7 +517,7 @@ def classify_rearrangement(transformer, grid, plane, seed=0, probe_offset=0.75, 
     u = np.asarray(plane.normal, dtype=float) * plane.positive
     mid = np.asarray(grid.center)
     base = mid - ((mid @ np.asarray(plane.normal)) - plane.offset) * np.asarray(plane.normal)
-    radius = witness_radius if witness_radius is not None else 4.8 * h
+    radius = WITNESS_RADIUS_CELLS * grid.spacing
 
     def displaced_center(t):
         image = dmap(disk_raster(grid, base + t * u, radius))
@@ -522,7 +526,7 @@ def classify_rearrangement(transformer, grid, plane, seed=0, probe_offset=0.75, 
         com = grid.centers()[image.mask.ravel()].mean(axis=0)
         return float((com - base) @ u)
 
-    ts = [probe_offset, probe_offset * 2 / 3, -probe_offset * 2 / 3, -probe_offset]
+    ts = [PROBE_OFFSET, PROBE_OFFSET * 2 / 3, -PROBE_OFFSET * 2 / 3, -PROBE_OFFSET]
     phi_hat = {}
     for t in ts:
         phi_hat[t] = displaced_center(t)
@@ -535,7 +539,7 @@ def classify_rearrangement(transformer, grid, plane, seed=0, probe_offset=0.75, 
 
     two_disk = None
     try:
-        union = two_disk_symmetric_set(grid, plane, probe_offset, radius)
+        union = two_disk_symmetric_set(grid, plane, PROBE_OFFSET, radius)
         two_disk = dmap(union) == union
     except SymmkitError:
         two_disk = None  # outside the transformer's domain; not decisive
@@ -549,13 +553,13 @@ def classify_rearrangement(transformer, grid, plane, seed=0, probe_offset=0.75, 
 
     def snap(value):
         for s in (1, -1):
-            if abs(value - s * probe_offset) <= 1e-9:
+            if abs(value - s * PROBE_OFFSET) <= 1e-9:
                 return s
         return None
 
     key = (snap(phi_hat[ts[0]]), snap(phi_hat[ts[3]]))
     witness = {
-        "probe_center": probe_offset,
+        "probe_center": PROBE_OFFSET,
         "image_center": phi_hat[ts[0]],
         "phi_estimates": {str(t): phi_hat[t] for t in ts},
     }

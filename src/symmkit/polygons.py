@@ -1,4 +1,4 @@
-"""Exact planar convex polygons: construction, chords, clipping, rasters."""
+"""Exact planar convex polygons: construction, chords, rasters."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBody
 from .geometry import GridSet
 
 CROSS_TOL = 1e-12
@@ -162,45 +161,6 @@ def chord(poly, u, x):
     return lo_v, hi_v
 
 
-def clip_convex(subject, clipper):
-    """Sutherland-Hodgman intersection of two convex ccw vertex arrays."""
-    out = [tuple(p) for p in np.asarray(subject, dtype=float)]
-    clip = np.asarray(clipper, dtype=float)
-    m = len(clip)
-    for i in range(m):
-        if not out:
-            return np.empty((0, 2))
-        a = clip[i]
-        b = clip[(i + 1) % m]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-
-        def inside(p):
-            return ex * (p[1] - a[1]) - ey * (p[0] - a[0]) >= -CLIP_EPS
-
-        def intersect(p, q):
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            den = ex * dy - ey * dx
-            if abs(den) < 1e-300:
-                return q
-            s = (ex * (p[1] - a[1]) - ey * (p[0] - a[0])) / -den
-            return (p[0] + s * dx, p[1] + s * dy)
-
-        prev = out[-1]
-        prev_in = inside(prev)
-        nxt = []
-        for cur in out:
-            cur_in = inside(cur)
-            if cur_in:
-                if not prev_in:
-                    nxt.append(intersect(prev, cur))
-                nxt.append(cur)
-            elif prev_in:
-                nxt.append(intersect(prev, cur))
-            prev, prev_in = cur, cur_in
-        out = nxt
-    return np.asarray(out, dtype=float)
-
-
 def polygon_raster(grid, poly):
     """Cells of a 2D grid whose centers lie in the polygon."""
     if grid.n != 2:
@@ -209,8 +169,3 @@ def polygon_raster(grid, poly):
     normals, rhs = poly.edge_constraints()
     inside = np.all(centers @ normals.T >= rhs - 1e-12, axis=1)
     return GridSet(grid, inside.reshape(grid.dims))
-
-
-def require_body(poly):
-    if poly.area() <= 0.0:
-        raise DegenerateBody("polygon has no interior")

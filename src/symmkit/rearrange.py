@@ -54,6 +54,7 @@ def steiner_symmetrize_function(f, axis):
     Column values are sorted descending and placed center-out, the upper
     (positive axis) side first on ties; every column keeps its value multiset.
     """
+    f.grid.require_axis(axis)
     m = f.grid.dims[axis]
     order = _center_out_order(m)
     moved = np.moveaxis(np.asarray(f.values), axis, -1)
@@ -65,6 +66,7 @@ def steiner_symmetrize_function(f, axis):
 
 def steiner_symmetrize_set(a, axis):
     """Per-column recentring of each run count about the grid's center plane."""
+    a.grid.require_axis(axis)
     m = a.grid.dims[axis]
     order = _center_out_order(m)
     rank = np.empty(m, dtype=np.int64)
@@ -93,6 +95,7 @@ def schwarz_symmetrize_set(a, axis):
     """
     if a.grid.n != 3:
         raise ValueError("planar-fiber symmetrization needs a 3D grid")
+    a.grid.require_axis(axis)
     moved = np.moveaxis(np.asarray(a.mask), axis, 0)
     fiber_shape = moved.shape[1:]
     order = _fiber_fill_order(fiber_shape)
@@ -117,9 +120,6 @@ class AssociatedFunctionPair:
     fplus: callable
     fminus: callable
     domain: str = "real"  # or "nonneg"
-
-    def __call__(self, r, s, side):
-        return self.fplus(r, s) if side > 0 else self.fminus(r, s)
 
 
 def _proj_first(r, s):

@@ -64,6 +64,47 @@ def test_converge_rejects_zero_iters(tmp_path, sample_grd):
     assert cli_dispatch(argv) == 2
 
 
+@pytest.mark.parametrize("axis", ["2", "-1"])
+@pytest.mark.parametrize("command", ["steiner", "converge"])
+def test_axis_out_of_range_exit_2(tmp_path, sample_grd, capsys, command, axis):
+    path, _ = sample_grd
+    argv = [command, "--in", str(path), "--axis", axis, "--out", str(tmp_path / "o")]
+    if command == "converge":
+        argv += ["--iters", "3"]
+    assert cli_dispatch(argv) == 2
+    assert f"axis {axis} is outside 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["2", "-1"])
+def test_chordmap_axis_out_of_range_exit_2(tmp_path, capsys, axis):
+    apath = tmp_path / "a.grd"
+    gridio.write_grid_set(apath, sk.disk_raster(sk.centered_grid((16, 16), 0.25), (0.0, -1.0), 0.7))
+    cpath = tmp_path / "phi.json"
+    gridio.write_contraction(cpath, sk.canonical_contraction("abs", 8.0))
+    argv = ["chordmap", "--in", str(apath), "--contraction", str(cpath), "--axis", axis,
+            "--out", str(tmp_path / "b.grd")]
+    assert cli_dispatch(argv) == 2
+    assert f"axis {axis} is outside 0..1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["3", "-1"])
+def test_schwarz_axis_out_of_range_exit_2(tmp_path, capsys, axis):
+    g = sk.centered_grid((4, 8, 8), 0.5)
+    path = tmp_path / "a.grd"
+    gridio.write_grid_set(path, sk.GridSet(g, trial_rng(73, 0).random(g.dims) < 0.3))
+    argv = ["schwarz", "--in", str(path), "--axis", axis, "--out", str(tmp_path / "b.grd")]
+    assert cli_dispatch(argv) == 2
+    assert f"axis {axis} is outside 0..2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "gallery"])
+def test_zero_trials_exit_2(tmp_path, capsys, command):
+    report = tmp_path / "r.json"
+    assert cli_dispatch([command, "--trials", "0", "--report", str(report)]) == 2
+    assert "trial count" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_converge_rejects_missing_input(tmp_path):
     argv = ["converge", "--in", str(tmp_path / "missing.grd"), "--axis", "1", "--iters", "3",
             "--out", str(tmp_path / "t.csv")]

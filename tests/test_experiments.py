@@ -18,6 +18,12 @@ def test_run_convergence_rejects_zero_iterations():
         run_convergence(f, 0, 0)
 
 
+@pytest.mark.parametrize("run", [run_verify, run_gallery])
+def test_zero_trials_rejected(run):
+    with pytest.raises(ValueError):
+        run(trials=0)
+
+
 def test_symmetric_input_all_distances_zero():
     g = sk.centered_grid((8,), 0.25)
     f = sk.steiner_symmetrize_function(

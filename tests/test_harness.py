@@ -7,6 +7,7 @@ from symmkit.errors import NotARearrangement
 from symmkit.harness import (
     DEFAULT_GRID,
     random_blob_function,
+    random_blob_set,
     trial_rng,
 )
 from symmkit.rearrange import ASSOCIATED_PAIRS, layer_cake_rearrangement
@@ -105,12 +106,29 @@ class TestReplayability:
         assert again  # same violation reproduces from (seed, trial)
 
 
+# each axis-plane set-map factory with the catalog entry it induces
+AXIS_PLANE_SET_MAPS = {
+    "polarization": (sk.polarization_set_map, "two_point"),
+    "reflection": (sk.reflection_set_map, "reflection"),
+    "polarization_dagger": (sk.polarization_dagger_set_map, "two_point_reflected"),
+}
+
+
 class TestSetMapBundle:
-    def test_two_point_all_hold(self):
-        bundle = sk.check_setmap_properties(
-            sk.polarization_set_map(PLANE), trials=100, seed=1, grid=GRID
-        )
+    @pytest.mark.parametrize("name", list(AXIS_PLANE_SET_MAPS))
+    def test_two_point_all_hold(self, name):
+        factory, _ = AXIS_PLANE_SET_MAPS[name]
+        bundle = sk.check_setmap_properties(factory(PLANE), trials=100, seed=1, grid=GRID)
         assert {r.verdict for r in bundle.values()} == {"holds"}
+
+    @pytest.mark.parametrize("name", list(AXIS_PLANE_SET_MAPS))
+    def test_agrees_with_catalog_entry(self, name):
+        factory, label = AXIS_PLANE_SET_MAPS[name]
+        dmap = factory(PLANE)
+        induced = sk.induced_set_map(lambda f: sk.CANONICAL_TRANSFORMERS[label](f, PLANE))
+        for i in range(30):
+            a = random_blob_set(trial_rng(17, i), GRID)
+            assert dmap(a) == induced(a)
 
     def test_identity_all_hold(self):
         bundle = sk.check_setmap_properties(

@@ -3,7 +3,7 @@ import pytest
 
 import symmkit as sk
 from symmkit.harness import random_convex_polygon, trial_rng
-from symmkit.polygons import chords_at, clip_convex, perp
+from symmkit.polygons import chords_at, perp
 
 U = np.array([0.0, 1.0])
 
@@ -96,13 +96,6 @@ def test_vertex_station_beside_near_parallel_edge(seed, u):
     region = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), u)
     assert abs(region.area() - poly.area()) < 1e-9
     assert abs(sk.perimeter_region(region) - poly.perimeter()) < 1e-9
-
-
-def test_clip_convex_intersection_area():
-    a = sk.ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
-    b = sk.ConvexPolygon([[1.0, 1.0], [3.0, 1.0], [3.0, 3.0], [1.0, 3.0]])
-    out = clip_convex(a.vertices, b.vertices)
-    assert abs(sk.ConvexPolygon(out).area() - 1.0) < 1e-12
 
 
 def test_convex_hull_ccw_strict():

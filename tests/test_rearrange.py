@@ -117,6 +117,14 @@ class TestPolarizeSet:
 
 
 class TestSteiner:
+    @pytest.mark.parametrize("axis", [2, -1])
+    def test_axis_out_of_range_rejected(self, axis):
+        a = sk.box_raster(GRID, (-1.0, -1.0), (1.0, 1.0))
+        with pytest.raises(ValueError):
+            sk.steiner_symmetrize_set(a, axis)
+        with pytest.raises(ValueError):
+            sk.steiner_symmetrize_function(a.indicator(), axis)
+
     def test_set_centered_square_fixed(self):
         a = sk.box_raster(GRID, (-1.0, -1.0), (1.0, 1.0))
         assert sk.steiner_symmetrize_set(a, 1) == a
