@@ -114,6 +114,16 @@ def _pullback_stations(xs, ts, phi):
     return extra
 
 
+def _vertex_stations(poly, w):
+    """Sorted distinct projections of the vertices on w.
+
+    The sort-and-mask that numpy's unique runs, without its lazy import of
+    numpy.ma.
+    """
+    x = np.sort(poly.vertices @ w)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
+
+
 def chord_move_polygon(poly, phi, u):
     """Move every chord of the polygon orthogonal to u_perp by phi on midpoints.
 
@@ -125,7 +135,7 @@ def chord_move_polygon(poly, phi, u):
         raise DegenerateBody("cannot move chords of a degenerate polygon")
     u = np.asarray(u, dtype=float)
     w = perp(u)
-    stations = np.unique(poly.vertices @ w)
+    stations = _vertex_stations(poly, w)
     lo, hi, ok = chords_at(poly.vertices, u, stations)
     if not np.all(ok):
         raise DegenerateBody("vertex stations must carry nonempty chords")
@@ -133,7 +143,8 @@ def chord_move_polygon(poly, phi, u):
     extra = _pullback_stations(stations, mids, phi)
     if extra:
         span = stations[-1] - stations[0]
-        xs = np.unique(np.concatenate([stations, np.asarray(extra)]))
+        # exact duplicates have a zero gap, so the gap filter drops them too
+        xs = np.sort(np.concatenate([stations, np.asarray(extra)]))
         keep = np.concatenate([[True], np.diff(xs) > BREAK_TOL * max(span, 1.0)])
         xs = xs[keep]
     else:
@@ -165,7 +176,7 @@ def union_of_translates(poly, phi, u, samples):
         raise ValueError("need at least two midpoint samples")
     u = np.asarray(u, dtype=float)
     w = perp(u)
-    vstations = np.unique(poly.vertices @ w)
+    vstations = _vertex_stations(poly, w)
     edges = np.linspace(vstations[0], vstations[-1], ORACLE_STATIONS + 1)
     xs = (edges[:-1] + edges[1:]) / 2.0
     lo_v, hi_v, _ = chords_at(poly.vertices, u, vstations)

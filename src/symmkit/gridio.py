@@ -20,6 +20,54 @@ from .polygons import ConvexPolygon
 MAGIC = b"GRD1"
 
 
+def _is_number(x, integral=False):
+    return not isinstance(x, bool) and isinstance(x, int if integral else (int, float))
+
+
+def _is_vector(x, integral=False):
+    return isinstance(x, list) and all(_is_number(c, integral) for c in x)
+
+
+def _is_pairs(x):
+    return isinstance(x, list) and all(_is_vector(p) and len(p) == 2 for p in x)
+
+
+_GRD1_HEADER = {
+    "dims": ("a list of integers", lambda x: _is_vector(x, integral=True)),
+    "origin": ("a list of numbers", _is_vector),
+    "spacing": ("a number", _is_number),
+}
+_POLYGON = {"vertices": ("a list of [x, y] pairs", _is_pairs)}
+_CONTRACTION = {"breakpoints": ("a list of [t, y] pairs", _is_pairs)}
+_REGION = {
+    "u": ("a list of numbers", _is_vector),
+    "gplus": ("a list of [x, y] pairs", _is_pairs),
+    "gminus": ("a list of [x, y] pairs", _is_pairs),
+}
+
+
+def _fields(payload, what, spec):
+    """The values of spec's keys in a JSON payload, each checked for its type.
+
+    Raises ValueError naming the first key that is missing or ill-typed.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    values = []
+    for key, (kind, ok) in spec.items():
+        if key not in payload:
+            raise ValueError(f"{what} has no {key!r}")
+        if not ok(payload[key]):
+            raise ValueError(f"{what} {key!r} must be {kind}, got {payload[key]!r}")
+        values.append(payload[key])
+    return values
+
+
+def _read_json_fields(path, what, spec):
+    with open(path) as fh:
+        return _fields(json.load(fh), what, spec)
+
+
 def write_grid_function(path, f):
     header = {"dims": list(f.grid.dims), "origin": list(f.grid.origin), "spacing": f.grid.spacing}
     with open(path, "wb") as fh:
@@ -34,7 +82,8 @@ def read_grid_function(path):
         if magic != MAGIC:
             raise ValueError(f"not a GRD1 file: bad magic {magic!r}")
         header = json.loads(fh.readline().decode())
-        grid = Grid(tuple(header["dims"]), tuple(header["origin"]), float(header["spacing"]))
+        dims, origin, spacing = _fields(header, "GRD1 header", _GRD1_HEADER)
+        grid = Grid(tuple(dims), tuple(origin), float(spacing))
         raw = fh.read(8 * grid.num_cells)
         if len(raw) != 8 * grid.num_cells:
             raise ValueError("GRD1 payload truncated")
@@ -60,9 +109,8 @@ def write_polygon(path, poly):
 
 
 def read_polygon(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    return ConvexPolygon(np.asarray(payload["vertices"], dtype=float))
+    (vertices,) = _read_json_fields(path, "polygon", _POLYGON)
+    return ConvexPolygon(np.asarray(vertices, dtype=float))
 
 
 def write_contraction(path, phi):
@@ -73,9 +121,8 @@ def write_contraction(path, phi):
 
 
 def read_contraction(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    return PLContraction.from_breakpoints(payload["breakpoints"])
+    (pairs,) = _read_json_fields(path, "contraction", _CONTRACTION)
+    return PLContraction.from_breakpoints(pairs)
 
 
 def region_to_dict(region):
@@ -94,10 +141,9 @@ def write_region(path, region):
 
 
 def read_region(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    gplus = np.asarray(payload["gplus"], dtype=float)
-    gminus = np.asarray(payload["gminus"], dtype=float)
+    u, gplus, gminus = _read_json_fields(path, "region", _REGION)
+    gplus = np.asarray(gplus, dtype=float).reshape(-1, 2)
+    gminus = np.asarray(gminus, dtype=float).reshape(-1, 2)
     if not np.array_equal(gplus[:, 0], gminus[:, 0]):
         raise ValueError("gplus and gminus must share their breakpoint stations")
-    return ChordMovedRegion(tuple(payload["u"]), gplus[:, 0], gminus[:, 1], gplus[:, 1])
+    return ChordMovedRegion(tuple(u), gplus[:, 0], gminus[:, 1], gplus[:, 1])

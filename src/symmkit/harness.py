@@ -298,6 +298,15 @@ def modulus_profile(f):
     so memory stays O(N * dims[-1]).  The last axis is vectorised: a
     NaN-padded copy of it holds every last-axis offset as one window, and
     np.fmax skips the reads that fall off the grid (values are finite).
+
+    The leading-axis offsets are walked nearest first, and the walk stops
+    once the running max provably equals the span f.max - f.min.  Rounding
+    is monotone, so no computed |f(x)-f(y)| exceeds the computed span; once
+    a peak equals it at some d2, omega is the span from d2 on.  After a
+    pass, every d2 below the next leading offset's |o|^2 is complete, so the
+    walk stops when that d2 is at most the next |o|^2.  The offsets not
+    walked keep their d2 (geometry alone) and take the span as their peak,
+    and the result is that of the full walk, bit for bit.
     """
     values = f.values
     *lead, m = values.shape
@@ -307,18 +316,33 @@ def modulus_profile(f):
     windows = np.lib.stride_tricks.sliding_window_view(padded, m, axis=-1)
     r2 = (np.arange(2 * m - 1) - (m - 1)) ** 2
     zero = (0,) * len(lead)
+    # the mirror offset -o covers the pairs of every o < zero
+    offsets = (o for o in itertools.product(*(range(1 - k, k) for k in lead)) if o >= zero)
+    walk = sorted((sum(k * k for k in o), o) for o in offsets)  # nearest first
+    span = values.max() - values.min()
+    hit = np.inf  # the smallest d2 whose computed peak equals the span
     d2s, peaks = [], []
-    for o in itertools.product(*(range(1 - k, k) for k in lead)):
-        if o < zero:
-            continue  # the mirror offset -o covers these pairs
+    walked = len(walk)
+    for i, (o2, o) in enumerate(walk):
+        if hit <= o2:
+            walked = i
+            break
         near = tuple(slice(max(0, -k), n - max(0, k)) for k, n in zip(o, lead))
         far = tuple(slice(max(0, k), n - max(0, -k)) for k, n in zip(o, lead))
         diff = windows[far] - values[near][..., None, :]
         np.abs(diff, out=diff)
         peak = np.fmax.reduce(diff, axis=tuple(range(len(lead))) + (len(lead) + 1,))
         first = m if o == zero else 0  # at o = 0 keep the positive last-axis offsets
-        d2s.append(sum(k * k for k in o) + r2[first:])
+        d2s.append(o2 + r2[first:])
         peaks.append(peak[first:])
+        at_span = peaks[-1] == span
+        if at_span.any():
+            hit = min(hit, d2s[-1][at_span].min())
+    # offsets never walked are nonzero; their d2 is geometry alone
+    rest = np.array([o2 for o2, _ in walk[walked:]], dtype=r2.dtype)
+    rest = (rest[:, None] + r2).ravel()
+    d2s.append(rest)
+    peaks.append(np.full(rest.size, span))
     d2 = np.concatenate(d2s)
     if d2.size == 0:
         return np.empty(0), np.empty(0)

@@ -111,6 +111,29 @@ def test_converge_rejects_missing_input(tmp_path):
     assert cli_dispatch(argv) == 2
 
 
+@pytest.mark.parametrize(
+    "header", [{"origin": [0.0], "spacing": 1.0}, {"dims": 5, "origin": [0.0], "spacing": 1.0}]
+)
+def test_malformed_grd1_exit_2(tmp_path, capsys, header):
+    path = tmp_path / "bad.grd"
+    path.write_bytes(b"GRD1\n" + json.dumps(header).encode() + b"\n" + np.zeros(5).tobytes())
+    argv = ["steiner", "--in", str(path), "--axis", "0", "--out", str(tmp_path / "o.grd")]
+    assert cli_dispatch(argv) == 2
+    assert "GRD1 header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["polygon", "contraction"])
+def test_chordmap_malformed_json_exit_2(tmp_path, capsys, broken):
+    ppath, cpath = tmp_path / "k.json", tmp_path / "phi.json"
+    gridio.write_polygon(ppath, sk.ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]]))
+    gridio.write_contraction(cpath, sk.canonical_contraction("abs", 8.0))
+    (ppath if broken == "polygon" else cpath).write_text("{}")
+    argv = ["chordmap", "--in", str(ppath), "--contraction", str(cpath), "--normal", "0,1",
+            "--out", str(tmp_path / "region.json")]
+    assert cli_dispatch(argv) == 2
+    assert f"{broken} has no" in capsys.readouterr().err
+
+
 def test_chordmap_grid_mode(tmp_path):
     g = sk.centered_grid((16, 16), 0.25)
     a = sk.disk_raster(g, (0.0, -1.0), 0.7)

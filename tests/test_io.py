@@ -105,3 +105,69 @@ def test_write_is_deterministic(tmp_path):
     gridio.write_grid_function(p1, f)
     gridio.write_grid_function(p2, f)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+GOOD_HEADER = {"dims": [2], "origin": [0.0], "spacing": 1.0}
+
+
+def _write_grd(path, header):
+    path.write_bytes(b"GRD1\n" + json.dumps(header).encode() + b"\n" + np.zeros(2).tobytes())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dims", None), ("origin", None), ("spacing", None), ("dims", 5), ("dims", [2.5]),
+     ("dims", [True]), ("origin", "x"), ("origin", 0.0), ("spacing", "1"), ("spacing", [1.0])],
+)
+def test_malformed_grd1_header_names_the_key(tmp_path, key, value):
+    header = dict(GOOD_HEADER)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    path = tmp_path / "bad.grd"
+    _write_grd(path, header)
+    with pytest.raises(ValueError, match=repr(key)):
+        gridio.read_grid_function(path)
+
+
+def test_grd1_header_must_be_an_object(tmp_path):
+    path = tmp_path / "bad.grd"
+    _write_grd(path, [2])
+    with pytest.raises(ValueError, match="GRD1 header must be a JSON object"):
+        gridio.read_grid_function(path)
+
+
+def test_well_formed_header_still_reads(tmp_path):
+    path = tmp_path / "ok.grd"
+    _write_grd(path, GOOD_HEADER)
+    assert gridio.read_grid_function(path).grid == sk.Grid((2,), (0.0,), 1.0)
+
+
+@pytest.mark.parametrize(
+    "reader, payload, key",
+    [
+        (gridio.read_polygon, {"verts": [[0, 0], [1, 0], [0, 1]]}, "vertices"),
+        (gridio.read_polygon, {"vertices": "abc"}, "vertices"),
+        (gridio.read_polygon, {"vertices": [[0, 0], [1], [0, 1]]}, "vertices"),
+        (gridio.read_contraction, {}, "breakpoints"),
+        (gridio.read_contraction, {"breakpoints": 5}, "breakpoints"),
+        (gridio.read_contraction, {"breakpoints": [[0.0, "a"]]}, "breakpoints"),
+        (gridio.read_region, {"u": [0.0, 1.0], "gplus": []}, "gminus"),
+    ],
+)
+def test_malformed_json_names_the_key(tmp_path, reader, payload, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=repr(key)):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    "reader", [gridio.read_polygon, gridio.read_contraction, gridio.read_region]
+)
+def test_json_payload_must_be_an_object(tmp_path, reader):
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        reader(path)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from grid_strategies import function_on, grid_and_plane
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,16 +59,49 @@ def test_one_cell_grid_has_no_pairs(dims):
     assert ds.shape == (0,) and omegas.shape == (0,)
 
 
+def _opposite_corners(dims):
+    values = np.zeros(dims)
+    values[(0,) * len(dims)] = 1.0
+    values[tuple(n - 1 for n in dims)] = -1.0
+    return values
+
+
+# functions whose running max reaches the span late or only at the farthest
+# offset, so the walk runs (nearly) to the end; a constant has span 0
+SLOW_TO_SPAN = {
+    "ramp": lambda dims: np.indices(dims).sum(axis=0),
+    "negramp": lambda dims: -np.indices(dims).sum(axis=0),
+    "cos": lambda dims: np.cos(np.indices(dims).sum(axis=0)),
+    "constant": lambda dims: np.full(dims, 2.5),
+    "corners": _opposite_corners,
+}
+SLOW_DIMS = [
+    (2,), (9,), (1, 7), (6, 1), (3, 8), (8, 3), (7, 7), (1, 1, 5), (4, 1, 3), (3, 5, 2), (8, 8, 8)
+]
+
+
+@pytest.mark.parametrize("shape", sorted(SLOW_TO_SPAN))
+@pytest.mark.parametrize("dims", SLOW_DIMS)
+def test_matches_pairwise_when_the_span_comes_late(dims, shape):
+    values = SLOW_TO_SPAN[shape](dims).astype(float)
+    assert_same_profile(sk.GridFunction(sk.centered_grid(dims, 0.3), values))
+
+
 @st.composite
-def grid_and_plane(draw):
-    # axis planes through the grid center, either side positive: the
-    # reflection maps the grid onto itself, so every cell has its mirror
+def small_function(draw):
     n = draw(st.integers(1, 3))
-    dims = tuple(draw(st.lists(st.integers(1, {1: 32, 2: 16, 3: 8}[n]), min_size=n, max_size=n)))
-    grid = sk.centered_grid(dims, 0.25)
-    axis = draw(st.integers(0, n - 1))
-    plane = sk.axis_plane(axis, n, grid.center[axis], draw(st.sampled_from([1, -1])))
-    return grid, plane
+    dims = draw(
+        st.lists(st.integers(1, {1: 12, 2: 6, 3: 4}[n]), min_size=n, max_size=n)
+        .map(tuple)
+        .filter(lambda d: np.prod(d) > 1)  # one cell has no pairs; tested above
+    )
+    return draw(function_on(sk.centered_grid(dims, 0.5)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(small_function())
+def test_matches_pairwise_on_random_small_grids(f):
+    assert_same_profile(f)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
