@@ -20,7 +20,6 @@ from .chordmaps import (
     polarization_dagger_set_map,
     polarization_set_map,
     reflection_set_map,
-    region_from_polygon,
     region_is_convex,
     shake_set,
     union_of_translates,
@@ -61,11 +60,13 @@ from .geometry import (
     set_from_indicator,
 )
 from .harness import (
+    SETMAP_LAWS,
     PropertyReport,
     check_equimeasurable,
     check_lp_contracting,
     check_modulus_reducing,
     check_monotonic,
+    check_setmap_law,
     check_setmap_properties,
     classify_rearrangement,
     modulus_profile,
@@ -87,7 +88,6 @@ from .rearrange import (
     schwarz_symmetrize_set,
     steiner_symmetrize_function,
     steiner_symmetrize_set,
-    transformer_from_config,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

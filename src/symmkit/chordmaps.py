@@ -157,11 +157,6 @@ def chord_move_polygon(poly, phi, u):
     return ChordMovedRegion(tuple(u), xs, lo + shift, hi + shift)
 
 
-def region_from_polygon(poly, u):
-    """Polygon expressed as a chord region (identity movement)."""
-    return chord_move_polygon(poly, canonical_contraction("id"), u)
-
-
 def union_of_translates(poly, phi, u, samples):
     """Brute-force union of the symmetric cores translated by the contraction.
 
@@ -288,7 +283,8 @@ def cog_reflect(a, u_axis):
 
     ``u_axis`` is the index of the coordinate axis normal to the hyperplane;
     reflected cell centers are rounded to the nearest cell, which is exact
-    whenever the center of gravity sits on the half-cell lattice.
+    whenever the center of gravity sits on the half-cell lattice.  Raises
+    OffGrid when a cell would be reflected past the edge of the grid.
     """
     if a.cell_count == 0:
         raise EmptySet("center of gravity of an empty set is undefined")
@@ -299,11 +295,12 @@ def cog_reflect(a, u_axis):
     c = float((coords * weights).sum() / weights.sum())
     # target index of cell i under reflection about c; half-cell ties round up,
     # which keeps the index map injective
-    src = np.arange(len(coords))
     target = np.floor((2.0 * c - coords - a.grid.origin[u_axis]) / h).astype(np.int64)
     inside = (target >= 0) & (target < len(coords))
+    if moved[..., ~inside].any():
+        raise OffGrid("reflection through the center of gravity pushes cells past the edge of the grid")
     out = np.zeros_like(moved)
-    out[..., target[inside]] = moved[..., src[inside]]
+    out[..., target[inside]] = moved[..., inside]
     return GridSet(a.grid, np.moveaxis(out, -1, u_axis))
 
 
@@ -338,8 +335,9 @@ def grid_perimeter(a):
 class SetMap:
     """Named grid-set transformation with optional chord-movement backing.
 
-    ``domain`` declares which inputs the map accepts: "all" or "convex"
-    (contiguous columns; used by the harness to pick generators).  When the
+    ``domain`` declares which inputs the map accepts, and so which sets the
+    harness draws: "all", "convex" (contiguous columns) or "core" (sets in
+    the central box, an eighth of the grid's extent from its center).  When the
     map's action on convex bodies is that of a contraction-driven chord
     movement, ``contraction`` carries the contraction for polygon-exact
     perimeter checks.
@@ -426,7 +424,8 @@ def blaschke_composite_set_map(plane):
 
 
 def cog_reflection_set_map(u_axis):
-    return SetMap("cog_reflection", lambda a: cog_reflect(a, u_axis), axis=u_axis)
+    """Reflection through the center of gravity; sets in the central box stay in the grid."""
+    return SetMap("cog_reflection", lambda a: cog_reflect(a, u_axis), axis=u_axis, domain="core")
 
 
 def near_swap_set_map(plane, width=1.0):

@@ -21,24 +21,18 @@ from .chordmaps import (
 )
 from .contractions import sawtooth_contraction
 from .errors import GalleryMismatch
-from .geometry import (
-    GridFunction,
-    GridSet,
-    axis_plane,
-    box_raster,
-    distribution,
-)
+from .geometry import GridFunction, axis_plane, box_raster, distribution
 from .harness import (
     DEFAULT_GRID,
+    SETMAP_LAWS,
     check_equimeasurable,
     check_lp_contracting,
     check_modulus_reducing,
     check_monotonic,
+    check_setmap_law,
     check_setmap_properties,
     classify_rearrangement,
-    random_blob_set,
     random_convex_raster,
-    symmetric_raster,
     trial_rng,
     two_disk_symmetric_set,
 )
@@ -89,12 +83,6 @@ class ConvergenceTrace:
         return self.rows[-1]["l1"] if self.rows else self.initial_l1
 
 
-def _toward_center_plane(grid, axis, offset):
-    center = grid.center[axis]
-    positive = 1 if offset <= center else -1
-    return axis_plane(axis, grid.n, offset, positive)
-
-
 def draw_polarization_plane(grid, axis, rng):
     """Random admissible hyperplane parallel to the target, oriented toward it.
 
@@ -104,7 +92,7 @@ def draw_polarization_plane(grid, axis, rng):
     m = grid.dims[axis]
     j = int(rng.integers(1, 2 * m))  # half-lattice position, interior only
     offset = grid.origin[axis] + j * grid.spacing / 2.0
-    return _toward_center_plane(grid, axis, offset)
+    return axis_plane(axis, grid.n, offset, 1 if offset <= grid.center[axis] else -1)
 
 
 def run_convergence(f, axis, iterations, seed=0, planes=None):
@@ -200,130 +188,89 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
 
 
 def _verdict(flag):
-    if flag is None:
-        return "not_representable"
     return "holds" if flag else "fails"
 
 
-def _row_sawtooth(grid, plane, seed, trials):
-    phi = sawtooth_contraction(1.0, half_width=8.0)
-    dmap = chord_movement_set_map(phi, axis=1, plane=plane, name="sawtooth_chord_movement")
-    bundle = check_setmap_properties(dmap, trials, seed, grid)
-    checks = {name: r.verdict for name, r in bundle.items() if r.holds is not None}
-    lift = lambda f: layer_cake_rearrangement(dmap, f)
-    label, _ = classify_rearrangement(lift, grid, plane, seed)
-    checks["canonical_four_match"] = "holds" if label != "other" else "fails"
-    expected = {name: "holds" for name in checks}
-    expected["canonical_four_match"] = "fails"
-    return checks, expected
+def _canonical_four_match(dmap, grid, plane, seed, trials):
+    label, _ = classify_rearrangement(lambda f: layer_cake_rearrangement(dmap, f), grid, plane, seed)
+    return {"canonical_four_match": _verdict(label != "other")}
 
 
-def _row_shake(grid, plane, seed, trials):
-    composite = blaschke_composite_set_map(plane)
+def _shake_vs_two_point(dmap, grid, plane, seed, trials):
     two_point = polarization_set_map(plane)
-    agree = True
-    for i in range(trials):
-        raster, _ = random_convex_raster(trial_rng(seed, i), grid)
-        if composite(raster) != two_point(raster):
-            agree = False
-            break
+    rasters = (random_convex_raster(trial_rng(seed, i), grid)[0] for i in range(trials))
     union = two_disk_symmetric_set(grid, plane, 0.75, 0.35)
-    differs = composite(union) != two_point(union)
-    checks = {
-        "matches_two_point_on_convex": _verdict(agree),
-        "two_disk_union_invariant": _verdict(composite(union) == union),
-        "differs_on_two_disk_union": _verdict(differs),
+    return {
+        "matches_two_point_on_convex": _verdict(all(dmap(r) == two_point(r) for r in rasters)),
+        "two_disk_union_invariant": _verdict(dmap(union) == union),
+        "differs_on_two_disk_union": _verdict(dmap(union) != two_point(union)),
     }
-    expected = {
-        "matches_two_point_on_convex": "holds",
-        "two_disk_union_invariant": "fails",
-        "differs_on_two_disk_union": "holds",
-    }
-    return checks, expected
 
 
-def _cone_and_double_cone(grid):
+def _cone_pair(dmap, grid, plane, seed, trials):
     # apex-up cone inside the symmetric double cone, both rastered
-    cone = ConvexPolygon(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    double = ConvexPolygon(np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
-    return polygon_raster(grid, cone), polygon_raster(grid, double)
+    cone = polygon_raster(grid, ConvexPolygon([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    double = polygon_raster(grid, ConvexPolygon([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+    return {"monotonic_on_cone_pair": _verdict(not np.any(dmap(cone).mask & ~dmap(double).mask))}
 
 
-def _row_cog(grid, plane, seed, trials):
-    dmap = cog_reflection_set_map(u_axis=1)
-    cone, double = _cone_and_double_cone(grid)
-    nested_after = not np.any(dmap(cone).mask & ~dmap(double).mask)
-    # keep fixtures in a central core: a set within [-W, W] of the center
-    # reflects into [-3W, 3W], so W at an eighth of the extent stays in-grid
-    span = 0.125 * min(up - o for o, up in zip(grid.origin, grid.upper))
-    core = box_raster(grid, [c - span for c in grid.center], [c + span for c in grid.center])
-    measure_ok = True
-    for i in range(trials):
-        a = random_blob_set(trial_rng(seed, i), grid)
-        a = GridSet(grid, a.mask & core.mask)
-        if a.cell_count == 0:
-            continue
-        if dmap(a).cell_count != a.cell_count:
-            measure_ok = False
-            break
-    symmetric_ok = True
-    for i in range(trials):
-        a = symmetric_raster(trial_rng(seed, 1000 + i), plane, grid)
-        if dmap(a) != a:
-            symmetric_ok = False
-            break
-    checks = {
-        "monotonic_on_cone_pair": _verdict(nested_after),
-        "measure_preserving": _verdict(measure_ok),
-        "symmetric_invariant": _verdict(symmetric_ok),
-    }
-    expected = {
-        "monotonic_on_cone_pair": "fails",
-        "measure_preserving": "holds",
-        "symmetric_invariant": "holds",
-    }
-    return checks, expected
-
-
-def _row_near_swap(grid, plane, seed, trials):
-    dmap = near_swap_set_map(plane, width=1.0)
-    mono_ok = True
-    measure_ok = True
-    for i in range(trials):
-        rng = trial_rng(seed, i)
-        big = random_blob_set(rng, grid)
-        keep = rng.random(grid.dims) < 0.7
-        small = GridSet(grid, big.mask & keep)
-        if np.any(dmap(small).mask & ~dmap(big).mask):
-            mono_ok = False
-        if dmap(big).cell_count != big.cell_count:
-            measure_ok = False
-    symmetric_ok = True
-    for i in range(trials):
-        a = symmetric_raster(trial_rng(seed, 2000 + i), plane, grid)
-        if dmap(a) != a:
-            symmetric_ok = False
-            break
+def _straddling_square(dmap, grid, plane, seed, trials):
     square = box_raster(grid, (0.0, 0.5), (1.0, 1.5))
     changed = abs(grid_perimeter(dmap(square)) - grid_perimeter(square)) > 1e-12
-    checks = {
-        "monotonic": _verdict(mono_ok),
-        "measure_preserving": _verdict(measure_ok),
-        "symmetric_invariant": _verdict(symmetric_ok),
-        "perimeter_on_straddling_square": _verdict(not changed),
-    }
-    expected = {
-        "monotonic": "holds",
-        "measure_preserving": "holds",
-        "symmetric_invariant": "holds",
-        "perimeter_on_straddling_square": "fails",
-    }
-    return checks, expected
+    return {"perimeter_on_straddling_square": _verdict(not changed)}
 
 
-def _row_closure(grid, plane, seed, trials):
+def _closure_of_interior(dmap, grid, plane, seed, trials):
     # closure-of-interior acts as the identity at grid scale
-    return {"grid_scale_effect": "not_representable"}, {"grid_scale_effect": "not_representable"}
+    return {"grid_scale_effect": "not_representable"}
+
+
+# (example, set map of the plane, expected verdicts, fixture check); expected
+# keys that name a law of harness.SETMAP_LAWS are checked by the harness, the
+# rest by the fixture check (set map, grid, plane, seed, trials) -> verdicts
+GALLERY_ROWS = (
+    (
+        "sawtooth_chord_movement",
+        lambda plane: chord_movement_set_map(
+            sawtooth_contraction(1.0, half_width=8.0), axis=1, plane=plane, name="sawtooth_chord_movement"
+        ),
+        {**dict.fromkeys(SETMAP_LAWS, "holds"), "canonical_four_match": "fails"},
+        _canonical_four_match,
+    ),
+    (
+        "shake_after_polarization",
+        blaschke_composite_set_map,
+        {
+            "matches_two_point_on_convex": "holds",
+            "two_disk_union_invariant": "fails",
+            "differs_on_two_disk_union": "holds",
+        },
+        _shake_vs_two_point,
+    ),
+    (
+        "cog_reflection",
+        lambda plane: cog_reflection_set_map(u_axis=1),
+        {"measure_preserving": "holds", "symmetric_invariant": "holds", "monotonic_on_cone_pair": "fails"},
+        _cone_pair,
+    ),
+    (
+        "near_boundary_swap",
+        lambda plane: near_swap_set_map(plane, width=1.0),
+        {
+            "monotonic": "holds",
+            "measure_preserving": "holds",
+            "symmetric_invariant": "holds",
+            "perimeter_on_straddling_square": "fails",
+        },
+        _straddling_square,
+    ),
+    (
+        "closure_of_interior",
+        lambda plane: identity_set_map(),
+        {"grid_scale_effect": "not_representable"},
+        _closure_of_interior,
+    ),
+)
 
 
 def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID, strict=True):
@@ -335,29 +282,23 @@ def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID, strict=True):
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     plane = axis_plane(1, grid.n, 0.0, 1)
-    rows = (
-        ("sawtooth_chord_movement", _row_sawtooth),
-        ("shake_after_polarization", _row_shake),
-        ("cog_reflection", _row_cog),
-        ("near_boundary_swap", _row_near_swap),
-        ("closure_of_interior", _row_closure),
-    )
 
-    def run_row(item):
-        name, fn = item
-        checks, expected = fn(grid, plane, seed, trials)
-        return {
-            "example": name,
-            "checks": checks,
-            "expected": expected,
-            "match": checks == expected,
+    def run_row(row):
+        example, set_map, expected, check = row
+        dmap = set_map(plane)
+        checks = {
+            law: check_setmap_law(law, dmap, trials, seed, grid, plane).verdict
+            for law in expected
+            if law in SETMAP_LAWS
         }
+        checks.update(check(dmap, grid, plane, seed, trials))
+        return {"example": example, "checks": checks, "expected": dict(expected), "match": checks == expected}
 
     if worker_count() > 1:
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(run_row, rows))
+            results = list(pool.map(run_row, GALLERY_ROWS))
     else:
-        results = [run_row(item) for item in rows]
+        results = [run_row(row) for row in GALLERY_ROWS]
 
     summary = {"rows": results, "all_match": all(r["match"] for r in results), "seed": seed}
     if strict and not summary["all_match"]:

@@ -197,11 +197,6 @@ class OrientedHyperplane:
     def n(self):
         return len(self.normal)
 
-    @property
-    def unit_into_positive(self):
-        """Unit vector orthogonal to the hyperplane pointing into H+."""
-        return tuple(self.positive * c for c in self.normal)
-
     def signed(self, points):
         """Signed distance, positive on H+."""
         pts = np.asarray(points, dtype=float)
@@ -300,9 +295,6 @@ class DistributionProfile:
         if pos == 0:
             return self.total_cells
         return int(self.counts_above[pos - 1])
-
-    def measure_above(self, t):
-        return self.cells_above(t) * self.cell_volume
 
     def __eq__(self, other):
         if not isinstance(other, DistributionProfile):

@@ -18,6 +18,7 @@ from .errors import NotARearrangement, SymmkitError
 from .geometry import (
     GridFunction,
     GridSet,
+    box_raster,
     centered_grid,
     disk_raster,
     distribution,
@@ -158,8 +159,41 @@ def nested_blob_sets(rng, grid=DEFAULT_GRID):
     return small, big
 
 
-def symmetric_raster(rng, plane, grid=DEFAULT_GRID, convex=False):
-    if convex:
+def _core_cut(grid, small, big):
+    """(small, big) cut to the central box, still nested, neither empty.
+
+    The box reaches W, an eighth of the grid's extent, from its center; a set
+    in it reflects through its center of gravity into [-3W, 3W], in the grid.
+    If ``small`` misses the box, the cells within a spacing of the center
+    stand in for it.
+    """
+    w = 0.125 * min(up - o for o, up in zip(grid.origin, grid.upper))
+    core = box_raster(grid, [c - w for c in grid.center], [c + w for c in grid.center]).mask
+    inner = small.mask & core
+    if not inner.any():
+        inner = disk_raster(grid, grid.center, grid.spacing).mask & core
+    return GridSet(grid, inner), GridSet(grid, (big.mask & core) | inner)
+
+
+def _sample(domain, rng, grid):
+    """One random set from a map's declared domain."""
+    if domain == "convex":
+        return random_convex_raster(rng, grid)[0]
+    a = random_blob_set(rng, grid)
+    return _core_cut(grid, a, a)[1] if domain == "core" else a
+
+
+def _nested_pair(domain, rng, grid):
+    if domain == "convex":
+        return nested_convex_rasters(rng, grid)
+    small, big = nested_blob_sets(rng, grid)
+    return _core_cut(grid, small, big) if domain == "core" else (small, big)
+
+
+def symmetric_raster(rng, plane, grid=DEFAULT_GRID, domain="all"):
+    """Raster symmetric about the hyperplane: a symmetric polygon for the "convex"
+    domain, otherwise a set drawn from ``domain`` joined with its mirror image."""
+    if domain == "convex":
         u = np.asarray(plane.normal)
         box = 0.45 * min(up - o for o, up in zip(grid.origin, grid.upper))
         while True:
@@ -169,7 +203,7 @@ def symmetric_raster(rng, plane, grid=DEFAULT_GRID, convex=False):
             raster = polygon_raster(grid, poly)
             if raster.cell_count >= 8:
                 return raster
-    a = random_blob_set(rng, grid)
+    a = _sample(domain, rng, grid)
     mirrored = reflect_grid_set(a, plane)
     return GridSet(grid, a.mask | mirrored.mask)
 
@@ -199,11 +233,17 @@ def quantized_cone(grid, center, radius, levels=6):
     return GridFunction(grid, vals.reshape(grid.dims))
 
 
+def _nearest_plane_point(grid, plane):
+    """The point of the hyperplane nearest the grid center."""
+    u = np.asarray(plane.normal, dtype=float)
+    mid = np.asarray(grid.center)
+    return mid - ((mid @ u) - plane.offset) * u
+
+
 def two_disk_symmetric_set(grid, plane, offset, radius):
     """Union of two mirror-image disjoint disk rasters straddling the hyperplane."""
     u = np.asarray(plane.normal, dtype=float)
-    mid = np.asarray(grid.center)
-    base = mid - ((mid @ u) - plane.offset) * u
+    base = _nearest_plane_point(grid, plane)
     a = disk_raster(grid, base + offset * u, radius)
     b = disk_raster(grid, base - offset * u, radius)
     return GridSet(grid, a.mask | b.mask)
@@ -216,7 +256,7 @@ def two_disk_symmetric_set(grid, plane, offset, radius):
 
 def _run_trials(name, trials, seed, one_trial):
     for i in range(int(trials)):
-        payload = one_trial(trial_rng(seed, i), i)
+        payload = one_trial(trial_rng(seed, i))
         if payload is not None:
             payload.setdefault("trial", i)
             payload.setdefault("seed", int(seed))
@@ -228,7 +268,7 @@ def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID, gen
     """Exact (value, cell-count) profile comparison on random functions."""
     gen = generator or (lambda rng: random_blob_function(rng, grid))
 
-    def one(rng, i):
+    def one(rng):
         f = gen(rng)
         before = distribution(f)
         after = distribution(transformer(f))
@@ -252,7 +292,7 @@ def check_monotonic(transformer, trials=200, seed=0, grid=DEFAULT_GRID, pair_gen
 
     gen = pair_generator or default_pairs
 
-    def one(rng, i):
+    def one(rng):
         f, g = gen(rng)
         tf, tg = transformer(f), transformer(g)
         bad = tf.values > tg.values
@@ -273,7 +313,7 @@ def _lp_norm(values, p, cell_volume):
 def check_lp_contracting(transformer, p, trials=200, seed=0, grid=DEFAULT_GRID, tol=1e-12):
     """||Tf - Tg||_p <= ||f - g||_p + tol on random pairs."""
 
-    def one(rng, i):
+    def one(rng):
         f = random_blob_function(rng, grid)
         g = random_blob_function(rng, grid)
         lhs = _lp_norm(transformer(f).values - transformer(g).values, p, grid.cell_volume)
@@ -356,7 +396,7 @@ def modulus_profile(f):
 def check_modulus_reducing(transformer, trials=50, seed=0, grid=DEFAULT_GRID, tol=1e-12):
     """omega_d(Tf) <= omega_d(f) + tol for every grid distance d."""
 
-    def one(rng, i):
+    def one(rng):
         f = random_blob_function(rng, grid)
         ds, before = modulus_profile(f)
         _, after = modulus_profile(transformer(f))
@@ -370,128 +410,121 @@ def check_modulus_reducing(transformer, trials=50, seed=0, grid=DEFAULT_GRID, to
 
 
 # ---------------------------------------------------------------------------
-# Set-map property bundle
+# Set-map law catalog
 # ---------------------------------------------------------------------------
 
 
-def _nested_pair_for(dmap, rng, grid):
-    if dmap.domain == "convex":
-        return nested_convex_rasters(rng, grid)
-    return nested_blob_sets(rng, grid)
+def _monotonic(dmap, plane, grid, rng):
+    small, big = _nested_pair(dmap.domain, rng, grid)
+    isub = dmap(small).mask & ~dmap(big).mask
+    if isub.any():
+        return {"cell": tuple(int(c) for c in np.argwhere(isub)[0])}
+    return None
 
 
-def _sample_for(dmap, rng, grid):
-    if dmap.domain == "convex":
-        return random_convex_raster(rng, grid)[0]
-    return random_blob_set(rng, grid)
+def _measure_preserving(dmap, plane, grid, rng):
+    a = _sample(dmap.domain, rng, grid)
+    image = dmap(a)
+    if image.cell_count != a.cell_count:
+        return {"cells_before": a.cell_count, "cells_after": image.cell_count}
+    return None
+
+
+def _unless_fixed(dmap, a):
+    return None if dmap(a) == a else {"cells": a.cell_count}
+
+
+def _symmetric_invariant(dmap, plane, grid, rng):
+    return _unless_fixed(dmap, symmetric_raster(rng, plane, grid, dmap.domain))
+
+
+def _cylinder_invariant(dmap, plane, grid, rng):
+    return _unless_fixed(dmap, centered_cylinder_raster(rng, plane, grid))
+
+
+def _maps_balls_to_balls(dmap, plane, grid, rng):
+    h = grid.spacing
+    u = np.asarray(plane.normal, dtype=float)
+    t = float(rng.integers(-6, 7)) * h
+    r = (4.0 + rng.random()) * h
+    a = disk_raster(grid, _nearest_plane_point(grid, plane) + t * u, r)
+    image = dmap(a)
+    if image.cell_count != a.cell_count:
+        return {"t": t, "reason": "cell count changed"}
+    if image.cell_count == 0:
+        return None
+    com = grid.centers()[image.mask.ravel()].mean(axis=0)
+    # admissible ball centers live on the half-cell lattice
+    snapped = np.asarray(grid.origin) + np.rint((com - np.asarray(grid.origin)) / (h / 2.0)) * (h / 2.0)
+    if image != disk_raster(grid, snapped, r):
+        return {"t": t, "reason": "image is not a ball raster"}
+    return None
+
+
+def _respects_cylinders(dmap, plane, grid, rng):
+    axis = dmap.axis if dmap.axis is not None else int(np.argmax(np.abs(plane.normal)))
+    a = _sample(dmap.domain, rng, grid)
+    extra = np.asarray(dmap(a).mask).any(axis=axis) & ~np.asarray(a.mask).any(axis=axis)
+    if extra.any():
+        return {"columns": int(extra.sum())}
+    return None
+
+
+def _perimeter_convex(dmap, plane, grid, rng):
+    # exact polygons, moved by the map's contraction backing
+    poly = random_convex_polygon(rng, box=2.0)
+    region = chord_move_polygon(poly, dmap.contraction, np.array([0.0, 1.0]))
+    before = poly.perimeter()
+    after = perimeter_region(region)
+    if abs(after - before) > 1e-9 * max(1.0, before):
+        return {"before": before, "after": after}
+    return None
+
+
+@dataclass(frozen=True)
+class SetMapLaw:
+    """One set-map law: ``trial(dmap, plane, grid, rng)`` returns None or a counterexample.
+
+    A law that ``needs`` the reference "plane" or the map's "contraction" is
+    skipped without it; ``max_trials`` caps the trial count.
+    """
+
+    trial: callable
+    needs: str = None
+    max_trials: int = None
+
+
+# every law a set map is checked against, in report order; ``verify`` runs
+# them all and each gallery row the ones its expected verdicts name
+SETMAP_LAWS = {
+    "monotonic": SetMapLaw(_monotonic),
+    "measure_preserving": SetMapLaw(_measure_preserving),
+    "symmetric_invariant": SetMapLaw(_symmetric_invariant, needs="plane"),
+    "cylinder_invariant": SetMapLaw(_cylinder_invariant, needs="plane"),
+    "maps_balls_to_balls": SetMapLaw(_maps_balls_to_balls, needs="plane"),
+    "respects_cylinders": SetMapLaw(_respects_cylinders, needs="plane"),
+    "perimeter_convex": SetMapLaw(_perimeter_convex, needs="contraction", max_trials=25),
+}
+
+
+def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
+    """One law of :data:`SETMAP_LAWS` on a set map, drawing from the map's domain.
+
+    ``plane`` is the reference hyperplane for maps not tied to one (the identity, say).
+    """
+    law = SETMAP_LAWS[name]
+    plane = dmap.plane if dmap.plane is not None else plane
+    if law.needs == "plane" and plane is None:
+        return PropertyReport(name, None, 0, seed, detail="no reference hyperplane")
+    if law.needs == "contraction" and dmap.contraction is None:
+        return PropertyReport(name, None, 0, seed, detail="no contraction backing")
+    trials = min(trials, law.max_trials or trials)
+    return _run_trials(name, trials, seed, lambda rng: law.trial(dmap, plane, grid, rng))
 
 
 def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
-    """The seven set-map property suites, keyed by property name.
-
-    Generators respect the map's declared domain; the perimeter check runs
-    on exact polygons through the map's contraction backing and is skipped
-    for maps without one.  ``plane`` supplies the reference hyperplane for
-    maps that are not tied to one (the identity, say).
-    """
-    plane = dmap.plane if dmap.plane is not None else plane
-    reports = {}
-
-    def mono(rng, i):
-        small, big = _nested_pair_for(dmap, rng, grid)
-        isub = dmap(small).mask & ~dmap(big).mask
-        if isub.any():
-            cell = tuple(int(c) for c in np.argwhere(isub)[0])
-            return {"cell": cell}
-        return None
-
-    reports["monotonic"] = _run_trials("monotonic", trials, seed, mono)
-
-    def measure(rng, i):
-        a = _sample_for(dmap, rng, grid)
-        image = dmap(a)
-        if image.cell_count != a.cell_count:
-            return {"cells_before": a.cell_count, "cells_after": image.cell_count}
-        return None
-
-    reports["measure_preserving"] = _run_trials("measure_preserving", trials, seed, measure)
-
-    if plane is not None:
-        def sym(rng, i):
-            a = symmetric_raster(rng, plane, grid, convex=(dmap.domain == "convex"))
-            if dmap(a) != a:
-                return {"cells": a.cell_count}
-            return None
-
-        reports["symmetric_invariant"] = _run_trials("symmetric_invariant", trials, seed, sym)
-
-        def cyl(rng, i):
-            a = centered_cylinder_raster(rng, plane, grid)
-            if dmap(a) != a:
-                return {"cells": a.cell_count}
-            return None
-
-        reports["cylinder_invariant"] = _run_trials("cylinder_invariant", trials, seed, cyl)
-
-        def balls(rng, i):
-            h = grid.spacing
-            u = np.asarray(plane.normal, dtype=float)
-            mid = np.asarray(grid.center)
-            base = mid - ((mid @ u) - plane.offset) * u
-            t = float(rng.integers(-6, 7)) * h
-            r = (4.0 + rng.random()) * h
-            a = disk_raster(grid, base + t * u, r)
-            image = dmap(a)
-            if image.cell_count != a.cell_count:
-                return {"t": t, "reason": "cell count changed"}
-            if image.cell_count == 0:
-                return None
-            com = grid.centers()[image.mask.ravel()].mean(axis=0)
-            # admissible ball centers live on the half-cell lattice
-            snapped = np.asarray(grid.origin) + np.rint(
-                (com - np.asarray(grid.origin)) / (h / 2.0)
-            ) * (h / 2.0)
-            best = disk_raster(grid, snapped, r)
-            if image != best:
-                return {"t": t, "reason": "image is not a ball raster"}
-            return None
-
-        reports["maps_balls_to_balls"] = _run_trials("maps_balls_to_balls", trials, seed, balls)
-
-        def cylinders_respected(rng, i):
-            axis = dmap.axis if dmap.axis is not None else int(np.argmax(np.abs(plane.normal)))
-            a = _sample_for(dmap, rng, grid)
-            image = dmap(a)
-            support_before = np.asarray(a.mask).any(axis=axis)
-            support_after = np.asarray(image.mask).any(axis=axis)
-            extra = support_after & ~support_before
-            if extra.any():
-                return {"columns": int(extra.sum())}
-            return None
-
-        reports["respects_cylinders"] = _run_trials(
-            "respects_cylinders", trials, seed, cylinders_respected
-        )
-
-    if dmap.contraction is not None:
-        def perim(rng, i):
-            poly = random_convex_polygon(rng, box=2.0)
-            region = chord_move_polygon(poly, dmap.contraction, np.array([0.0, 1.0]))
-            before = poly.perimeter()
-            after = perimeter_region(region)
-            if abs(after - before) > 1e-9 * max(1.0, before):
-                return {"before": before, "after": after}
-            return None
-
-        reports["perimeter_convex"] = _run_trials(
-            "perimeter_convex", min(trials, 25), seed, perim
-        )
-    else:
-        reports["perimeter_convex"] = PropertyReport(
-            "perimeter_convex", None, 0, seed, detail="no contraction backing"
-        )
-
-    return reports
+    """Every law of :data:`SETMAP_LAWS` on a set map, keyed by law name."""
+    return {name: check_setmap_law(name, dmap, trials, seed, grid, plane) for name in SETMAP_LAWS}
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +539,7 @@ WITNESS_RADIUS_CELLS = 4.8  # ball probe radius in grid spacings
 def _cone_probes(grid, plane, seed):
     rng = trial_rng(seed, 987)
     u = np.asarray(plane.normal, dtype=float)
-    mid = np.asarray(grid.center)
-    base = mid - ((mid @ u) - plane.offset) * u
+    base = _nearest_plane_point(grid, plane)
     span = 0.5 * min(up - o for o, up in zip(grid.origin, grid.upper))
     probes = []
     for _ in range(CONE_PROBES):
@@ -539,8 +571,7 @@ def classify_rearrangement(transformer, grid, plane, seed=0):
 
     dmap = induced_set_map(transformer)
     u = np.asarray(plane.normal, dtype=float) * plane.positive
-    mid = np.asarray(grid.center)
-    base = mid - ((mid @ np.asarray(plane.normal)) - plane.offset) * np.asarray(plane.normal)
+    base = _nearest_plane_point(grid, plane)
     radius = WITNESS_RADIUS_CELLS * grid.spacing
 
     def displaced_center(t):

@@ -9,13 +9,12 @@ transformer from the images of super-level sets (layer-cake reconstruction).
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contractions import terminal_slope_eval
-from .errors import NonMonotoneMap, UnknownName
+from .errors import NonMonotoneMap
 from .geometry import GridFunction, GridSet, OrientedHyperplane, Reflection, reflect_grid_function
 
 
@@ -119,7 +118,6 @@ class AssociatedFunctionPair:
     name: str
     fplus: callable
     fminus: callable
-    domain: str = "real"  # or "nonneg"
 
 
 def _proj_first(r, s):
@@ -148,12 +146,7 @@ class PointwiseTransformer:
     """Grid transformer acting cellwise through an associated pair."""
 
     pair: AssociatedFunctionPair
-    plane: "OrientedHyperplane"
-    name: str = field(default="")
-
-    def __post_init__(self):
-        if not self.name:
-            object.__setattr__(self, "name", f"pointwise[{self.pair.name}]")
+    plane: OrientedHyperplane
 
     def __call__(self, f):
         plan = Reflection(f.grid, self.plane)
@@ -270,40 +263,3 @@ class MonotoneStep:
 def compose_monotone(f, phi):
     """Pointwise composition phi(f) for an increasing right-continuous phi."""
     return GridFunction(f.grid, np.asarray(phi(f.values), dtype=float))
-
-
-# config names of the canonical maps
-_CONFIG_LABELS = {
-    "identity": "identity",
-    "reflect": "reflection",
-    "polarize": "two_point",
-    "polarize_reflect": "two_point_reflected",
-}
-
-
-def transformer_from_config(config):
-    """Named function transformer from a JSON-style config dict.
-
-    Recognized forms::
-
-        {"map": "polarize", "normal": [0, 1], "offset": 0, "positive": "+"}
-        {"map": "reflect" | "identity" | "polarize_reflect", ...}
-        {"map": "pointwise", "pair": "max_min", ...}
-
-    ``pair`` names an entry of :data:`ASSOCIATED_PAIRS`; the other names
-    select an entry of :data:`CANONICAL_TRANSFORMERS`.
-    """
-    name = config.get("map")
-    plane = None
-    if name != "identity":
-        plane = OrientedHyperplane(
-            tuple(config["normal"]), float(config.get("offset", 0.0)), config.get("positive", "+")
-        )
-    if name == "pointwise":
-        pair = ASSOCIATED_PAIRS.get(config.get("pair"))
-        if pair is None:
-            raise UnknownName(f"unknown associated pair {config.get('pair')!r}")
-        return PointwiseTransformer(pair, plane)
-    if name not in _CONFIG_LABELS:
-        raise UnknownName(f"unknown transformer {name!r}")
-    return functools.partial(CANONICAL_TRANSFORMERS[_CONFIG_LABELS[name]], plane=plane)

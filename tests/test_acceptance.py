@@ -182,7 +182,7 @@ def test_criterion_07_eikonal_perimeter():
     half = sk.PLContraction([-8.0, 8.0], [-4.0, 4.0])
     up, lo = sk.graph_lengths(sk.chord_move_polygon(wedge, half, U))
     assert abs((up + lo) - (np.sqrt(3.25) + np.sqrt(1.25)) * 2 * r0) <= 1e-9
-    up0, lo0 = sk.graph_lengths(sk.region_from_polygon(wedge, U))
+    up0, lo0 = sk.graph_lengths(sk.chord_move_polygon(wedge, sk.canonical_contraction("id"), U))
     assert abs((up0 + lo0) - (np.sqrt(5.0) + 1.0) * 2 * r0) <= 1e-9
 
 

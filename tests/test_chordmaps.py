@@ -145,7 +145,7 @@ class TestPerimeter:
 
     def test_wedge_exact(self):
         t0, r0 = 2.0, 0.5
-        region = sk.region_from_polygon(wedge(t0, r0), U)
+        region = sk.chord_move_polygon(wedge(t0, r0), sk.canonical_contraction("id"), U)
         expect = np.sqrt(5.0) * 2 * r0 + 2 * r0 + 2 * (t0 - r0) + 2 * (t0 + r0)
         assert abs(sk.perimeter_region(region) - expect) < 1e-12
 
@@ -156,7 +156,7 @@ class TestPerimeter:
         up, lo = sk.graph_lengths(region)
         expect = (np.sqrt(3.25) + np.sqrt(1.25)) * 2 * r0
         assert abs((up + lo) - expect) < 1e-9
-        region_id = sk.region_from_polygon(wedge(t0, r0), U)
+        region_id = sk.chord_move_polygon(wedge(t0, r0), sk.canonical_contraction("id"), U)
         up0, lo0 = sk.graph_lengths(region_id)
         assert abs((up0 + lo0) - (np.sqrt(5.0) + 1.0) * 2 * r0) < 1e-9
 
@@ -164,7 +164,7 @@ class TestPerimeter:
         rng = trial_rng(79, 0)
         for i in range(20):
             poly = random_convex_polygon(rng)
-            region = sk.region_from_polygon(poly, U)
+            region = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), U)
             assert abs(sk.perimeter_region(region) - poly.perimeter()) < 1e-12
 
     def test_eikonal_preserves_perimeter(self):
@@ -182,7 +182,7 @@ class TestPerimeter:
             slope = rng.uniform(0.0, 0.95)
             phi = sk.PLContraction([-16.0, 16.0], [-16.0 * slope, 16.0 * slope])
             region = sk.chord_move_polygon(poly, phi, U)
-            base = sk.region_from_polygon(poly, U)
+            base = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), U)
             up, lo = sk.graph_lengths(region)
             up0, lo0 = sk.graph_lengths(base)
             assert up + lo < up0 + lo0 + 1e-12
@@ -336,6 +336,15 @@ class TestCogReflect:
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
             sk.cog_reflect(sk.GridSet(GRID, np.zeros(GRID.dims, dtype=bool)), 1)
+
+    def test_cell_reflected_past_edge_raises(self):
+        # a 4x4 block at the top edge plus one far cell: the far cell's mirror
+        # in the plane through the center of gravity lies past the edge
+        mask = np.zeros(GRID.dims, dtype=bool)
+        mask[10:14, 28:32] = True
+        mask[12, 0] = True
+        with pytest.raises(OffGrid):
+            sk.cog_reflect(sk.GridSet(GRID, mask), 1)
 
     def test_cone_double_cone_monotonicity_violation(self):
         cone = sk.polygon_raster(GRID, sk.ConvexPolygon([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))

@@ -119,15 +119,30 @@ def test_gallery_matches_expected_matrix():
     )
 
 
+@pytest.mark.parametrize("seed", [7, 2024])
+def test_gallery_checks_pin_expected_matrix(seed):
+    import symmkit.experiments as ex
+
+    summary = run_gallery(seed=seed, trials=20)
+    got = [(row["example"], list(row["checks"].items())) for row in summary["rows"]]
+    want = [(example, list(expected.items())) for example, _, expected, _ in ex.GALLERY_ROWS]
+    assert got == want
+
+
 def test_gallery_strict_raises_on_tampered_expectation(monkeypatch):
     import symmkit.experiments as ex
 
-    def broken_row(grid, plane, seed, trials):
-        return {"x": "holds"}, {"x": "fails"}
-
-    monkeypatch.setattr(ex, "_row_cog", broken_row)
-    with pytest.raises(GalleryMismatch):
+    rows = [
+        (example, set_map, {**expected, "measure_preserving": "fails"}, check)
+        if example == "cog_reflection"
+        else (example, set_map, expected, check)
+        for example, set_map, expected, check in ex.GALLERY_ROWS
+    ]
+    monkeypatch.setattr(ex, "GALLERY_ROWS", tuple(rows))
+    with pytest.raises(GalleryMismatch) as info:
         ex.run_gallery(seed=1, trials=2)
+    bad = [row["example"] for row in info.value.summary["rows"] if not row["match"]]
+    assert bad == ["cog_reflection"]
 
 
 def test_worker_count_env(monkeypatch):

@@ -156,6 +156,37 @@ class TestSetMapBundle:
         assert bundle["perimeter_convex"].verdict == "fails"
         assert bundle["measure_preserving"].verdict == "holds"
 
+    def test_core_domain_draws_nonempty_nested_sets_in_the_central_box(self):
+        # the box reaches an eighth of the grid's 4-unit extent from the center
+        core = sk.box_raster(GRID, (-0.5, -0.5), (0.5, 0.5)).mask
+        seen = []
+
+        def record(a):
+            seen.append(a)
+            return a
+
+        dmap = sk.SetMap("record", record, domain="core")
+        for law in ("monotonic", "measure_preserving"):
+            assert sk.check_setmap_law(law, dmap, trials=60, seed=8, grid=GRID).verdict == "holds"
+        assert len(seen) == 3 * 60
+        assert all(a.cell_count > 0 and not np.any(a.mask & ~core) for a in seen)
+
+    def test_cog_reflection_keeps_measure_on_its_core_domain(self):
+        dmap = sk.cog_reflection_set_map(u_axis=1)
+        report = sk.check_setmap_law("measure_preserving", dmap, trials=50, seed=4, grid=GRID)
+        assert report.verdict == "holds"
+
+    def test_plane_laws_skipped_without_a_plane(self):
+        bundle = sk.check_setmap_properties(sk.cog_reflection_set_map(u_axis=1), trials=5, seed=0, grid=GRID)
+        assert list(bundle) == list(sk.SETMAP_LAWS)
+        assert {name for name, r in bundle.items() if r.verdict == "skipped"} == {
+            "symmetric_invariant",
+            "cylinder_invariant",
+            "maps_balls_to_balls",
+            "respects_cylinders",
+            "perimeter_convex",
+        }
+
     def test_translation_fails_symmetric_invariance(self):
         def shifted(a):
             rolled = np.roll(np.asarray(a.mask), 2, axis=1)

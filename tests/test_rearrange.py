@@ -405,21 +405,6 @@ class TestComposeMonotone:
         with pytest.raises(NonMonotoneMap):
             sk.MonotoneStep([0.0, 1.0], [1.0, 0.5], below=0.0)
 
-    def test_transformer_from_config(self):
-        f = rand_fn(7)
-        cfg = {"map": "polarize", "normal": [0, 1], "offset": 0, "positive": "+"}
-        assert sk.transformer_from_config(cfg)(f) == sk.polarize(f, PLANE)
-        cfg = {"map": "reflect", "normal": [0, 1], "offset": 0, "positive": "+"}
-        assert sk.transformer_from_config(cfg)(f) == sk.reflect_grid_function(f, PLANE)
-        assert sk.transformer_from_config({"map": "identity"})(f) == f
-        cfg = {"map": "pointwise", "pair": "min_max", "normal": [0, 1]}
-        T = sk.transformer_from_config(cfg)
-        assert T(f) == sk.reflect_grid_function(sk.polarize(f, PLANE), PLANE)
-        from symmkit.errors import UnknownName
-
-        with pytest.raises(UnknownName):
-            sk.transformer_from_config({"map": "mystery", "normal": [0, 1]})
-
     def test_commutation_with_polarization(self):
         rng = trial_rng(43, 0)
         for i in range(20):
