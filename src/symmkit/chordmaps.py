@@ -15,7 +15,7 @@ import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
 from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid
-from .geometry import GridSet, reflect_grid_set
+from .geometry import GridSet, Reflection, reflect_grid_set
 from .polygons import chords_at, perp
 from .rearrange import polarize_set
 
@@ -381,10 +381,15 @@ def polarization_set_map(plane):
 
 
 def polarization_dagger_set_map(plane):
+    """Reflection after set polarization, both read through one reflection plan."""
+    def apply(a):
+        plan = Reflection(a.grid, plane)
+        return GridSet(a.grid, plan.mirror(plan.two_point(a.mask, False, np.logical_or, np.logical_and), False))
+
     axis, _ = _require_axis_plane(plane)
     return SetMap(
         "polarization_dagger",
-        lambda a: reflect_grid_set(polarize_set(a, plane), plane),
+        apply,
         plane=plane,
         axis=axis,
         contraction=canonical_contraction("negabs"),

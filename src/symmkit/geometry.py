@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,10 @@ class Grid:
     spacing: float
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            raise ValueError(f"dims must be integers, got {self.dims!r}") from None
         origin = tuple(float(c) for c in self.origin)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "origin", origin)
@@ -54,7 +59,7 @@ class Grid:
 
     @property
     def num_cells(self):
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def cell_volume(self):
@@ -78,6 +83,11 @@ class Grid:
         o = self.origin[axis]
         return o + (np.arange(self.dims[axis]) + 0.5) * self.spacing
 
+    def open_centers(self):
+        """Per-axis cell-center vectors, axis k shaped to broadcast along axis k of ``dims``."""
+        n = self.n
+        return tuple(self.axis_centers(k).reshape((1,) * k + (-1,) + (1,) * (n - k - 1)) for k in range(n))
+
     def centers(self):
         """All cell centers as an ``(num_cells, n)`` array in row-major order."""
         axes = [self.axis_centers(k) for k in range(self.n)]
@@ -87,7 +97,6 @@ class Grid:
 
 def centered_grid(dims, spacing):
     """Grid of the given shape placed symmetrically around the origin."""
-    dims = tuple(int(d) for d in dims)
     origin = tuple(-d * spacing / 2.0 for d in dims)
     return Grid(dims, origin, spacing)
 
@@ -314,17 +323,31 @@ def distribution(f):
     return DistributionProfile(vals, above, f.grid.num_cells, f.grid.cell_volume)
 
 
+def ball_mask(axes, center, radius):
+    """Closed-ball test on the per-axis center vectors of ``Grid.open_centers()``.
+
+    The squared distance adds the per-axis squares in axis order, the order a
+    row sum over ``Grid.centers()`` adds them in, so the mask is exact.
+    """
+    d2 = 0.0
+    for x, c in zip(axes, np.asarray(center, dtype=float), strict=True):
+        d2 = d2 + (x - c) ** 2
+    return d2 <= radius * radius
+
+
+def box_mask(axes, lo, hi):
+    """Closed-box test on the per-axis center vectors, one interval per axis."""
+    inside = True
+    for x, a, b in zip(axes, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), strict=True):
+        inside = inside & (x >= a) & (x <= b)
+    return inside
+
+
 def disk_raster(grid, center, radius):
     """Cells whose centers lie in the closed ball around ``center``."""
-    centers = grid.centers()
-    d2 = np.sum((centers - np.asarray(center, dtype=float)) ** 2, axis=1)
-    return GridSet(grid, (d2 <= radius * radius).reshape(grid.dims))
+    return GridSet(grid, ball_mask(grid.open_centers(), center, radius))
 
 
 def box_raster(grid, lo, hi):
     """Cells whose centers lie in the closed axis-aligned box [lo, hi]."""
-    centers = grid.centers()
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    inside = np.all((centers >= lo) & (centers <= hi), axis=1)
-    return GridSet(grid, inside.reshape(grid.dims))
+    return GridSet(grid, box_mask(grid.open_centers(), lo, hi))

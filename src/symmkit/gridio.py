@@ -9,6 +9,8 @@ container with values restricted to {0.0, 1.0}.
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -84,8 +86,14 @@ def read_grid_function(path):
         header = json.loads(fh.readline().decode())
         dims, origin, spacing = _fields(header, "GRD1 header", _GRD1_HEADER)
         grid = Grid(tuple(dims), tuple(origin), float(spacing))
-        raw = fh.read(8 * grid.num_cells)
-        if len(raw) != 8 * grid.num_cells:
+        size = 8 * grid.num_cells
+        # a header claiming more cells than a regular file holds is refused
+        # before the read allocates its payload
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < size:
+            raise ValueError("GRD1 payload truncated")
+        raw = fh.read(size)
+        if len(raw) != size:
             raise ValueError("GRD1 payload truncated")
         if fh.read(1):
             raise ValueError("GRD1 payload has trailing bytes")

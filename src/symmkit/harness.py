@@ -18,6 +18,8 @@ from .errors import NotARearrangement, SymmkitError
 from .geometry import (
     GridFunction,
     GridSet,
+    ball_mask,
+    box_mask,
     box_raster,
     centered_grid,
     disk_raster,
@@ -80,21 +82,20 @@ def random_blob_function(rng, grid=DEFAULT_GRID, max_blobs=5, max_level=8):
     lo = np.asarray(grid.origin)
     hi = np.asarray(grid.upper)
     span = hi - lo
-    centers = grid.centers()
-    values = np.zeros(grid.num_cells)
+    axes = grid.open_centers()
+    values = np.zeros(grid.dims)
     for _ in range(int(rng.integers(1, max_blobs + 1))):
         level = float(rng.integers(0, max_level + 1))
         if rng.random() < 0.5:
             c = lo + rng.random(grid.n) * span
             r = (0.1 + 0.3 * rng.random()) * span.min()
-            mask = np.sum((centers - c) ** 2, axis=1) <= r * r
+            mask = ball_mask(axes, c, r)
         else:
             a = lo + rng.random(grid.n) * span
             b = lo + rng.random(grid.n) * span
-            blo, bhi = np.minimum(a, b), np.maximum(a, b)
-            mask = np.all((centers >= blo) & (centers <= bhi), axis=1)
+            mask = box_mask(axes, np.minimum(a, b), np.maximum(a, b))
         values += level * mask
-    return GridFunction(grid, values.reshape(grid.dims))
+    return GridFunction(grid, values)
 
 
 def random_blob_set(rng, grid=DEFAULT_GRID, max_blobs=4):

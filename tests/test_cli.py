@@ -122,6 +122,17 @@ def test_malformed_grd1_exit_2(tmp_path, capsys, header):
     assert "GRD1 header" in capsys.readouterr().err
 
 
+def test_grd1_header_larger_than_file_exit_2(tmp_path, capsys):
+    # 8e18 payload bytes: refused from the file size, never read or allocated
+    header = {"dims": [10**6] * 3, "origin": [0.0] * 3, "spacing": 1.0}
+    path = tmp_path / "huge.grd"
+    path.write_bytes(b"GRD1\n" + json.dumps(header).encode() + b"\n")
+    argv = ["steiner", "--in", str(path), "--axis", "0", "--out", str(tmp_path / "o.grd")]
+    assert cli_dispatch(argv) == 2
+    assert "GRD1 payload truncated" in capsys.readouterr().err
+    assert not (tmp_path / "o.grd").exists()
+
+
 @pytest.mark.parametrize("broken", ["polygon", "contraction"])
 def test_chordmap_malformed_json_exit_2(tmp_path, capsys, broken):
     ppath, cpath = tmp_path / "k.json", tmp_path / "phi.json"

@@ -32,6 +32,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             sk.Grid((2, 2, 2, 2), (0.0,) * 4, 1.0)
 
+    @pytest.mark.parametrize("dims", [(2.5,), (4.0, 4), (np.float64(3.0),)])
+    def test_rejects_non_integral_dims(self, dims):
+        with pytest.raises(ValueError):
+            sk.Grid(dims, (0.0,) * len(dims), 1.0)
+        with pytest.raises(ValueError):
+            sk.centered_grid(dims, 1.0)
+
+    def test_num_cells_is_exact_beyond_int64(self):
+        assert sk.Grid((2**32, 2**32), (0.0, 0.0), 1.0).num_cells == 2**64
+        assert sk.Grid((3037000500,) * 2, (0.0, 0.0), 1.0).num_cells == 3037000500**2
+        assert sk.Grid((np.int64(3), 4), (0.0, 0.0), 1.0).dims == (3, 4)
+
 
 class TestGridFunction:
     def test_rejects_nonfinite(self):
