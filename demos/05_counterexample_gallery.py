@@ -37,7 +37,7 @@ print("two-disk union invariant under the shake composite:", comp(union) == unio
 
 # the near-plane swap fragments a square that straddles the swap zone edge
 square = sk.box_raster(grid, (0.0, 0.5), (1.0, 1.5))
-swapped = sk.near_swap(square, plane, width=1.0)
+swapped = sk.near_swap(square, plane)
 print("\nsquare raster boundary length:", sk.grid_perimeter(square))
 print("after the near-plane swap:     ", sk.grid_perimeter(swapped))
 print("cell count unchanged:", swapped.cell_count == square.cell_count)

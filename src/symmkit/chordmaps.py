@@ -21,6 +21,8 @@ from .rearrange import polarize_set
 
 BREAK_TOL = 1e-12
 ORACLE_STATIONS = 64  # interior stations sampled by union_of_translates
+CONVEX_TOL = 1e-9  # slack on the second differences of region_is_convex
+NEAR_SWAP_WIDTH = 1.0  # near_swap swaps the cells this close to the hyperplane
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,12 @@ def perimeter_region(region):
     return up + lo + float(ends)
 
 
-def region_is_convex(region, tol=1e-9):
+def region_is_convex(region):
     """Upper graph concave and lower graph convex, by second differences."""
     xs, up, lo = region.xs, region.upper, region.lower
     slopes_up = np.diff(up) / np.diff(xs)
     slopes_lo = np.diff(lo) / np.diff(xs)
-    return bool(np.all(np.diff(slopes_up) <= tol) and np.all(np.diff(slopes_lo) >= -tol))
+    return bool(np.all(np.diff(slopes_up) <= CONVEX_TOL) and np.all(np.diff(slopes_lo) >= -CONVEX_TOL))
 
 
 def _pullback_stations(xs, ts, phi):
@@ -210,13 +212,12 @@ def _column_runs(mask, axis):
     moved = np.moveaxis(mask, axis, -1)
     flat = moved.reshape(-1, moved.shape[-1])
     counts = flat.sum(axis=1)
-    idx = np.arange(flat.shape[1])
     first = np.where(counts > 0, np.argmax(flat, axis=1), 0)
     last = np.where(counts > 0, flat.shape[1] - 1 - np.argmax(flat[:, ::-1], axis=1), -1)
     contiguous = (last - first + 1 == counts) | (counts == 0)
     if not np.all(contiguous):
         raise NonConvexColumn("every column must be a single contiguous run of cells")
-    return flat, counts, first, last, idx
+    return flat, counts, first, last
 
 
 def chord_move_gridset(a, phi, axis):
@@ -230,7 +231,7 @@ def chord_move_gridset(a, phi, axis):
     a.grid.require_axis(axis)
     h = a.grid.spacing
     coords = a.grid.axis_centers(axis)
-    flat, counts, first, last, _ = _column_runs(np.asarray(a.mask), axis)
+    flat, counts, first, last = _column_runs(np.asarray(a.mask), axis)
     m = flat.shape[1]
     out = np.zeros_like(flat)
     nonempty = np.where(counts > 0)[0]
@@ -304,13 +305,11 @@ def cog_reflect(a, u_axis):
     return GridSet(a.grid, np.moveaxis(out, -1, u_axis))
 
 
-def near_swap(a, plane, width=1.0):
-    """Swap cells within ``width`` of the hyperplane with their mirror images."""
-    if width <= 0:
-        raise ValueError("width must be positive")
+def near_swap(a, plane):
+    """Swap cells within NEAR_SWAP_WIDTH of the hyperplane with their mirror images."""
     mirrored = reflect_grid_set(a, plane)
     dist = np.abs(plane.signed(a.grid.centers())).reshape(a.grid.dims)
-    near = dist <= width
+    near = dist <= NEAR_SWAP_WIDTH
     return GridSet(a.grid, np.where(near, mirrored.mask, a.mask))
 
 
@@ -433,11 +432,11 @@ def cog_reflection_set_map(u_axis):
     return SetMap("cog_reflection", lambda a: cog_reflect(a, u_axis), axis=u_axis, domain="core")
 
 
-def near_swap_set_map(plane, width=1.0):
+def near_swap_set_map(plane):
     axis, _ = _require_axis_plane(plane)
     return SetMap(
         "near_swap",
-        lambda a: near_swap(a, plane, width),
+        lambda a: near_swap(a, plane),
         plane=plane,
         axis=axis,
     )

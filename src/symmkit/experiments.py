@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,12 +44,8 @@ from .rearrange import (
 
 
 def worker_count():
-    """Thread count for fan-out sections; SYMMKIT_THREADS overrides, default 1."""
-    raw = os.environ.get("SYMMKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Always 1: verify and gallery run serially; kept for the benchmark's traced runs."""
+    return 1
 
 
 @dataclass
@@ -106,6 +100,8 @@ def run_convergence(f, axis, iterations, seed=0, planes=None):
     """
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
+    if planes is not None and len(planes) < iterations:
+        raise ValueError(f"{iterations} iterations need {iterations} planes, got {len(planes)}")
     grid = f.grid
     target = steiner_symmetrize_function(f, axis)
     profile = distribution(f)
@@ -152,24 +148,13 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
     transformers = {name: functools.partial(t, plane=plane) for name, t in CANONICAL_TRANSFORMERS.items()}
     report = {"transformers": {}, "set_maps": {}}
     all_hold = True
-
-    def run_one(item):
-        name, t = item
+    for name, t in transformers.items():
         out = {}
         out["equimeasurable"] = check_equimeasurable(t, trials, seed, grid)
         out["monotonic"] = check_monotonic(t, trials, seed, grid)
         for p in (1, 2, np.inf):
             out[f"lp_contracting[p={p}]"] = check_lp_contracting(t, p, trials, seed, grid)
         out["modulus_reducing"] = check_modulus_reducing(t, min(trials, 20), seed, grid)
-        return name, out
-
-    items = list(transformers.items())
-    if worker_count() > 1:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(item) for item in items]
-    for name, out in results:
         report["transformers"][name] = {k: r.as_dict() for k, r in out.items()}
         all_hold &= all(r.holds is not False for r in out.values())
 
@@ -255,7 +240,7 @@ GALLERY_ROWS = (
     ),
     (
         "near_boundary_swap",
-        lambda plane: near_swap_set_map(plane, width=1.0),
+        near_swap_set_map,
         {
             "monotonic": "holds",
             "measure_preserving": "holds",
@@ -282,9 +267,8 @@ def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID, strict=True):
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     plane = axis_plane(1, grid.n, 0.0, 1)
-
-    def run_row(row):
-        example, set_map, expected, check = row
+    results = []
+    for example, set_map, expected, check in GALLERY_ROWS:
         dmap = set_map(plane)
         checks = {
             law: check_setmap_law(law, dmap, trials, seed, grid, plane).verdict
@@ -292,13 +276,8 @@ def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID, strict=True):
             if law in SETMAP_LAWS
         }
         checks.update(check(dmap, grid, plane, seed, trials))
-        return {"example": example, "checks": checks, "expected": dict(expected), "match": checks == expected}
-
-    if worker_count() > 1:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(run_row, GALLERY_ROWS))
-    else:
-        results = [run_row(row) for row in GALLERY_ROWS]
+        match = checks == expected
+        results.append({"example": example, "checks": checks, "expected": dict(expected), "match": match})
 
     summary = {"rows": results, "all_match": all(r["match"] for r in results), "seed": seed}
     if strict and not summary["all_match"]:

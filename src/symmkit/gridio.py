@@ -20,6 +20,7 @@ from .geometry import Grid, GridFunction, set_from_indicator
 from .polygons import ConvexPolygon
 
 MAGIC = b"GRD1"
+STREAM_CHUNK = 1 << 20  # bytes per read of a payload that is not a regular file
 
 
 def _is_number(x, integral=False):
@@ -88,13 +89,21 @@ def read_grid_function(path):
         grid = Grid(tuple(dims), tuple(origin), float(spacing))
         size = 8 * grid.num_cells
         # a header claiming more cells than a regular file holds is refused
-        # before the read allocates its payload
+        # before the read allocates its payload; any other stream is read in
+        # bounded chunks, so it runs dry before the claim is allocated
         st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < size:
+        regular = stat.S_ISREG(st.st_mode)
+        if regular and st.st_size - fh.tell() < size:
             raise ValueError("GRD1 payload truncated")
-        raw = fh.read(size)
-        if len(raw) != size:
-            raise ValueError("GRD1 payload truncated")
+        chunks = []
+        left = size
+        while left > 0:
+            chunk = fh.read(left if regular else min(left, STREAM_CHUNK))
+            if not chunk:
+                raise ValueError("GRD1 payload truncated")
+            chunks.append(chunk)
+            left -= len(chunk)
+        raw = b"".join(chunks)
         if fh.read(1):
             raise ValueError("GRD1 payload has trailing bytes")
         values = np.frombuffer(raw, dtype="<f8").reshape(grid.dims)

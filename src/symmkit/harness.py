@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chordmaps import chord_move_polygon, perimeter_region
-from .errors import NotARearrangement, SymmkitError
+from .errors import NotARearrangement, SymmkitError, UnknownName
 from .geometry import (
     GridFunction,
     GridSet,
@@ -30,6 +30,8 @@ from .polygons import ConvexPolygon, convex_hull, polygon_raster
 from .rearrange import CANONICAL_TRANSFORMERS, induced_set_map
 
 DEFAULT_GRID = centered_grid((32, 32), 1.0 / 8.0)
+MAX_BLOB_LEVEL = 8  # blob levels are integers in 0..MAX_BLOB_LEVEL
+LAW_TOL = 1e-12  # slack of the L^p and modulus inequalities
 
 
 def trial_rng(seed, trial):
@@ -77,7 +79,7 @@ class PropertyReport:
 # ---------------------------------------------------------------------------
 
 
-def random_blob_function(rng, grid=DEFAULT_GRID, max_blobs=5, max_level=8):
+def random_blob_function(rng, grid=DEFAULT_GRID, max_blobs=5):
     """Sum of 1..max_blobs rasterized indicator blobs with integer levels."""
     lo = np.asarray(grid.origin)
     hi = np.asarray(grid.upper)
@@ -85,7 +87,7 @@ def random_blob_function(rng, grid=DEFAULT_GRID, max_blobs=5, max_level=8):
     axes = grid.open_centers()
     values = np.zeros(grid.dims)
     for _ in range(int(rng.integers(1, max_blobs + 1))):
-        level = float(rng.integers(0, max_level + 1))
+        level = float(rng.integers(0, MAX_BLOB_LEVEL + 1))
         if rng.random() < 0.5:
             c = lo + rng.random(grid.n) * span
             r = (0.1 + 0.3 * rng.random()) * span.min()
@@ -265,12 +267,11 @@ def _run_trials(name, trials, seed, one_trial):
     return PropertyReport(name, True, trials, seed)
 
 
-def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID, generator=None):
+def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
     """Exact (value, cell-count) profile comparison on random functions."""
-    gen = generator or (lambda rng: random_blob_function(rng, grid))
 
     def one(rng):
-        f = gen(rng)
+        f = random_blob_function(rng, grid)
         before = distribution(f)
         after = distribution(transformer(f))
         if before != after:
@@ -306,20 +307,20 @@ def check_monotonic(transformer, trials=200, seed=0, grid=DEFAULT_GRID, pair_gen
 
 
 def _lp_norm(values, p, cell_volume):
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.abs(values).max())
     return float((np.sum(np.abs(values) ** p) * cell_volume) ** (1.0 / p))
 
 
-def check_lp_contracting(transformer, p, trials=200, seed=0, grid=DEFAULT_GRID, tol=1e-12):
-    """||Tf - Tg||_p <= ||f - g||_p + tol on random pairs."""
+def check_lp_contracting(transformer, p, trials=200, seed=0, grid=DEFAULT_GRID):
+    """||Tf - Tg||_p <= ||f - g||_p + LAW_TOL on random pairs."""
 
     def one(rng):
         f = random_blob_function(rng, grid)
         g = random_blob_function(rng, grid)
         lhs = _lp_norm(transformer(f).values - transformer(g).values, p, grid.cell_volume)
         rhs = _lp_norm(f.values - g.values, p, grid.cell_volume)
-        if lhs > rhs + tol:
+        if lhs > rhs + LAW_TOL:
             return {"p": str(p), "lhs": lhs, "rhs": rhs}
         return None
 
@@ -394,14 +395,14 @@ def modulus_profile(f):
     return f.grid.spacing * np.sqrt(d2[starts].astype(float)), omegas
 
 
-def check_modulus_reducing(transformer, trials=50, seed=0, grid=DEFAULT_GRID, tol=1e-12):
-    """omega_d(Tf) <= omega_d(f) + tol for every grid distance d."""
+def check_modulus_reducing(transformer, trials=50, seed=0, grid=DEFAULT_GRID):
+    """omega_d(Tf) <= omega_d(f) + LAW_TOL for every grid distance d."""
 
     def one(rng):
         f = random_blob_function(rng, grid)
         ds, before = modulus_profile(f)
         _, after = modulus_profile(transformer(f))
-        bad = after > before + tol
+        bad = after > before + LAW_TOL
         if bad.any():
             j = int(np.argmax(bad))
             return {"distance": float(ds[j]), "before": float(before[j]), "after": float(after[j])}
@@ -513,6 +514,8 @@ def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=No
 
     ``plane`` is the reference hyperplane for maps not tied to one (the identity, say).
     """
+    if name not in SETMAP_LAWS:
+        raise UnknownName(f"unknown set-map law {name!r}; expected one of {tuple(SETMAP_LAWS)}")
     law = SETMAP_LAWS[name]
     plane = dmap.plane if dmap.plane is not None else plane
     if law.needs == "plane" and plane is None:

@@ -65,13 +65,13 @@ class ConvexPolygon:
         c = self.vertices.mean(axis=0)
         return ConvexPolygon(c + factor * (self.vertices - c))
 
-    def contains(self, point, tol=1e-12):
+    def contains(self, point):
         p = np.asarray(point, dtype=float)
         v = self.vertices
         e = np.roll(v, -1, axis=0) - v
         w = p - v
         cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
-        return bool(np.all(cross >= -tol))
+        return bool(np.all(cross >= -CROSS_TOL))
 
     def edge_constraints(self):
         """Half-plane form a.p >= b with inward normals, one per edge."""

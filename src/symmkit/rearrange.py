@@ -15,7 +15,14 @@ import numpy as np
 
 from .contractions import terminal_slope_eval
 from .errors import NonMonotoneMap
-from .geometry import GridFunction, GridSet, OrientedHyperplane, Reflection, reflect_grid_function
+from .geometry import (
+    GridFunction,
+    GridSet,
+    OrientedHyperplane,
+    Reflection,
+    reflect_grid_function,
+    set_from_indicator,
+)
 
 
 def polarize(f, plane):
@@ -72,16 +79,8 @@ def steiner_symmetrize_function(f, axis):
 
 
 def steiner_symmetrize_set(a, axis):
-    """Per-column recentring of each run count about the grid's center plane."""
-    a.grid.require_axis(axis)
-    m = a.grid.dims[axis]
-    order = _center_out_order(m)
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m)
-    moved = np.moveaxis(np.asarray(a.mask), axis, -1)
-    counts = moved.sum(axis=-1)
-    out = rank < counts[..., None]
-    return GridSet(a.grid, np.moveaxis(out, -1, axis))
+    """Per-column recentring of each run count: the function rule read on the indicator."""
+    return set_from_indicator(steiner_symmetrize_function(a.indicator(), axis))
 
 
 def _fiber_fill_order(shape):

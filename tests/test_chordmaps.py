@@ -360,16 +360,16 @@ class TestCogReflect:
 class TestNearSwap:
     def test_symmetric_fixed(self):
         union = two_disk_symmetric_set(GRID, PLANE, 0.75, 0.35)
-        assert sk.near_swap(union, PLANE, 1.0) == union
+        assert sk.near_swap(union, PLANE) == union
 
     def test_far_set_fixed(self):
         a = sk.disk_raster(GRID, (0.0, 1.5), 0.3)
-        assert sk.near_swap(a, PLANE, 1.0) == a
+        assert sk.near_swap(a, PLANE) == a
 
     def test_straddling_square_perimeter_changes(self):
         square = sk.box_raster(GRID, (0.0, 0.5), (1.0, 1.5))
         before = sk.grid_perimeter(square)
-        after = sk.grid_perimeter(sk.near_swap(square, PLANE, 1.0))
+        after = sk.grid_perimeter(sk.near_swap(square, PLANE))
         assert abs(before - 4.0) < 1e-12
         assert after != before
 
@@ -377,7 +377,7 @@ class TestNearSwap:
         for i in range(20):
             rng = trial_rng(131, i)
             a = sk.GridSet(GRID, rng.random(GRID.dims) < 0.4)
-            assert sk.near_swap(a, PLANE, 1.0).cell_count == a.cell_count
+            assert sk.near_swap(a, PLANE).cell_count == a.cell_count
 
 
 class TestGridPerimeter:

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -129,6 +131,34 @@ def test_grd1_header_larger_than_file_exit_2(tmp_path, capsys):
     path.write_bytes(b"GRD1\n" + json.dumps(header).encode() + b"\n")
     argv = ["steiner", "--in", str(path), "--axis", "0", "--out", str(tmp_path / "o.grd")]
     assert cli_dispatch(argv) == 2
+    assert "GRD1 payload truncated" in capsys.readouterr().err
+    assert not (tmp_path / "o.grd").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
+@pytest.mark.parametrize(
+    "side",
+    [
+        10**6,  # 8e18 payload bytes, below sys.maxsize: one read would raise MemoryError
+        10**7,  # 8e21 payload bytes, past sys.maxsize: one read would raise OverflowError
+    ],
+)
+def test_grd1_stream_shorter_than_header_exit_2(tmp_path, capsys, side):
+    header = {"dims": [side] * 3, "origin": [0.0] * 3, "spacing": 1.0}
+    stream = b"GRD1\n" + json.dumps(header).encode() + b"\n" + np.zeros(2).tobytes()
+    fifo = tmp_path / "in.grd"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:  # blocks until the reader opens the pipe
+            fh.write(stream)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    argv = ["steiner", "--in", str(fifo), "--axis", "0", "--out", str(tmp_path / "o.grd")]
+    assert cli_dispatch(argv) == 2
+    writer.join(timeout=10)
+    assert not writer.is_alive()
     assert "GRD1 payload truncated" in capsys.readouterr().err
     assert not (tmp_path / "o.grd").exists()
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +15,8 @@ from symmkit.experiments import (
     run_verify,
 )
 from symmkit.harness import random_blob_function
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_run_convergence_rejects_zero_iterations():
@@ -83,6 +90,19 @@ def test_fixed_plane_list_respected():
     assert [row["offset"] for row in trace.rows] == [0.0, 0.0, 0.0]
 
 
+def test_short_plane_list_rejected_before_any_step(monkeypatch):
+    import symmkit.experiments as ex
+
+    def no_step(f, plane):
+        raise AssertionError("stepped before checking the plane list")
+
+    monkeypatch.setattr(ex, "polarize", no_step)
+    g = sk.centered_grid((8,), 0.25)
+    f = sk.GridFunction(g, np.arange(8.0))
+    with pytest.raises(ValueError, match="3 iterations need 3 planes, got 2"):
+        run_convergence(f, 0, 3, planes=[sk.axis_plane(0, 1, 0.0, 1)] * 2)
+
+
 def test_verify_battery_all_hold():
     report, all_hold = run_verify(trials=25, seed=3)
     assert all_hold
@@ -145,19 +165,18 @@ def test_gallery_strict_raises_on_tampered_expectation(monkeypatch):
     assert bad == ["cog_reflection"]
 
 
-def test_worker_count_env(monkeypatch):
-    from symmkit.experiments import worker_count
-
-    monkeypatch.delenv("SYMMKIT_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("SYMMKIT_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("SYMMKIT_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_gallery_parallel_matches_serial(monkeypatch):
-    serial = run_gallery(seed=7, trials=5)
-    monkeypatch.setenv("SYMMKIT_THREADS", "3")
-    parallel = run_gallery(seed=7, trials=5)
-    assert serial["rows"] == parallel["rows"]
+def test_verify_imports_no_thread_pool_or_masked_arrays():
+    # a fresh interpreter: the modules other tests import do not count
+    script = (
+        "import sys\n"
+        "import symmkit.cli\n"
+        "from symmkit.experiments import run_verify\n"
+        "run_verify(trials=1)\n"
+        "print(sorted({'concurrent.futures', 'numpy.ma'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 
 import symmkit as sk
 from symmkit.chordmaps import chord_movement_set_map
-from symmkit.errors import NotARearrangement
+from symmkit.errors import NotARearrangement, UnknownName
 from symmkit.harness import (
     DEFAULT_GRID,
     random_blob_function,
@@ -129,6 +129,10 @@ class TestSetMapBundle:
         for i in range(30):
             a = random_blob_set(trial_rng(17, i), GRID)
             assert dmap(a) == induced(a)
+
+    def test_unknown_law_names_the_catalog(self):
+        with pytest.raises(UnknownName, match="measure_preserving"):
+            sk.check_setmap_law("measure_preservng", sk.identity_set_map(), trials=1, plane=PLANE)
 
     def test_identity_all_hold(self):
         bundle = sk.check_setmap_properties(

@@ -169,6 +169,25 @@ class TestSteiner:
             rhs = sk.steiner_symmetrize_set(a, 1).indicator()
             assert lhs == rhs
 
+    def test_set_matches_run_centering_oracle(self):
+        # the set rule is the function rule read on the indicator; this
+        # oracle centers each column's cell count directly
+        def oracle(mask, axis):
+            m = mask.shape[axis]
+            order = sorted(range(m), key=lambda p: (abs(p - (m - 1) / 2.0), -p))
+            rank = np.empty(m, dtype=np.int64)
+            rank[order] = np.arange(m)
+            counts = np.moveaxis(mask, axis, -1).sum(axis=-1)
+            return np.moveaxis(rank < counts[..., None], -1, axis)
+
+        rng = trial_rng(23, 0)
+        for _ in range(150):
+            dims = tuple(int(d) for d in rng.integers(1, 7, size=int(rng.integers(1, 4))))
+            mask = rng.random(dims) < rng.random()
+            for axis in range(len(dims)):
+                out = sk.steiner_symmetrize_set(sk.GridSet(sk.centered_grid(dims, 0.5), mask), axis)
+                assert np.array_equal(out.mask, oracle(mask, axis))
+
     def test_function_equimeasurable_per_column(self):
         for i in range(20):
             f = rand_fn(i)
