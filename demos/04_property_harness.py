@@ -21,8 +21,7 @@ polar = lambda f: sk.polarize(f, plane)
 print("two-point rearrangement:")
 print("  equimeasurable :", sk.check_equimeasurable(polar, trials=100, seed=7, grid=grid).verdict)
 print("  monotonic      :", sk.check_monotonic(polar, trials=100, seed=7, grid=grid).verdict)
-for p in (1, 2, np.inf):
-    r = sk.check_lp_contracting(polar, p, trials=100, seed=7, grid=grid)
+for p, r in sk.check_lp_contracting(polar, trials=100, seed=7, grid=grid).items():
     print(f"  L^{p}-contracting:", r.verdict)
 print("  modulus-reducing:", sk.check_modulus_reducing(polar, trials=15, seed=7, grid=grid).verdict)
 

@@ -60,6 +60,7 @@ from .geometry import (
     set_from_indicator,
 )
 from .harness import (
+    LP_EXPONENTS,
     SETMAP_LAWS,
     PropertyReport,
     check_equimeasurable,

@@ -152,8 +152,8 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
         out = {}
         out["equimeasurable"] = check_equimeasurable(t, trials, seed, grid)
         out["monotonic"] = check_monotonic(t, trials, seed, grid)
-        for p in (1, 2, np.inf):
-            out[f"lp_contracting[p={p}]"] = check_lp_contracting(t, p, trials, seed, grid)
+        for r in check_lp_contracting(t, trials, seed, grid).values():
+            out[r.name] = r
         out["modulus_reducing"] = check_modulus_reducing(t, min(trials, 20), seed, grid)
         report["transformers"][name] = {k: r.as_dict() for k, r in out.items()}
         all_hold &= all(r.holds is not False for r in out.values())

@@ -21,6 +21,7 @@ from .polygons import ConvexPolygon
 
 MAGIC = b"GRD1"
 STREAM_CHUNK = 1 << 20  # bytes per read of a payload that is not a regular file
+HEADER_LIMIT = 1 << 16  # most bytes read for the magic line or the header line
 
 
 def _is_number(x, integral=False):
@@ -81,10 +82,13 @@ def write_grid_function(path, f):
 
 def read_grid_function(path):
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
+        magic = fh.readline(HEADER_LIMIT).strip()
         if magic != MAGIC:
             raise ValueError(f"not a GRD1 file: bad magic {magic!r}")
-        header = json.loads(fh.readline().decode())
+        line = fh.readline(HEADER_LIMIT)
+        if not line.endswith(b"\n"):
+            raise ValueError(f"GRD1 header line has no newline within {HEADER_LIMIT} bytes")
+        header = json.loads(line.decode())
         dims, origin, spacing = _fields(header, "GRD1 header", _GRD1_HEADER)
         grid = Grid(tuple(dims), tuple(origin), float(spacing))
         size = 8 * grid.num_cells

@@ -32,6 +32,7 @@ from .rearrange import CANONICAL_TRANSFORMERS, induced_set_map
 DEFAULT_GRID = centered_grid((32, 32), 1.0 / 8.0)
 MAX_BLOB_LEVEL = 8  # blob levels are integers in 0..MAX_BLOB_LEVEL
 LAW_TOL = 1e-12  # slack of the L^p and modulus inequalities
+LP_EXPONENTS = (1, 2, np.inf)  # the exponents of the L^p contraction law
 
 
 def trial_rng(seed, trial):
@@ -257,14 +258,31 @@ def two_disk_symmetric_set(grid, plane, offset, radius):
 # ---------------------------------------------------------------------------
 
 
-def _run_trials(name, trials, seed, one_trial):
+def _run_trials(names, trials, seed, score):
+    """Score the laws ``names`` together on seeded trials; one report per law, keyed by name.
+
+    ``score(rng, live)`` draws one trial's inputs from ``rng`` and returns
+    ``{name: payload or None}`` for the laws in ``live``, those not failed
+    yet.  A law keeps its first failing trial and is not scored again, so
+    each report equals that of a run scoring its law alone; the run stops
+    once every law has failed.
+    """
+    failed = {}
     for i in range(int(trials)):
-        payload = one_trial(trial_rng(seed, i))
-        if payload is not None:
-            payload.setdefault("trial", i)
-            payload.setdefault("seed", int(seed))
-            return PropertyReport(name, False, trials, seed, payload)
-    return PropertyReport(name, True, trials, seed)
+        live = [name for name in names if name not in failed]
+        if not live:
+            break
+        for name, payload in score(trial_rng(seed, i), live).items():
+            if payload is not None:
+                payload.setdefault("trial", i)
+                payload.setdefault("seed", int(seed))
+                failed[name] = payload
+    return {name: PropertyReport(name, name not in failed, trials, seed, failed.get(name)) for name in names}
+
+
+def _run_law(name, trials, seed, one_trial):
+    """One law's report; ``one_trial(rng)`` returns None or a counterexample payload."""
+    return _run_trials((name,), trials, seed, lambda rng, live: {name: one_trial(rng)})[name]
 
 
 def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
@@ -281,7 +299,7 @@ def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
             }
         return None
 
-    return _run_trials("equimeasurable", trials, seed, one)
+    return _run_law("equimeasurable", trials, seed, one)
 
 
 def check_monotonic(transformer, trials=200, seed=0, grid=DEFAULT_GRID, pair_generator=None):
@@ -303,7 +321,7 @@ def check_monotonic(transformer, trials=200, seed=0, grid=DEFAULT_GRID, pair_gen
             return {"cell": cell, "tf": float(tf.values[bad][0]), "tg": float(tg.values[bad][0])}
         return None
 
-    return _run_trials("monotonic", trials, seed, one)
+    return _run_law("monotonic", trials, seed, one)
 
 
 def _lp_norm(values, p, cell_volume):
@@ -312,19 +330,29 @@ def _lp_norm(values, p, cell_volume):
     return float((np.sum(np.abs(values) ** p) * cell_volume) ** (1.0 / p))
 
 
-def check_lp_contracting(transformer, p, trials=200, seed=0, grid=DEFAULT_GRID):
-    """||Tf - Tg||_p <= ||f - g||_p + LAW_TOL on random pairs."""
+def check_lp_contracting(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
+    """||Tf - Tg||_p <= ||f - g||_p + LAW_TOL on random pairs, for every p of LP_EXPONENTS.
 
-    def one(rng):
+    Returns one report per exponent, keyed by p.  Each trial draws (f, g) and
+    computes (Tf, Tg) once and scores every exponent that has not failed yet.
+    """
+    exponents = {f"lp_contracting[p={p}]": p for p in LP_EXPONENTS}
+
+    def score(rng, live):
         f = random_blob_function(rng, grid)
         g = random_blob_function(rng, grid)
-        lhs = _lp_norm(transformer(f).values - transformer(g).values, p, grid.cell_volume)
-        rhs = _lp_norm(f.values - g.values, p, grid.cell_volume)
-        if lhs > rhs + LAW_TOL:
-            return {"p": str(p), "lhs": lhs, "rhs": rhs}
-        return None
+        image_diff = transformer(f).values - transformer(g).values
+        diff = f.values - g.values
+        out = {}
+        for name in live:
+            p = exponents[name]
+            lhs = _lp_norm(image_diff, p, grid.cell_volume)
+            rhs = _lp_norm(diff, p, grid.cell_volume)
+            out[name] = {"p": str(p), "lhs": lhs, "rhs": rhs} if lhs > rhs + LAW_TOL else None
+        return out
 
-    return _run_trials(f"lp_contracting[p={p}]", trials, seed, one)
+    reports = _run_trials(tuple(exponents), trials, seed, score)
+    return {p: reports[name] for name, p in exponents.items()}
 
 
 def modulus_profile(f):
@@ -408,7 +436,7 @@ def check_modulus_reducing(transformer, trials=50, seed=0, grid=DEFAULT_GRID):
             return {"distance": float(ds[j]), "before": float(before[j]), "after": float(after[j])}
         return None
 
-    return _run_trials("modulus_reducing", trials, seed, one)
+    return _run_law("modulus_reducing", trials, seed, one)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +551,7 @@ def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=No
     if law.needs == "contraction" and dmap.contraction is None:
         return PropertyReport(name, None, 0, seed, detail="no contraction backing")
     trials = min(trials, law.max_trials or trials)
-    return _run_trials(name, trials, seed, lambda rng: law.trial(dmap, plane, grid, rng))
+    return _run_law(name, trials, seed, lambda rng: law.trial(dmap, plane, grid, rng))
 
 
 def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):

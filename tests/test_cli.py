@@ -135,6 +135,15 @@ def test_grd1_header_larger_than_file_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o.grd").exists()
 
 
+def test_grd1_header_longer_than_limit_exit_2(tmp_path, capsys):
+    path = tmp_path / "long.grd"
+    path.write_bytes(b"GRD1\n" + b" " * gridio.HEADER_LIMIT + b'{"dims": [1], "origin": [0.0], "spacing": 1.0}\n')
+    argv = ["steiner", "--in", str(path), "--axis", "0", "--out", str(tmp_path / "o.grd")]
+    assert cli_dispatch(argv) == 2
+    assert f"no newline within {gridio.HEADER_LIMIT} bytes" in capsys.readouterr().err
+    assert not (tmp_path / "o.grd").exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
 @pytest.mark.parametrize(
     "side",

@@ -117,6 +117,33 @@ def test_verify_battery_all_hold():
         assert all(r["verdict"] == "holds" for r in checks.values())
 
 
+@pytest.mark.parametrize("seed", [7, 311])
+def test_verify_work_per_trial(seed):
+    # one trial of every suite: 6 blob draws per transformer (1 equimeasurable,
+    # 2 monotonic, 2 for all three L^p exponents together, 1 modulus) and 8 for
+    # the set-map laws; redrawing per exponent would add 16 draws, 12 mirror
+    # plans and 4 polarize calls
+    from symmkit import geometry, harness, rearrange
+
+    watched = {
+        harness.random_blob_function.__code__: "random_blob_function",
+        geometry.Reflection.__init__.__code__: "Reflection",
+        rearrange.polarize.__code__: "polarize",
+    }
+    calls = dict.fromkeys(watched.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        run_verify(trials=1, seed=seed)
+    finally:
+        sys.setprofile(None)
+    assert calls == {"random_blob_function": 32, "Reflection": 27, "polarize": 6}
+
+
 def test_gallery_matches_expected_matrix():
     summary = run_gallery(seed=7, trials=15)
     assert summary["all_match"]

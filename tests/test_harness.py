@@ -6,6 +6,9 @@ from symmkit.chordmaps import chord_movement_set_map
 from symmkit.errors import NotARearrangement, UnknownName
 from symmkit.harness import (
     DEFAULT_GRID,
+    LAW_TOL,
+    PropertyReport,
+    _lp_norm,
     random_blob_function,
     random_blob_set,
     trial_rng,
@@ -57,20 +60,75 @@ class TestMonotonic:
         assert not report.holds
 
 
+def lp_report_one_exponent(transformer, p, trials, seed, grid):
+    """The L^p check for one exponent as a loop of its own: the reference for
+    :func:`check_lp_contracting`, which shares each trial's draws across exponents."""
+    name = f"lp_contracting[p={p}]"
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        f = random_blob_function(rng, grid)
+        g = random_blob_function(rng, grid)
+        lhs = _lp_norm(transformer(f).values - transformer(g).values, p, grid.cell_volume)
+        rhs = _lp_norm(f.values - g.values, p, grid.cell_volume)
+        if lhs > rhs + LAW_TOL:
+            payload = {"p": str(p), "lhs": lhs, "rhs": rhs, "trial": i, "seed": seed}
+            return PropertyReport(name, False, trials, seed, payload)
+    return PropertyReport(name, True, trials, seed)
+
+
+def weighted(grid, seed):
+    """f -> w * f for a fixed random weight w of grid's shape, mostly below 1:
+    it expands some differences, and whether a pair fails depends on p."""
+    w = np.random.default_rng(seed).uniform(0.8, 1.1, grid.dims)
+    return lambda f: f.with_values(w * f.values)
+
+
 class TestLpContracting:
     @pytest.mark.parametrize("p", [1, 2, np.inf])
     def test_polarization_holds(self, p):
-        assert sk.check_lp_contracting(polar, p, trials=100, seed=7).holds
+        assert sk.check_lp_contracting(polar, trials=100, seed=7)[p].holds
+
+    def test_one_report_per_exponent(self):
+        reports = sk.check_lp_contracting(polar, trials=5, seed=7)
+        assert list(reports) == list(sk.LP_EXPONENTS) == [1, 2, np.inf]
+        assert [r.name for r in reports.values()] == [f"lp_contracting[p={p}]" for p in (1, 2, np.inf)]
 
     def test_doubling_fails(self):
-        report = sk.check_lp_contracting(
-            lambda f: f.with_values(2.0 * f.values), 2, trials=20, seed=7
-        )
-        assert not report.holds
+        reports = sk.check_lp_contracting(lambda f: f.with_values(2.0 * f.values), trials=20, seed=7)
+        assert not reports[2].holds
 
     def test_reflection_isometry_holds(self):
-        for p in (1, 2, np.inf):
-            assert sk.check_lp_contracting(mirror, p, trials=50, seed=7).holds
+        reports = sk.check_lp_contracting(mirror, trials=50, seed=7)
+        assert all(r.holds for r in reports.values())
+
+    @pytest.mark.parametrize("dims", [(9,), (6, 6), (5, 8), (4, 3, 5)])
+    def test_reports_equal_one_exponent_runs(self, dims):
+        grid = sk.centered_grid(dims, 0.5)
+        mixed = 0
+        for seed in range(6):
+            T = weighted(grid, seed)
+            shared = sk.check_lp_contracting(T, trials=12, seed=seed, grid=grid)
+            for p in sk.LP_EXPONENTS:
+                assert shared[p] == lp_report_one_exponent(T, p, 12, seed, grid)
+            first_failures = {(r.counterexample or {}).get("trial") for r in shared.values()}
+            mixed += len(first_failures) > 1
+        # some runs had exponents that hold, or first fail, where others do not
+        assert mixed >= 2
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    def test_draws_one_pair_per_trial(self, monkeypatch, trials):
+        import symmkit.harness as harness
+
+        draws = []
+        draw = harness.random_blob_function
+
+        def counted(rng, grid=DEFAULT_GRID, max_blobs=5):
+            draws.append(rng)
+            return draw(rng, grid, max_blobs)
+
+        monkeypatch.setattr(harness, "random_blob_function", counted)
+        sk.check_lp_contracting(polar, trials=trials, seed=3)
+        assert len(draws) == 2 * trials
 
 
 class TestModulusReducing:
@@ -251,9 +309,7 @@ class TestEquivalenceBattery:
                 continue
             verdicts = [
                 sk.check_monotonic(T, trials=40, seed=11, grid=small).holds,
-                sk.check_lp_contracting(T, 1, trials=40, seed=11, grid=small).holds,
-                sk.check_lp_contracting(T, 2, trials=40, seed=11, grid=small).holds,
-                sk.check_lp_contracting(T, np.inf, trials=40, seed=11, grid=small).holds,
+                *(r.holds for r in sk.check_lp_contracting(T, trials=40, seed=11, grid=small).values()),
                 sk.check_modulus_reducing(T, trials=10, seed=11, grid=small).holds,
             ]
             assert len(set(verdicts)) == 1

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -105,6 +106,34 @@ def test_write_is_deterministic(tmp_path):
     gridio.write_grid_function(p1, f)
     gridio.write_grid_function(p2, f)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+class RecordingStream(io.BytesIO):
+    """An in-memory GRD1 stream that records how many bytes were read when closed."""
+
+    def close(self):
+        self.consumed = self.tell()
+        super().close()
+
+
+@pytest.mark.parametrize(
+    "prefix, error",
+    [(b"", "bad magic"), (b"GRD1\n", "no newline within")],
+)
+def test_grd1_header_lines_read_at_most_the_limit(monkeypatch, prefix, error):
+    # a line that never ends: only HEADER_LIMIT bytes of it may be read
+    stream = RecordingStream(prefix + b"7" * (8 * gridio.HEADER_LIMIT))
+    monkeypatch.setattr(gridio, "open", lambda path, mode: stream, raising=False)
+    with pytest.raises(ValueError, match=error):
+        gridio.read_grid_function("endless.grd")
+    assert stream.consumed <= len(prefix) + gridio.HEADER_LIMIT
+
+
+def test_grd1_header_without_newline_names_the_limit(tmp_path):
+    path = tmp_path / "f.grd"
+    path.write_bytes(b"GRD1\n" + json.dumps({"dims": [2], "origin": [0.0], "spacing": 1.0}).encode())
+    with pytest.raises(ValueError, match=f"no newline within {gridio.HEADER_LIMIT} bytes"):
+        gridio.read_grid_function(path)
 
 
 GOOD_HEADER = {"dims": [2], "origin": [0.0], "spacing": 1.0}
