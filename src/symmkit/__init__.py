@@ -61,7 +61,9 @@ from .geometry import (
 )
 from .harness import (
     LP_EXPONENTS,
+    MODULUS_MAX_TRIALS,
     SETMAP_LAWS,
+    TRANSFORMER_LAWS,
     PropertyReport,
     check_equimeasurable,
     check_lp_contracting,
@@ -69,6 +71,7 @@ from .harness import (
     check_monotonic,
     check_setmap_law,
     check_setmap_properties,
+    check_transformer,
     classify_rearrangement,
     modulus_profile,
 )

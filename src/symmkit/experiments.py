@@ -23,12 +23,9 @@ from .geometry import GridFunction, axis_plane, box_raster, distribution
 from .harness import (
     DEFAULT_GRID,
     SETMAP_LAWS,
-    check_equimeasurable,
-    check_lp_contracting,
-    check_modulus_reducing,
-    check_monotonic,
     check_setmap_law,
     check_setmap_properties,
+    check_transformer,
     classify_rearrangement,
     random_convex_raster,
     trial_rng,
@@ -149,12 +146,7 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
     report = {"transformers": {}, "set_maps": {}}
     all_hold = True
     for name, t in transformers.items():
-        out = {}
-        out["equimeasurable"] = check_equimeasurable(t, trials, seed, grid)
-        out["monotonic"] = check_monotonic(t, trials, seed, grid)
-        for r in check_lp_contracting(t, trials, seed, grid).values():
-            out[r.name] = r
-        out["modulus_reducing"] = check_modulus_reducing(t, min(trials, 20), seed, grid)
+        out = check_transformer(t, trials, seed, grid)
         report["transformers"][name] = {k: r.as_dict() for k, r in out.items()}
         all_hold &= all(r.holds is not False for r in out.values())
 

@@ -67,9 +67,17 @@ def _fields(payload, what, spec):
     return values
 
 
+def _loads(text, what):
+    """The JSON value in ``text``; ValueError if it is nested past the recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
 def _read_json_fields(path, what, spec):
     with open(path) as fh:
-        return _fields(json.load(fh), what, spec)
+        return _fields(_loads(fh.read(), what), what, spec)
 
 
 def write_grid_function(path, f):
@@ -88,7 +96,7 @@ def read_grid_function(path):
         line = fh.readline(HEADER_LIMIT)
         if not line.endswith(b"\n"):
             raise ValueError(f"GRD1 header line has no newline within {HEADER_LIMIT} bytes")
-        header = json.loads(line.decode())
+        header = _loads(line.decode(), "GRD1 header")
         dims, origin, spacing = _fields(header, "GRD1 header", _GRD1_HEADER)
         grid = Grid(tuple(dims), tuple(origin), float(spacing))
         size = 8 * grid.num_cells

@@ -8,6 +8,7 @@ grids have no null sets, so no measure-zero slack is granted anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -258,18 +259,19 @@ def two_disk_symmetric_set(grid, plane, offset, radius):
 # ---------------------------------------------------------------------------
 
 
-def _run_trials(names, trials, seed, score):
-    """Score the laws ``names`` together on seeded trials; one report per law, keyed by name.
+def _run_trials(caps, seed, score):
+    """Score laws together on seeded trials; one report per law, keyed by name.
 
-    ``score(rng, live)`` draws one trial's inputs from ``rng`` and returns
-    ``{name: payload or None}`` for the laws in ``live``, those not failed
-    yet.  A law keeps its first failing trial and is not scored again, so
-    each report equals that of a run scoring its law alone; the run stops
-    once every law has failed.
+    ``caps`` maps each law's name to its trial count.  ``score(rng, live)``
+    draws one trial's inputs from ``rng`` and returns ``{name: payload or
+    None}`` for the laws in ``live``, those with trials left that have not
+    failed yet.  A law keeps its first failing trial and is not scored
+    again, so each report equals that of a run scoring its law alone; the
+    run stops once no law is live.
     """
     failed = {}
-    for i in range(int(trials)):
-        live = [name for name in names if name not in failed]
+    for i in range(max(caps.values(), default=0)):
+        live = [name for name, n in caps.items() if i < n and name not in failed]
         if not live:
             break
         for name, payload in score(trial_rng(seed, i), live).items():
@@ -277,82 +279,7 @@ def _run_trials(names, trials, seed, score):
                 payload.setdefault("trial", i)
                 payload.setdefault("seed", int(seed))
                 failed[name] = payload
-    return {name: PropertyReport(name, name not in failed, trials, seed, failed.get(name)) for name in names}
-
-
-def _run_law(name, trials, seed, one_trial):
-    """One law's report; ``one_trial(rng)`` returns None or a counterexample payload."""
-    return _run_trials((name,), trials, seed, lambda rng, live: {name: one_trial(rng)})[name]
-
-
-def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
-    """Exact (value, cell-count) profile comparison on random functions."""
-
-    def one(rng):
-        f = random_blob_function(rng, grid)
-        before = distribution(f)
-        after = distribution(transformer(f))
-        if before != after:
-            return {
-                "before": before.pairs()[:8],
-                "after": after.pairs()[:8],
-            }
-        return None
-
-    return _run_law("equimeasurable", trials, seed, one)
-
-
-def check_monotonic(transformer, trials=200, seed=0, grid=DEFAULT_GRID, pair_generator=None):
-    """f <= g pointwise must imply Tf <= Tg pointwise, exactly."""
-
-    def default_pairs(rng):
-        f = random_blob_function(rng, grid)
-        bump = random_blob_function(rng, grid, max_blobs=2)
-        return f, GridFunction(grid, f.values + bump.values)
-
-    gen = pair_generator or default_pairs
-
-    def one(rng):
-        f, g = gen(rng)
-        tf, tg = transformer(f), transformer(g)
-        bad = tf.values > tg.values
-        if bad.any():
-            cell = tuple(int(c) for c in np.argwhere(bad)[0])
-            return {"cell": cell, "tf": float(tf.values[bad][0]), "tg": float(tg.values[bad][0])}
-        return None
-
-    return _run_law("monotonic", trials, seed, one)
-
-
-def _lp_norm(values, p, cell_volume):
-    if p == np.inf:
-        return float(np.abs(values).max())
-    return float((np.sum(np.abs(values) ** p) * cell_volume) ** (1.0 / p))
-
-
-def check_lp_contracting(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
-    """||Tf - Tg||_p <= ||f - g||_p + LAW_TOL on random pairs, for every p of LP_EXPONENTS.
-
-    Returns one report per exponent, keyed by p.  Each trial draws (f, g) and
-    computes (Tf, Tg) once and scores every exponent that has not failed yet.
-    """
-    exponents = {f"lp_contracting[p={p}]": p for p in LP_EXPONENTS}
-
-    def score(rng, live):
-        f = random_blob_function(rng, grid)
-        g = random_blob_function(rng, grid)
-        image_diff = transformer(f).values - transformer(g).values
-        diff = f.values - g.values
-        out = {}
-        for name in live:
-            p = exponents[name]
-            lhs = _lp_norm(image_diff, p, grid.cell_volume)
-            rhs = _lp_norm(diff, p, grid.cell_volume)
-            out[name] = {"p": str(p), "lhs": lhs, "rhs": rhs} if lhs > rhs + LAW_TOL else None
-        return out
-
-    reports = _run_trials(tuple(exponents), trials, seed, score)
-    return {p: reports[name] for name, p in exponents.items()}
+    return {name: PropertyReport(name, name not in failed, n, seed, failed.get(name)) for name, n in caps.items()}
 
 
 def modulus_profile(f):
@@ -423,20 +350,161 @@ def modulus_profile(f):
     return f.grid.spacing * np.sqrt(d2[starts].astype(float)), omegas
 
 
-def check_modulus_reducing(transformer, trials=50, seed=0, grid=DEFAULT_GRID):
+# ---------------------------------------------------------------------------
+# Transformer law catalog
+# ---------------------------------------------------------------------------
+
+MODULUS_MAX_TRIALS = 20  # two modulus profiles per trial make it the dearest law
+
+
+class _TransformerTrial:
+    """One trial's inputs for a transformer T: f is drawn first and Tf computed once.
+
+    The monotone partner f + bump and the L^p partner g are each drawn, on
+    first use, from the rng state saved just after f.  Each input is thus
+    the one a law drawing f and then its own partner gets, and a partner
+    that no law reads is never drawn.
+    """
+
+    def __init__(self, transformer, rng, grid):
+        self.transformer = transformer
+        self.grid = grid
+        self.rng = rng
+        self.f = random_blob_function(rng, grid)
+        self._after_f = rng.bit_generator.state
+        self.tf = transformer(self.f)
+
+    def _draw_after_f(self, **kwargs):
+        self.rng.bit_generator.state = self._after_f
+        return random_blob_function(self.rng, self.grid, **kwargs)
+
+    @functools.cached_property
+    def image_above(self):
+        """Tg for g = f + a random nonnegative bump."""
+        bump = self._draw_after_f(max_blobs=2)
+        return self.transformer(GridFunction(self.grid, self.f.values + bump.values))
+
+    @functools.cached_property
+    def lp_diffs(self):
+        """(Tf - Tg, f - g) for an independent random g."""
+        g = self._draw_after_f()
+        return self.tf.values - self.transformer(g).values, self.f.values - g.values
+
+
+def _keeps_distribution(trial):
+    """Exact (value, cell-count) profile comparison."""
+    before = distribution(trial.f)
+    after = distribution(trial.tf)
+    if before != after:
+        return {"before": before.pairs()[:8], "after": after.pairs()[:8]}
+    return None
+
+
+def _keeps_order(trial):
+    """f <= g pointwise must imply Tf <= Tg pointwise, exactly."""
+    tf, tg = trial.tf.values, trial.image_above.values
+    bad = tf > tg
+    if bad.any():
+        cell = tuple(int(c) for c in np.argwhere(bad)[0])
+        return {"cell": cell, "tf": float(tf[bad][0]), "tg": float(tg[bad][0])}
+    return None
+
+
+def _lp_norm(values, p, cell_volume):
+    if p == np.inf:
+        return float(np.abs(values).max())
+    return float((np.sum(np.abs(values) ** p) * cell_volume) ** (1.0 / p))
+
+
+def _contracts_lp(p):
+    """||Tf - Tg||_p <= ||f - g||_p + LAW_TOL."""
+
+    def score(trial):
+        image_diff, diff = trial.lp_diffs
+        lhs = _lp_norm(image_diff, p, trial.grid.cell_volume)
+        rhs = _lp_norm(diff, p, trial.grid.cell_volume)
+        return {"p": str(p), "lhs": lhs, "rhs": rhs} if lhs > rhs + LAW_TOL else None
+
+    return score
+
+
+def _reduces_modulus(trial):
     """omega_d(Tf) <= omega_d(f) + LAW_TOL for every grid distance d."""
+    ds, before = modulus_profile(trial.f)
+    _, after = modulus_profile(trial.tf)
+    bad = after > before + LAW_TOL
+    if bad.any():
+        j = int(np.argmax(bad))
+        return {"distance": float(ds[j]), "before": float(before[j]), "after": float(after[j])}
+    return None
 
-    def one(rng):
-        f = random_blob_function(rng, grid)
-        ds, before = modulus_profile(f)
-        _, after = modulus_profile(transformer(f))
-        bad = after > before + LAW_TOL
-        if bad.any():
-            j = int(np.argmax(bad))
-            return {"distance": float(ds[j]), "before": float(before[j]), "after": float(after[j])}
-        return None
 
-    return _run_law("modulus_reducing", trials, seed, one)
+@dataclass(frozen=True)
+class Law:
+    """One law of a catalog: ``trial`` scores one trial and returns None or a counterexample.
+
+    ``max_trials`` caps the trial count.  A set-map law that ``needs`` the
+    reference "plane" or the map's "contraction" is skipped without it.
+    """
+
+    trial: callable
+    needs: str = None
+    max_trials: int = None
+
+
+_LP_NAMES = {p: f"lp_contracting[p={p}]" for p in LP_EXPONENTS}
+
+# every law a transformer is checked against, in report order; each scores
+# a _TransformerTrial, and ``verify`` scores them all on one draw per trial
+TRANSFORMER_LAWS = {
+    "equimeasurable": Law(_keeps_distribution),
+    "monotonic": Law(_keeps_order),
+    **{name: Law(_contracts_lp(p)) for p, name in _LP_NAMES.items()},
+    "modulus_reducing": Law(_reduces_modulus, max_trials=MODULUS_MAX_TRIALS),
+}
+
+
+def _check_transformer_laws(names, transformer, trials, seed, grid):
+    """The laws ``names`` of :data:`TRANSFORMER_LAWS` on a transformer, keyed by name.
+
+    Each trial draws its inputs once for every law still live.
+    """
+    caps = {name: min(trials, TRANSFORMER_LAWS[name].max_trials or trials) for name in names}
+
+    def score(rng, live):
+        trial = _TransformerTrial(transformer, rng, grid)
+        return {name: TRANSFORMER_LAWS[name].trial(trial) for name in live}
+
+    return _run_trials(caps, seed, score)
+
+
+def check_transformer(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
+    """Every law of :data:`TRANSFORMER_LAWS` on a transformer, keyed by law name.
+
+    The modulus law runs at most MODULUS_MAX_TRIALS trials.
+    """
+    return _check_transformer_laws(TRANSFORMER_LAWS, transformer, trials, seed, grid)
+
+
+def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
+    """The "equimeasurable" law of :data:`TRANSFORMER_LAWS` alone."""
+    return _check_transformer_laws(("equimeasurable",), transformer, trials, seed, grid)["equimeasurable"]
+
+
+def check_monotonic(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
+    """The "monotonic" law of :data:`TRANSFORMER_LAWS` alone."""
+    return _check_transformer_laws(("monotonic",), transformer, trials, seed, grid)["monotonic"]
+
+
+def check_lp_contracting(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
+    """The L^p contraction laws of :data:`TRANSFORMER_LAWS`, one report per p of LP_EXPONENTS, keyed by p."""
+    reports = _check_transformer_laws(_LP_NAMES.values(), transformer, trials, seed, grid)
+    return {p: reports[name] for p, name in _LP_NAMES.items()}
+
+
+def check_modulus_reducing(transformer, trials=MODULUS_MAX_TRIALS, seed=0, grid=DEFAULT_GRID):
+    """The "modulus_reducing" law of :data:`TRANSFORMER_LAWS` alone."""
+    return _check_transformer_laws(("modulus_reducing",), transformer, trials, seed, grid)["modulus_reducing"]
 
 
 # ---------------------------------------------------------------------------
@@ -511,29 +579,17 @@ def _perimeter_convex(dmap, plane, grid, rng):
     return None
 
 
-@dataclass(frozen=True)
-class SetMapLaw:
-    """One set-map law: ``trial(dmap, plane, grid, rng)`` returns None or a counterexample.
-
-    A law that ``needs`` the reference "plane" or the map's "contraction" is
-    skipped without it; ``max_trials`` caps the trial count.
-    """
-
-    trial: callable
-    needs: str = None
-    max_trials: int = None
-
-
-# every law a set map is checked against, in report order; ``verify`` runs
-# them all and each gallery row the ones its expected verdicts name
+# every law a set map is checked against, in report order; each takes
+# (dmap, plane, grid, rng), ``verify`` runs them all and each gallery row
+# the ones its expected verdicts name
 SETMAP_LAWS = {
-    "monotonic": SetMapLaw(_monotonic),
-    "measure_preserving": SetMapLaw(_measure_preserving),
-    "symmetric_invariant": SetMapLaw(_symmetric_invariant, needs="plane"),
-    "cylinder_invariant": SetMapLaw(_cylinder_invariant, needs="plane"),
-    "maps_balls_to_balls": SetMapLaw(_maps_balls_to_balls, needs="plane"),
-    "respects_cylinders": SetMapLaw(_respects_cylinders, needs="plane"),
-    "perimeter_convex": SetMapLaw(_perimeter_convex, needs="contraction", max_trials=25),
+    "monotonic": Law(_monotonic),
+    "measure_preserving": Law(_measure_preserving),
+    "symmetric_invariant": Law(_symmetric_invariant, needs="plane"),
+    "cylinder_invariant": Law(_cylinder_invariant, needs="plane"),
+    "maps_balls_to_balls": Law(_maps_balls_to_balls, needs="plane"),
+    "respects_cylinders": Law(_respects_cylinders, needs="plane"),
+    "perimeter_convex": Law(_perimeter_convex, needs="contraction", max_trials=25),
 }
 
 
@@ -551,7 +607,7 @@ def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=No
     if law.needs == "contraction" and dmap.contraction is None:
         return PropertyReport(name, None, 0, seed, detail="no contraction backing")
     trials = min(trials, law.max_trials or trials)
-    return _run_law(name, trials, seed, lambda rng: law.trial(dmap, plane, grid, rng))
+    return _run_trials({name: trials}, seed, lambda rng, live: {name: law.trial(dmap, plane, grid, rng)})[name]
 
 
 def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):

@@ -37,6 +37,8 @@ class ConvexPolygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError("need at least three planar vertices")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("polygon vertices must be finite")
         e = np.roll(v, -1, axis=0) - v
         cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
         if np.any(cross <= CROSS_TOL):

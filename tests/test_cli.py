@@ -144,6 +144,14 @@ def test_grd1_header_longer_than_limit_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o.grd").exists()
 
 
+def test_grd1_header_nested_too_deeply_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.grd"
+    path.write_bytes(b"GRD1\n" + b"[" * 30000 + b"\n")
+    argv = ["steiner", "--in", str(path), "--axis", "0", "--out", str(tmp_path / "o.grd")]
+    assert cli_dispatch(argv) == 2
+    assert "GRD1 header is nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need os.mkfifo")
 @pytest.mark.parametrize(
     "side",
@@ -182,6 +190,28 @@ def test_chordmap_malformed_json_exit_2(tmp_path, capsys, broken):
             "--out", str(tmp_path / "region.json")]
     assert cli_dispatch(argv) == 2
     assert f"{broken} has no" in capsys.readouterr().err
+
+
+def test_chordmap_polygon_nested_too_deeply_exit_2(tmp_path, capsys):
+    ppath, cpath = tmp_path / "k.json", tmp_path / "phi.json"
+    ppath.write_text("[" * 30000)
+    gridio.write_contraction(cpath, sk.canonical_contraction("abs", 8.0))
+    argv = ["chordmap", "--in", str(ppath), "--contraction", str(cpath), "--normal", "0,1",
+            "--out", str(tmp_path / "region.json")]
+    assert cli_dispatch(argv) == 2
+    assert "polygon is nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_chordmap_non_finite_vertex_exit_2(tmp_path, capsys, bad):
+    ppath, cpath = tmp_path / "k.json", tmp_path / "phi.json"
+    ppath.write_text(f'{{"vertices": [[0.0, 0.0], [2.0, 0.0], [1.0, {bad}]]}}')
+    gridio.write_contraction(cpath, sk.canonical_contraction("abs", 8.0))
+    argv = ["chordmap", "--in", str(ppath), "--contraction", str(cpath), "--normal", "0,1",
+            "--out", str(tmp_path / "region.json")]
+    assert cli_dispatch(argv) == 2
+    assert "polygon vertices must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "region.json").exists()
 
 
 def test_chordmap_grid_mode(tmp_path):

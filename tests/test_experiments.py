@@ -119,16 +119,18 @@ def test_verify_battery_all_hold():
 
 @pytest.mark.parametrize("seed", [7, 311])
 def test_verify_work_per_trial(seed):
-    # one trial of every suite: 6 blob draws per transformer (1 equimeasurable,
-    # 2 monotonic, 2 for all three L^p exponents together, 1 modulus) and 8 for
-    # the set-map laws; redrawing per exponent would add 16 draws, 12 mirror
-    # plans and 4 polarize calls
+    # one trial of every suite: 3 blob draws per transformer (f, the monotone
+    # bump and the L^p partner, shared by all six laws) and 8 for the set-map
+    # laws; one trial_rng per transformer and 14 for the set-map laws.
+    # Redrawing per law would add 12 draws, 9 mirror plans, 3 polarize calls
+    # and 12 trial_rng calls
     from symmkit import geometry, harness, rearrange
 
     watched = {
         harness.random_blob_function.__code__: "random_blob_function",
         geometry.Reflection.__init__.__code__: "Reflection",
         rearrange.polarize.__code__: "polarize",
+        harness.trial_rng.__code__: "trial_rng",
     }
     calls = dict.fromkeys(watched.values(), 0)
 
@@ -141,7 +143,7 @@ def test_verify_work_per_trial(seed):
         run_verify(trials=1, seed=seed)
     finally:
         sys.setprofile(None)
-    assert calls == {"random_blob_function": 32, "Reflection": 27, "polarize": 6}
+    assert calls == {"random_blob_function": 20, "Reflection": 18, "polarize": 3, "trial_rng": 18}
 
 
 def test_gallery_matches_expected_matrix():

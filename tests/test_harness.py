@@ -20,6 +20,15 @@ PLANE = sk.axis_plane(1, 2, 0.0, 1)
 
 polar = lambda f: sk.polarize(f, PLANE)
 mirror = lambda f: sk.reflect_grid_function(f, PLANE)
+shift = lambda f: f.with_values(f.values + 1.0)
+
+
+def scramble(f):
+    """A fixed permutation of the cells: equimeasurable, monotone and an L^p
+    isometry, but it breaks the modulus of continuity."""
+    flat = f.values.ravel().copy()
+    np.random.default_rng(0).shuffle(flat)
+    return sk.GridFunction(f.grid, flat.reshape(f.grid.dims))
 
 
 class TestEquimeasurable:
@@ -27,7 +36,7 @@ class TestEquimeasurable:
         assert sk.check_equimeasurable(polar, trials=100, seed=3).holds
 
     def test_shift_fails(self):
-        report = sk.check_equimeasurable(lambda f: f.with_values(f.values + 1.0), trials=10, seed=3)
+        report = sk.check_equimeasurable(shift, trials=10, seed=3)
         assert not report.holds
         assert report.counterexample["trial"] == 0
 
@@ -50,14 +59,12 @@ class TestMonotonic:
             GRID, sk.ConvexPolygon([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         )
 
-        def pairs(rng):
-            return cone.indicator(), double.indicator()
-
         def lifted(f):
             return dmap(sk.set_from_indicator(f)).indicator()
 
-        report = sk.check_monotonic(lifted, trials=1, seed=0, pair_generator=pairs)
-        assert not report.holds
+        # the cone lies inside the double cone, but its lifted image does not
+        assert not np.any(cone.indicator().values > double.indicator().values)
+        assert np.any(lifted(cone.indicator()).values > lifted(double.indicator()).values)
 
 
 def lp_report_one_exponent(transformer, p, trials, seed, grid):
@@ -138,12 +145,6 @@ class TestModulusReducing:
         assert sk.check_modulus_reducing(polar, trials=20, seed=9, grid=self.SMALL).holds
 
     def test_scrambler_fails(self):
-        def scramble(f):
-            rng = np.random.default_rng(0)
-            flat = f.values.ravel().copy()
-            rng.shuffle(flat)
-            return sk.GridFunction(f.grid, flat.reshape(f.grid.dims))
-
         report = sk.check_modulus_reducing(scramble, trials=10, seed=9, grid=self.SMALL)
         assert not report.holds
 
@@ -153,9 +154,114 @@ class TestModulusReducing:
         assert not sk.check_equimeasurable(squash, trials=5, seed=9, grid=self.SMALL).holds
 
 
+def one_law_reports(transformer, trials, seed, grid):
+    """Every transformer law as a loop of its own, each trial redrawing its
+    inputs from trial_rng(seed, i), the modulus law at most 20 trials: the
+    reference for :func:`check_transformer`, which draws once for every law."""
+
+    def first_failure(name, n, one):
+        for i in range(n):
+            payload = one(trial_rng(seed, i))
+            if payload is not None:
+                return PropertyReport(name, False, n, seed, {**payload, "trial": i, "seed": seed})
+        return PropertyReport(name, True, n, seed)
+
+    def equimeasurable(rng):
+        f = random_blob_function(rng, grid)
+        before, after = sk.distribution(f), sk.distribution(transformer(f))
+        if before != after:
+            return {"before": before.pairs()[:8], "after": after.pairs()[:8]}
+        return None
+
+    def monotonic(rng):
+        f = random_blob_function(rng, grid)
+        bump = random_blob_function(rng, grid, max_blobs=2)
+        tf, tg = transformer(f), transformer(sk.GridFunction(grid, f.values + bump.values))
+        bad = tf.values > tg.values
+        if bad.any():
+            cell = tuple(int(c) for c in np.argwhere(bad)[0])
+            return {"cell": cell, "tf": float(tf.values[bad][0]), "tg": float(tg.values[bad][0])}
+        return None
+
+    def modulus_reducing(rng):
+        f = random_blob_function(rng, grid)
+        ds, before = sk.modulus_profile(f)
+        _, after = sk.modulus_profile(transformer(f))
+        bad = after > before + LAW_TOL
+        if bad.any():
+            j = int(np.argmax(bad))
+            return {"distance": float(ds[j]), "before": float(before[j]), "after": float(after[j])}
+        return None
+
+    return {
+        "equimeasurable": first_failure("equimeasurable", trials, equimeasurable),
+        "monotonic": first_failure("monotonic", trials, monotonic),
+        **{
+            f"lp_contracting[p={p}]": lp_report_one_exponent(transformer, p, trials, seed, grid)
+            for p in sk.LP_EXPONENTS
+        },
+        "modulus_reducing": first_failure("modulus_reducing", min(trials, 20), modulus_reducing),
+    }
+
+
+class TestTransformerCatalog:
+    def test_report_order(self):
+        reports = sk.check_transformer(polar, trials=2, seed=0)
+        assert list(reports) == list(sk.TRANSFORMER_LAWS) == [
+            "equimeasurable",
+            "monotonic",
+            "lp_contracting[p=1]",
+            "lp_contracting[p=2]",
+            "lp_contracting[p=inf]",
+            "modulus_reducing",
+        ]
+        assert [r.name for r in reports.values()] == list(reports)
+
+    @pytest.mark.parametrize("dims", [(9,), (6, 6), (4, 3, 5)])
+    def test_reports_equal_one_law_runs(self, dims):
+        grid = sk.centered_grid(dims, 0.5)
+        mixed = 0
+        for seed in range(3):
+            for T in (shift, weighted(grid, seed), scramble):
+                got = sk.check_transformer(T, trials=24, seed=seed, grid=grid)
+                assert got == one_law_reports(T, 24, seed, grid)
+                assert got["modulus_reducing"].trials == sk.MODULUS_MAX_TRIALS == 20
+                mixed += len({r.holds for r in got.values()}) > 1
+        # most runs had laws that hold beside laws that fail
+        assert mixed >= 6
+
+    @pytest.mark.parametrize(
+        "name, trials, want",
+        [
+            ("polar", 1, 3),
+            ("polar", 24, 3 * 24),
+            # monotonic fails at trial 0, so later trials draw no bump
+            ("negate", 7, 3 + 2 * 6),
+        ],
+    )
+    def test_draws_only_what_live_laws_read(self, monkeypatch, name, trials, want):
+        import symmkit.harness as harness
+
+        small = sk.centered_grid((12, 12), 1.0 / 3.0)
+        T = {"polar": polar, "negate": lambda f: f.with_values(-f.values)}[name]
+        draws = []
+        draw = harness.random_blob_function
+
+        def counted(rng, grid=DEFAULT_GRID, max_blobs=5):
+            draws.append(rng)
+            return draw(rng, grid, max_blobs)
+
+        monkeypatch.setattr(harness, "random_blob_function", counted)
+        reports = sk.check_transformer(T, trials=trials, seed=3, grid=small)
+        assert len(draws) == want
+        if name == "polar":
+            assert all(r.holds for r in reports.values())
+        else:
+            assert reports["monotonic"].counterexample["trial"] == 0
+
+
 class TestReplayability:
     def test_failed_trial_replays_bit_for_bit(self):
-        shift = lambda f: f.with_values(f.values + 1.0)
         report = sk.check_equimeasurable(shift, trials=30, seed=21)
         assert not report.holds
         payload = report.counterexample

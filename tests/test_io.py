@@ -200,3 +200,13 @@ def test_json_payload_must_be_an_object(tmp_path, reader):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="must be a JSON object"):
         reader(path)
+
+
+@pytest.mark.parametrize(
+    "reader", [gridio.read_polygon, gridio.read_contraction, gridio.read_region]
+)
+def test_json_nested_past_the_recursion_limit_raises_value_error(tmp_path, reader):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 30000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        reader(path)

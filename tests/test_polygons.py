@@ -15,6 +15,12 @@ def test_validation_rejects_clockwise_and_collinear():
         sk.ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])  # collinear
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_rejects_non_finite_vertices(bad):
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        sk.ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [1.0, bad]])
+
+
 def test_area_perimeter():
     sq = sk.ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert sq.area() == 1.0
