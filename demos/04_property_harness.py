@@ -8,6 +8,8 @@ at the end identifies a transformer among the four canonical rearrangements
 or proves it is something else by exhibiting a witness.
 """
 
+import functools
+
 import numpy as np
 
 import symmkit as sk
@@ -24,6 +26,15 @@ print("  monotonic      :", sk.check_monotonic(polar, trials=100, seed=7, grid=g
 for p, r in sk.check_lp_contracting(polar, trials=100, seed=7, grid=grid).items():
     print(f"  L^{p}-contracting:", r.verdict)
 print("  modulus-reducing:", sk.check_modulus_reducing(polar, trials=15, seed=7, grid=grid).verdict)
+
+# the four canonical rearrangements, all scored on one shared draw per trial
+canonical = {label: functools.partial(T, plane=plane) for label, T in sk.CANONICAL_TRANSFORMERS.items()}
+table = sk.check_transformers(canonical, trials=20, seed=7, grid=grid)
+laws = list(sk.TRANSFORMER_LAWS)
+print("\ncanonical transformers (one check_transformers call):")
+print(f"  {'':19s} " + " ".join(f"{law:>21s}" for law in laws))
+for label, reports in table.items():
+    print(f"  {label:19s} " + " ".join(f"{reports[law].verdict:>21s}" for law in laws))
 
 # a broken map fails with a replayable counterexample
 shift = lambda f: f.with_values(f.values + 1.0)

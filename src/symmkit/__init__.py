@@ -72,6 +72,7 @@ from .harness import (
     check_setmap_law,
     check_setmap_properties,
     check_transformer,
+    check_transformers,
     classify_rearrangement,
     modulus_profile,
 )

@@ -45,6 +45,8 @@ class ChordMovedRegion:
         upper = np.asarray(self.upper, dtype=float)
         if not (xs.shape == lower.shape == upper.shape) or xs.ndim != 1 or len(xs) < 2:
             raise ValueError("need matching 1D breakpoint arrays")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("region breakpoints must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("breakpoint stations must be strictly increasing")
         span = max(1.0, float(np.abs(upper).max()), float(np.abs(lower).max()))

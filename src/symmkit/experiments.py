@@ -25,7 +25,7 @@ from .harness import (
     SETMAP_LAWS,
     check_setmap_law,
     check_setmap_properties,
-    check_transformer,
+    check_transformers,
     classify_rearrangement,
     random_convex_raster,
     trial_rng,
@@ -145,8 +145,7 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
     transformers = {name: functools.partial(t, plane=plane) for name, t in CANONICAL_TRANSFORMERS.items()}
     report = {"transformers": {}, "set_maps": {}}
     all_hold = True
-    for name, t in transformers.items():
-        out = check_transformer(t, trials, seed, grid)
+    for name, out in check_transformers(transformers, trials, seed, grid).items():
         report["transformers"][name] = {k: r.as_dict() for k, r in out.items()}
         all_hold &= all(r.holds is not False for r in out.values())
 

@@ -4,6 +4,14 @@ Every check runs a fixed number of independent trials; trial ``i`` of a run
 with seed ``s`` draws from ``numpy.random.default_rng((s, i))``, so a failed
 trial is replayable from the (seed, trial) pair alone.  Verdicts are exact:
 grids have no null sets, so no measure-zero slack is granted anywhere.
+
+The laws of a run are keyed by (subject, law), the subject being a
+transformer's or a set map's name.  :func:`check_transformers` scores a dict
+of transformers on one shared draw per trial: f, its partners,
+``distribution(f)`` and ``modulus_profile(f)`` are computed once for all of
+them, and a transformer whose Tf equals f reuses f's modulus profile.  Each
+(transformer, law) pair still keeps its own first failing trial, so every
+report equals that of the law run on its transformer alone.
 """
 
 from __future__ import annotations
@@ -260,26 +268,28 @@ def two_disk_symmetric_set(grid, plane, offset, radius):
 
 
 def _run_trials(caps, seed, score):
-    """Score laws together on seeded trials; one report per law, keyed by name.
+    """Score laws together on seeded trials; one report per key.
 
-    ``caps`` maps each law's name to its trial count.  ``score(rng, live)``
-    draws one trial's inputs from ``rng`` and returns ``{name: payload or
-    None}`` for the laws in ``live``, those with trials left that have not
-    failed yet.  A law keeps its first failing trial and is not scored
-    again, so each report equals that of a run scoring its law alone; the
-    run stops once no law is live.
+    ``caps`` maps each (subject, law) key to its trial count; the subject is
+    a transformer's or set map's name and the report's property is the law
+    name.  ``score(rng, live)`` draws one trial's inputs from ``rng`` once,
+    shared by every key in ``live`` (those with trials left that have not
+    failed yet), and returns ``{key: payload or None}`` for them.  A key
+    keeps its first failing trial and is not scored again, so each report
+    equals that of a run scoring its law on its subject alone; the run stops
+    once no key is live.
     """
     failed = {}
     for i in range(max(caps.values(), default=0)):
-        live = [name for name, n in caps.items() if i < n and name not in failed]
+        live = [key for key, n in caps.items() if i < n and key not in failed]
         if not live:
             break
-        for name, payload in score(trial_rng(seed, i), live).items():
+        for key, payload in score(trial_rng(seed, i), live).items():
             if payload is not None:
                 payload.setdefault("trial", i)
                 payload.setdefault("seed", int(seed))
-                failed[name] = payload
-    return {name: PropertyReport(name, name not in failed, n, seed, failed.get(name)) for name, n in caps.items()}
+                failed[key] = payload
+    return {key: PropertyReport(key[1], key not in failed, n, seed, failed.get(key)) for key, n in caps.items()}
 
 
 def modulus_profile(f):
@@ -357,43 +367,82 @@ def modulus_profile(f):
 MODULUS_MAX_TRIALS = 20  # two modulus profiles per trial make it the dearest law
 
 
-class _TransformerTrial:
-    """One trial's inputs for a transformer T: f is drawn first and Tf computed once.
+class _TrialDraw:
+    """One trial's inputs, drawn once and shared by every transformer scored on it.
 
-    The monotone partner f + bump and the L^p partner g are each drawn, on
-    first use, from the rng state saved just after f.  Each input is thus
-    the one a law drawing f and then its own partner gets, and a partner
-    that no law reads is never drawn.
+    f is drawn first.  The monotone bump and the L^p partner g are each
+    drawn, on first read, from the rng state saved just after f, so each is
+    the input a law drawing f and then its own partner gets, and a partner
+    no live law reads is never drawn.  ``distribution(f)`` and
+    ``modulus_profile(f)`` are likewise computed once, on first read.
     """
 
-    def __init__(self, transformer, rng, grid):
-        self.transformer = transformer
+    def __init__(self, rng, grid):
         self.grid = grid
         self.rng = rng
         self.f = random_blob_function(rng, grid)
         self._after_f = rng.bit_generator.state
-        self.tf = transformer(self.f)
 
     def _draw_after_f(self, **kwargs):
         self.rng.bit_generator.state = self._after_f
         return random_blob_function(self.rng, self.grid, **kwargs)
 
     @functools.cached_property
+    def bump(self):
+        """A random nonnegative bump; f + bump is the monotone partner."""
+        return self._draw_after_f(max_blobs=2)
+
+    @functools.cached_property
+    def g(self):
+        """The independent L^p partner."""
+        return self._draw_after_f()
+
+    @functools.cached_property
+    def distribution(self):
+        return distribution(self.f)
+
+    @functools.cached_property
+    def profile(self):
+        return modulus_profile(self.f)
+
+
+class _TransformerTrial:
+    """A transformer T's view of a shared draw: Tf, T(f + bump) and Tg, each
+    computed on first read."""
+
+    def __init__(self, transformer, draw):
+        self.transformer = transformer
+        self.draw = draw
+        self.grid = draw.grid
+        self.f = draw.f
+
+    @functools.cached_property
+    def tf(self):
+        return self.transformer(self.f)
+
+    @functools.cached_property
     def image_above(self):
-        """Tg for g = f + a random nonnegative bump."""
-        bump = self._draw_after_f(max_blobs=2)
-        return self.transformer(GridFunction(self.grid, self.f.values + bump.values))
+        """Tg for g = f + the draw's bump."""
+        return self.transformer(GridFunction(self.grid, self.f.values + self.draw.bump.values))
 
     @functools.cached_property
     def lp_diffs(self):
-        """(Tf - Tg, f - g) for an independent random g."""
-        g = self._draw_after_f()
+        """(Tf - Tg, f - g) for the draw's partner g."""
+        g = self.draw.g
         return self.tf.values - self.transformer(g).values, self.f.values - g.values
+
+    @functools.cached_property
+    def tf_profile(self):
+        """modulus_profile(Tf); f's own profile when Tf equals f (the profile
+        is a function of the values alone, so the reuse is exact)."""
+        if np.array_equal(self.tf.values, self.f.values):
+            return self.draw.profile
+        return modulus_profile(self.tf)
 
 
 def _keeps_distribution(trial):
     """Exact (value, cell-count) profile comparison."""
-    before = distribution(trial.f)
+    before = trial.draw.distribution
     after = distribution(trial.tf)
     if before != after:
         return {"before": before.pairs()[:8], "after": after.pairs()[:8]}
@@ -430,8 +479,8 @@ def _contracts_lp(p):
 
 def _reduces_modulus(trial):
     """omega_d(Tf) <= omega_d(f) + LAW_TOL for every grid distance d."""
-    ds, before = modulus_profile(trial.f)
-    _, after = modulus_profile(trial.tf)
+    ds, before = trial.draw.profile
+    _, after = trial.tf_profile
     bad = after > before + LAW_TOL
     if bad.any():
         j = int(np.argmax(bad))
@@ -455,7 +504,8 @@ class Law:
 _LP_NAMES = {p: f"lp_contracting[p={p}]" for p in LP_EXPONENTS}
 
 # every law a transformer is checked against, in report order; each scores
-# a _TransformerTrial, and ``verify`` scores them all on one draw per trial
+# a _TransformerTrial, and ``verify`` scores them all, for all four canonical
+# transformers, on one shared draw per trial
 TRANSFORMER_LAWS = {
     "equimeasurable": Law(_keeps_distribution),
     "monotonic": Law(_keeps_order),
@@ -464,47 +514,68 @@ TRANSFORMER_LAWS = {
 }
 
 
-def _check_transformer_laws(names, transformer, trials, seed, grid):
-    """The laws ``names`` of :data:`TRANSFORMER_LAWS` on a transformer, keyed by name.
+def _check_transformer_laws(names, transformers, trials, seed, grid):
+    """The laws ``names`` of :data:`TRANSFORMER_LAWS` on each of a dict of
+    transformers, as {transformer name: {law name: report}}.
 
-    Each trial draws its inputs once for every law still live.
+    Each trial makes one :class:`_TrialDraw`, shared by every live
+    (transformer, law) pair, and one :class:`_TransformerTrial` per
+    transformer with a live law.
     """
-    caps = {name: min(trials, TRANSFORMER_LAWS[name].max_trials or trials) for name in names}
+    caps = {
+        (t, name): min(trials, TRANSFORMER_LAWS[name].max_trials or trials) for t in transformers for name in names
+    }
 
     def score(rng, live):
-        trial = _TransformerTrial(transformer, rng, grid)
-        return {name: TRANSFORMER_LAWS[name].trial(trial) for name in live}
+        draw = _TrialDraw(rng, grid)
+        views = {t: _TransformerTrial(transformers[t], draw) for t in dict.fromkeys(t for t, _ in live)}
+        return {(t, name): TRANSFORMER_LAWS[name].trial(views[t]) for t, name in live}
 
-    return _run_trials(caps, seed, score)
+    reports = _run_trials(caps, seed, score)
+    return {t: {name: reports[t, name] for name in names} for t in transformers}
+
+
+def check_transformers(transformers, trials=200, seed=0, grid=DEFAULT_GRID):
+    """Every law of :data:`TRANSFORMER_LAWS` on each of a dict of transformers,
+    as {transformer name: {law name: report}}.
+
+    All transformers are scored on one shared draw per trial; each keeps its
+    own first failing trial, and its reports equal those of
+    :func:`check_transformer` on it alone.  The modulus law runs at most
+    MODULUS_MAX_TRIALS trials.
+    """
+    return _check_transformer_laws(TRANSFORMER_LAWS, transformers, trials, seed, grid)
+
+
+def _one_transformer(names, transformer, trials, seed, grid):
+    return _check_transformer_laws(names, {None: transformer}, trials, seed, grid)[None]
 
 
 def check_transformer(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
-    """Every law of :data:`TRANSFORMER_LAWS` on a transformer, keyed by law name.
-
-    The modulus law runs at most MODULUS_MAX_TRIALS trials.
-    """
-    return _check_transformer_laws(TRANSFORMER_LAWS, transformer, trials, seed, grid)
+    """Every law of :data:`TRANSFORMER_LAWS` on one transformer, keyed by law name:
+    the one-transformer case of :func:`check_transformers`."""
+    return _one_transformer(TRANSFORMER_LAWS, transformer, trials, seed, grid)
 
 
 def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
     """The "equimeasurable" law of :data:`TRANSFORMER_LAWS` alone."""
-    return _check_transformer_laws(("equimeasurable",), transformer, trials, seed, grid)["equimeasurable"]
+    return _one_transformer(("equimeasurable",), transformer, trials, seed, grid)["equimeasurable"]
 
 
 def check_monotonic(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
     """The "monotonic" law of :data:`TRANSFORMER_LAWS` alone."""
-    return _check_transformer_laws(("monotonic",), transformer, trials, seed, grid)["monotonic"]
+    return _one_transformer(("monotonic",), transformer, trials, seed, grid)["monotonic"]
 
 
 def check_lp_contracting(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
     """The L^p contraction laws of :data:`TRANSFORMER_LAWS`, one report per p of LP_EXPONENTS, keyed by p."""
-    reports = _check_transformer_laws(_LP_NAMES.values(), transformer, trials, seed, grid)
+    reports = _one_transformer(_LP_NAMES.values(), transformer, trials, seed, grid)
     return {p: reports[name] for p, name in _LP_NAMES.items()}
 
 
 def check_modulus_reducing(transformer, trials=MODULUS_MAX_TRIALS, seed=0, grid=DEFAULT_GRID):
     """The "modulus_reducing" law of :data:`TRANSFORMER_LAWS` alone."""
-    return _check_transformer_laws(("modulus_reducing",), transformer, trials, seed, grid)["modulus_reducing"]
+    return _one_transformer(("modulus_reducing",), transformer, trials, seed, grid)["modulus_reducing"]
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +677,9 @@ def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=No
         return PropertyReport(name, None, 0, seed, detail="no reference hyperplane")
     if law.needs == "contraction" and dmap.contraction is None:
         return PropertyReport(name, None, 0, seed, detail="no contraction backing")
+    key = (dmap.name, name)
     trials = min(trials, law.max_trials or trials)
-    return _run_trials({name: trials}, seed, lambda rng, live: {name: law.trial(dmap, plane, grid, rng)})[name]
+    return _run_trials({key: trials}, seed, lambda rng, live: {key: law.trial(dmap, plane, grid, rng)})[key]
 
 
 def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):

@@ -119,11 +119,11 @@ def test_verify_battery_all_hold():
 
 @pytest.mark.parametrize("seed", [7, 311])
 def test_verify_work_per_trial(seed):
-    # one trial of every suite: 3 blob draws per transformer (f, the monotone
-    # bump and the L^p partner, shared by all six laws) and 8 for the set-map
-    # laws; one trial_rng per transformer and 14 for the set-map laws.
-    # Redrawing per law would add 12 draws, 9 mirror plans, 3 polarize calls
-    # and 12 trial_rng calls
+    # one trial of every suite: f, the monotone bump and the L^p partner are
+    # drawn once for all four transformers (3 draws, one trial_rng), with one
+    # distribution(f) and one modulus_profile(f); each Tf adds a
+    # distribution and, but for the identity's (Tf equals f), a
+    # modulus_profile; the set-map laws take 8 draws and 14 trial_rng calls
     from symmkit import geometry, harness, rearrange
 
     watched = {
@@ -131,6 +131,8 @@ def test_verify_work_per_trial(seed):
         geometry.Reflection.__init__.__code__: "Reflection",
         rearrange.polarize.__code__: "polarize",
         harness.trial_rng.__code__: "trial_rng",
+        harness.modulus_profile.__code__: "modulus_profile",
+        geometry.distribution.__code__: "distribution",
     }
     calls = dict.fromkeys(watched.values(), 0)
 
@@ -143,7 +145,14 @@ def test_verify_work_per_trial(seed):
         run_verify(trials=1, seed=seed)
     finally:
         sys.setprofile(None)
-    assert calls == {"random_blob_function": 20, "Reflection": 18, "polarize": 3, "trial_rng": 18}
+    assert calls == {
+        "random_blob_function": 11,
+        "Reflection": 18,
+        "polarize": 3,
+        "trial_rng": 15,
+        "modulus_profile": 4,
+        "distribution": 5,
+    }
 
 
 def test_gallery_matches_expected_matrix():

@@ -260,6 +260,88 @@ class TestTransformerCatalog:
             assert reports["monotonic"].counterexample["trial"] == 0
 
 
+class TestSharedDraw:
+    SMALL = sk.centered_grid((12, 12), 1.0 / 3.0)
+
+    @pytest.mark.parametrize("dims", [(9,), (6, 6), (4, 3, 5)])
+    def test_reports_equal_one_transformer_runs(self, dims):
+        grid = sk.centered_grid(dims, 0.5)
+        plane = sk.axis_plane(grid.n - 1, grid.n, 0.0, 1)
+        mixed = 0
+        for seed in range(3):
+            transformers = {
+                "polar": lambda f: sk.polarize(f, plane),
+                "shift": shift,
+                "weighted": weighted(grid, seed),
+                "scramble": scramble,
+                "identity": lambda f: f,
+            }
+            got = sk.check_transformers(transformers, trials=24, seed=seed, grid=grid)
+            want = {name: sk.check_transformer(T, trials=24, seed=seed, grid=grid) for name, T in transformers.items()}
+            assert got == want
+            assert list(got) == list(transformers)
+            assert all(list(reports) == list(sk.TRANSFORMER_LAWS) for reports in got.values())
+            mixed += sum(len({r.holds for r in reports.values()}) > 1 for reports in got.values())
+        # most runs had transformers with laws that hold beside laws that fail
+        assert mixed >= 6
+
+    @pytest.mark.parametrize(
+        "names, trials, want",
+        [
+            # f, the bump and g once per trial, however many transformers read them
+            (("polar", "identity"), 6, 3 * 6),
+            # both monotonic laws fail at trial 0: no bump after it
+            (("negate", "negate_shift"), 6, 3 + 2 * 5),
+            # all six L^p laws fail at trial 0: no g after it
+            (("double", "triple"), 6, 3 + 2 * 5),
+            # negate still reads g and double the bump
+            (("negate", "double"), 6, 3 * 6),
+        ],
+    )
+    def test_draws_once_per_trial_only_what_live_pairs_read(self, monkeypatch, names, trials, want):
+        import symmkit.harness as harness
+
+        catalog = {
+            "polar": polar,
+            "identity": lambda f: f,
+            "negate": lambda f: f.with_values(-f.values),
+            "negate_shift": lambda f: f.with_values(1.0 - f.values),
+            "double": lambda f: f.with_values(2.0 * f.values),
+            "triple": lambda f: f.with_values(3.0 * f.values),
+        }
+        draws = []
+        draw = harness.random_blob_function
+
+        def counted(rng, grid=DEFAULT_GRID, max_blobs=5):
+            draws.append(rng)
+            return draw(rng, grid, max_blobs)
+
+        monkeypatch.setattr(harness, "random_blob_function", counted)
+        reports = sk.check_transformers({n: catalog[n] for n in names}, trials=trials, seed=3, grid=self.SMALL)
+        assert len(draws) == want
+        assert len({id(rng) for rng in draws}) == trials  # one rng, so one f, per trial
+        for name in names:
+            if name.startswith("negate"):
+                assert reports[name]["monotonic"].counterexample["trial"] == 0
+            if name in ("double", "triple"):
+                assert {reports[name][law].counterexample["trial"] for law in harness._LP_NAMES.values()} == {0}
+
+    def test_tf_equal_to_f_reuses_its_profile(self, monkeypatch):
+        import symmkit.harness as harness
+
+        calls = []
+        profile = harness.modulus_profile
+        monkeypatch.setattr(harness, "modulus_profile", lambda f: calls.append(f) or profile(f))
+        transformers = {
+            "identity": lambda f: f,
+            "equal_values": lambda f: f.with_values(f.values.copy()),
+            "shift": shift,
+        }
+        reports = sk.check_transformers(transformers, trials=5, seed=3, grid=self.SMALL)
+        assert all(reports[name]["modulus_reducing"].holds for name in transformers)
+        assert len(calls) == 5 + 5  # f's profile and shift's, per trial
+
+
 class TestReplayability:
     def test_failed_trial_replays_bit_for_bit(self):
         report = sk.check_equimeasurable(shift, trials=30, seed=21)

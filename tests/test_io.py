@@ -100,6 +100,23 @@ def test_region_roundtrip(tmp_path):
     assert payload["omega"] == [region.xs[0], region.xs[-1]]
 
 
+@pytest.mark.parametrize(
+    "gplus, gminus",
+    [
+        ("[[0.0, NaN], [1.0, 1.0]]", "[[0.0, 0.0], [1.0, 0.0]]"),
+        ("[[0.0, 1.0], [1.0, Infinity]]", "[[0.0, 0.0], [1.0, 0.0]]"),
+        ("[[0.0, 1.0], [1.0, 1.0]]", "[[0.0, -Infinity], [1.0, 0.0]]"),
+        ("[[0.0, 1.0], [Infinity, 1.0]]", "[[0.0, 0.0], [Infinity, 0.0]]"),
+    ],
+    ids=["nan_upper", "inf_upper", "minus_inf_lower", "inf_station"],
+)
+def test_region_with_non_finite_breakpoints_is_refused(tmp_path, gplus, gminus):
+    path = tmp_path / "r.json"
+    path.write_text(f'{{"u": [0.0, 1.0], "gplus": {gplus}, "gminus": {gminus}}}')
+    with pytest.raises(ValueError, match="region breakpoints must be finite"):
+        gridio.read_region(path)
+
+
 def test_write_is_deterministic(tmp_path):
     f = random_blob_function(trial_rng(67, 1), sk.centered_grid((8, 8), 0.25))
     p1, p2 = tmp_path / "a.grd", tmp_path / "b.grd"
