@@ -20,15 +20,13 @@ plane = sk.axis_plane(1, 2, 0.0, 1)
 polar = lambda f: sk.polarize(f, plane)
 
 # the two-point rearrangement passes everything
+# (one check_transformer call scores every law; the modulus law stops at 20 trials)
 print("two-point rearrangement:")
-print("  equimeasurable :", sk.check_equimeasurable(polar, trials=100, seed=7, grid=grid).verdict)
-print("  monotonic      :", sk.check_monotonic(polar, trials=100, seed=7, grid=grid).verdict)
-for p, r in sk.check_lp_contracting(polar, trials=100, seed=7, grid=grid).items():
-    print(f"  L^{p}-contracting:", r.verdict)
-print("  modulus-reducing:", sk.check_modulus_reducing(polar, trials=15, seed=7, grid=grid).verdict)
+for law, r in sk.check_transformer(polar, trials=100, seed=7, grid=grid).items():
+    print(f"  {law:22s}: {r.verdict}")
 
 # the four canonical rearrangements, all scored on one shared draw per trial
-canonical = {label: functools.partial(T, plane=plane) for label, T in sk.CANONICAL_TRANSFORMERS.items()}
+canonical = {label: functools.partial(row.function, plane=plane) for label, row in sk.CANONICAL_MAPS.items()}
 table = sk.check_transformers(canonical, trials=20, seed=7, grid=grid)
 laws = list(sk.TRANSFORMER_LAWS)
 print("\ncanonical transformers (one check_transformers call):")
@@ -38,12 +36,12 @@ for label, reports in table.items():
 
 # a broken map fails with a replayable counterexample
 shift = lambda f: f.with_values(f.values + 1.0)
-report = sk.check_equimeasurable(shift, trials=10, seed=7, grid=grid)
+report = sk.check_transformer(shift, trials=10, seed=7, grid=grid)["equimeasurable"]
 print("\nshift map equimeasurable:", report.verdict)
 print("  counterexample payload:", {k: report.counterexample[k] for k in ("trial", "seed")})
 
 # set maps get the full seven-property bundle
-bundle = sk.check_setmap_properties(sk.polarization_set_map(plane), trials=60, seed=7, grid=grid)
+bundle = sk.check_setmap_properties(sk.canonical_set_map("two_point", plane), trials=60, seed=7, grid=grid)
 print("\ntwo-point set map bundle:")
 for name, r in bundle.items():
     print(f"  {name:22s}: {r.verdict}")
@@ -51,8 +49,8 @@ for name, r in bundle.items():
 # classification: the four canonical maps are recognized; a sawtooth-driven
 # transformer is provably different (watch the displaced-ball witness)
 print("\nclassification:")
-for label, T in sk.CANONICAL_TRANSFORMERS.items():
-    got, _ = sk.classify_rearrangement(lambda f: T(f, plane), grid, plane, seed=0)
+for label, T in canonical.items():
+    got, _ = sk.classify_rearrangement(T, grid, plane, seed=0)
     print(f"  {label:19s} -> {got}")
 
 saw_map = sk.chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=plane)

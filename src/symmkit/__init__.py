@@ -5,6 +5,7 @@ from .chordmaps import (
     ChordMovedRegion,
     SetMap,
     blaschke_composite_set_map,
+    canonical_set_map,
     chord_move_gridset,
     chord_move_polygon,
     chord_movement_set_map,
@@ -13,13 +14,9 @@ from .chordmaps import (
     cog_reflection_set_map,
     graph_lengths,
     grid_perimeter,
-    identity_set_map,
     near_swap,
     near_swap_set_map,
     perimeter_region,
-    polarization_dagger_set_map,
-    polarization_set_map,
-    reflection_set_map,
     region_is_convex,
     shake_set,
     union_of_translates,
@@ -65,10 +62,6 @@ from .harness import (
     SETMAP_LAWS,
     TRANSFORMER_LAWS,
     PropertyReport,
-    check_equimeasurable,
-    check_lp_contracting,
-    check_modulus_reducing,
-    check_monotonic,
     check_setmap_law,
     check_setmap_properties,
     check_transformer,
@@ -79,8 +72,9 @@ from .harness import (
 from .polygons import ConvexPolygon, chord, convex_hull, polygon_raster
 from .rearrange import (
     ASSOCIATED_PAIRS,
-    CANONICAL_TRANSFORMERS,
+    CANONICAL_MAPS,
     AssociatedFunctionPair,
+    CanonicalMap,
     MonotonePL,
     MonotoneStep,
     PointwiseTransformer,

@@ -3,8 +3,10 @@
 Exact piecewise-linear form on convex polygons: every chord orthogonal to
 the hyperplane H = u_perp keeps its length and has its midpoint t moved to
 phi(t).  On grids the same map acts per column with nearest-cell rounding.
-Also houses the counterexample maps (Blaschke-style shaking composite,
-center-of-gravity reflection, near-hyperplane swap) and perimeter helpers.
+Also houses the named set maps: :func:`canonical_set_map` reads the set rule
+and contraction of one row of :data:`~symmkit.rearrange.CANONICAL_MAPS`, and
+the counterexample maps (Blaschke-style shaking composite, center-of-gravity
+reflection, near-hyperplane swap) sit beside it with the perimeter helpers.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
-from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid
-from .geometry import GridSet, Reflection, reflect_grid_set
+from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
+from .geometry import GridSet, reflect_grid_set
 from .polygons import chords_at, perp
-from .rearrange import polarize_set
+from .rearrange import CANONICAL_MAPS, polarize_set
 
 BREAK_TOL = 1e-12
 ORACLE_STATIONS = 64  # interior stations sampled by union_of_translates
@@ -355,45 +357,19 @@ class SetMap:
         return self.apply(a)
 
 
-def identity_set_map():
-    return SetMap("identity", lambda a: a, contraction=canonical_contraction("id"))
-
-
-def reflection_set_map(plane):
+def canonical_set_map(label, plane):
+    """The set rule of the :data:`~symmkit.rearrange.CANONICAL_MAPS` row ``label``
+    across an axis-aligned plane, backed by the row's contraction."""
+    if label not in CANONICAL_MAPS:
+        raise UnknownName(f"unknown canonical map {label!r}; expected one of {tuple(CANONICAL_MAPS)}")
+    row = CANONICAL_MAPS[label]
     axis, _ = _require_axis_plane(plane)
     return SetMap(
-        "reflection",
-        lambda a: reflect_grid_set(a, plane),
+        row.set_name,
+        lambda a: row.set_rule(a, plane),
         plane=plane,
         axis=axis,
-        contraction=canonical_contraction("neg"),
-    )
-
-
-def polarization_set_map(plane):
-    axis, _ = _require_axis_plane(plane)
-    return SetMap(
-        "polarization",
-        lambda a: polarize_set(a, plane),
-        plane=plane,
-        axis=axis,
-        contraction=canonical_contraction("abs"),
-    )
-
-
-def polarization_dagger_set_map(plane):
-    """Reflection after set polarization, both read through one reflection plan."""
-    def apply(a):
-        plan = Reflection(a.grid, plane)
-        return GridSet(a.grid, plan.mirror(plan.two_point(a.mask, False, np.logical_or, np.logical_and), False))
-
-    axis, _ = _require_axis_plane(plane)
-    return SetMap(
-        "polarization_dagger",
-        apply,
-        plane=plane,
-        axis=axis,
-        contraction=canonical_contraction("negabs"),
+        contraction=canonical_contraction(row.contraction),
     )
 
 
@@ -412,7 +388,7 @@ def chord_movement_set_map(phi, axis, plane, name=None):
 def blaschke_composite_set_map(plane):
     """Shake after polarization; agrees with polarization on convex rasters.
 
-    The comparison on convex rasters justifies the "abs" contraction backing;
+    The comparison on convex rasters justifies the two-point contraction backing;
     on unions of mirror-image pairs of disjoint blobs the two maps differ.
     """
     def apply(a):
@@ -424,7 +400,7 @@ def blaschke_composite_set_map(plane):
         apply,
         plane=plane,
         axis=axis,
-        contraction=canonical_contraction("abs"),
+        contraction=canonical_contraction(CANONICAL_MAPS["two_point"].contraction),
         domain="convex",
     )
 

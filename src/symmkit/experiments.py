@@ -10,12 +10,11 @@ import numpy as np
 
 from .chordmaps import (
     blaschke_composite_set_map,
+    canonical_set_map,
     chord_movement_set_map,
     cog_reflection_set_map,
     grid_perimeter,
-    identity_set_map,
     near_swap_set_map,
-    polarization_set_map,
 )
 from .contractions import sawtooth_contraction
 from .errors import GalleryMismatch
@@ -33,7 +32,7 @@ from .harness import (
 )
 from .polygons import ConvexPolygon, polygon_raster
 from .rearrange import (
-    CANONICAL_TRANSFORMERS,
+    CANONICAL_MAPS,
     layer_cake_rearrangement,
     polarize,
     steiner_symmetrize_function,
@@ -142,14 +141,14 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     plane = axis_plane(1, grid.n, 0.0, 1)
-    transformers = {name: functools.partial(t, plane=plane) for name, t in CANONICAL_TRANSFORMERS.items()}
+    transformers = {name: functools.partial(row.function, plane=plane) for name, row in CANONICAL_MAPS.items()}
     report = {"transformers": {}, "set_maps": {}}
     all_hold = True
     for name, out in check_transformers(transformers, trials, seed, grid).items():
         report["transformers"][name] = {k: r.as_dict() for k, r in out.items()}
         all_hold &= all(r.holds is not False for r in out.values())
 
-    for dmap in (polarization_set_map(plane), identity_set_map()):
+    for dmap in (canonical_set_map("two_point", plane), canonical_set_map("identity", plane)):
         bundle = check_setmap_properties(dmap, min(trials, 100), seed, grid, plane=plane)
         report["set_maps"][dmap.name] = {k: r.as_dict() for k, r in bundle.items()}
         all_hold &= all(r.holds is not False for r in bundle.values())
@@ -173,7 +172,7 @@ def _canonical_four_match(dmap, grid, plane, seed, trials):
 
 
 def _shake_vs_two_point(dmap, grid, plane, seed, trials):
-    two_point = polarization_set_map(plane)
+    two_point = canonical_set_map("two_point", plane)
     rasters = (random_convex_raster(trial_rng(seed, i), grid)[0] for i in range(trials))
     union = two_disk_symmetric_set(grid, plane, 0.75, 0.35)
     return {
@@ -242,18 +241,18 @@ GALLERY_ROWS = (
     ),
     (
         "closure_of_interior",
-        lambda plane: identity_set_map(),
+        lambda plane: canonical_set_map("identity", plane),
         {"grid_scale_effect": "not_representable"},
         _closure_of_interior,
     ),
 )
 
 
-def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID, strict=True):
+def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID):
     """Reproduce the counterexample fixtures and compare verdict matrices.
 
-    Returns a summary dict with one row per fixture; with ``strict`` a
-    mismatch raises GalleryMismatch (the summary rides on the exception).
+    Returns a summary dict with one row per fixture; a mismatch raises
+    GalleryMismatch (the summary rides on the exception).
     """
     if trials < 1:
         raise ValueError("trial count must be at least 1")
@@ -271,7 +270,7 @@ def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID, strict=True):
         results.append({"example": example, "checks": checks, "expected": dict(expected), "match": match})
 
     summary = {"rows": results, "all_match": all(r["match"] for r in results), "seed": seed}
-    if strict and not summary["all_match"]:
+    if not summary["all_match"]:
         bad = [r["example"] for r in results if not r["match"]]
         exc = GalleryMismatch(f"verdicts deviate from the expected matrix: {bad}")
         exc.summary = summary

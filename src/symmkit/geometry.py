@@ -228,12 +228,14 @@ class Reflection:
     """Mirror read of one grid across one hyperplane, built from one ``centers()`` pass.
 
     Holds the clipped flat gather of the reflected cell centers, the mask of
-    cells whose mirror lies in the grid, and the H+ mask.  Raises
-    MisalignedHyperplane when the reflection does not map the cell-center
-    lattice to itself.
+    cells whose mirror lies in the grid, and the H+ mask.  Raises ValueError
+    when the plane's dimension is not the grid's, and MisalignedHyperplane
+    when the reflection does not map the cell-center lattice to itself.
     """
 
     def __init__(self, grid, plane):
+        if plane.n != grid.n:
+            raise ValueError(f"a hyperplane in dimension {plane.n} cannot reflect a grid in dimension {grid.n}")
         centers = grid.centers()
         frac = (plane.reflect(centers) - np.asarray(grid.origin)) / grid.spacing - 0.5
         idx = np.rint(frac)

@@ -5,13 +5,15 @@ with seed ``s`` draws from ``numpy.random.default_rng((s, i))``, so a failed
 trial is replayable from the (seed, trial) pair alone.  Verdicts are exact:
 grids have no null sets, so no measure-zero slack is granted anywhere.
 
-The laws of a run are keyed by (subject, law), the subject being a
-transformer's or a set map's name.  :func:`check_transformers` scores a dict
-of transformers on one shared draw per trial: f, its partners,
-``distribution(f)`` and ``modulus_profile(f)`` are computed once for all of
-them, and a transformer whose Tf equals f reuses f's modulus profile.  Each
-(transformer, law) pair still keeps its own first failing trial, so every
-report equals that of the law run on its transformer alone.
+Each law catalog has one entry point: :func:`check_transformers` scores every
+law of :data:`TRANSFORMER_LAWS` on a dict of transformers (callers index the
+law they want), and :func:`check_setmap_law` one law of :data:`SETMAP_LAWS`.
+Laws are keyed by (subject, law), the subject being a transformer's or a set
+map's name.  The transformers of a run share one draw per trial: f, its
+partners, ``distribution(f)`` and ``modulus_profile(f)`` are computed once
+for all of them, and a transformer whose Tf equals f reuses f's modulus
+profile.  Each (transformer, law) pair still keeps its own first failing
+trial, so every report equals that of the law run on its transformer alone.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chordmaps import chord_move_polygon, perimeter_region
+from .contractions import canonical_contraction
 from .errors import NotARearrangement, SymmkitError, UnknownName
 from .geometry import (
     GridFunction,
@@ -36,7 +39,7 @@ from .geometry import (
     reflect_grid_set,
 )
 from .polygons import ConvexPolygon, convex_hull, polygon_raster
-from .rearrange import CANONICAL_TRANSFORMERS, induced_set_map
+from .rearrange import CANONICAL_MAPS, induced_set_map
 
 DEFAULT_GRID = centered_grid((32, 32), 1.0 / 8.0)
 MAX_BLOB_LEVEL = 8  # blob levels are integers in 0..MAX_BLOB_LEVEL
@@ -514,17 +517,18 @@ TRANSFORMER_LAWS = {
 }
 
 
-def _check_transformer_laws(names, transformers, trials, seed, grid):
-    """The laws ``names`` of :data:`TRANSFORMER_LAWS` on each of a dict of
-    transformers, as {transformer name: {law name: report}}.
+def check_transformers(transformers, trials=200, seed=0, grid=DEFAULT_GRID):
+    """Every law of :data:`TRANSFORMER_LAWS` on each of a dict of transformers,
+    as {transformer name: {law name: report}}.
 
     Each trial makes one :class:`_TrialDraw`, shared by every live
     (transformer, law) pair, and one :class:`_TransformerTrial` per
-    transformer with a live law.
+    transformer with a live law.  Each transformer keeps its own first
+    failing trial, so its reports equal those of :func:`check_transformer`
+    on it alone.  The modulus law runs at most MODULUS_MAX_TRIALS trials.
     """
-    caps = {
-        (t, name): min(trials, TRANSFORMER_LAWS[name].max_trials or trials) for t in transformers for name in names
-    }
+    laws = TRANSFORMER_LAWS.items()
+    caps = {(t, name): min(trials, law.max_trials or trials) for t in transformers for name, law in laws}
 
     def score(rng, live):
         draw = _TrialDraw(rng, grid)
@@ -532,50 +536,13 @@ def _check_transformer_laws(names, transformers, trials, seed, grid):
         return {(t, name): TRANSFORMER_LAWS[name].trial(views[t]) for t, name in live}
 
     reports = _run_trials(caps, seed, score)
-    return {t: {name: reports[t, name] for name in names} for t in transformers}
-
-
-def check_transformers(transformers, trials=200, seed=0, grid=DEFAULT_GRID):
-    """Every law of :data:`TRANSFORMER_LAWS` on each of a dict of transformers,
-    as {transformer name: {law name: report}}.
-
-    All transformers are scored on one shared draw per trial; each keeps its
-    own first failing trial, and its reports equal those of
-    :func:`check_transformer` on it alone.  The modulus law runs at most
-    MODULUS_MAX_TRIALS trials.
-    """
-    return _check_transformer_laws(TRANSFORMER_LAWS, transformers, trials, seed, grid)
-
-
-def _one_transformer(names, transformer, trials, seed, grid):
-    return _check_transformer_laws(names, {None: transformer}, trials, seed, grid)[None]
+    return {t: {name: reports[t, name] for name in TRANSFORMER_LAWS} for t in transformers}
 
 
 def check_transformer(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
     """Every law of :data:`TRANSFORMER_LAWS` on one transformer, keyed by law name:
     the one-transformer case of :func:`check_transformers`."""
-    return _one_transformer(TRANSFORMER_LAWS, transformer, trials, seed, grid)
-
-
-def check_equimeasurable(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
-    """The "equimeasurable" law of :data:`TRANSFORMER_LAWS` alone."""
-    return _one_transformer(("equimeasurable",), transformer, trials, seed, grid)["equimeasurable"]
-
-
-def check_monotonic(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
-    """The "monotonic" law of :data:`TRANSFORMER_LAWS` alone."""
-    return _one_transformer(("monotonic",), transformer, trials, seed, grid)["monotonic"]
-
-
-def check_lp_contracting(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
-    """The L^p contraction laws of :data:`TRANSFORMER_LAWS`, one report per p of LP_EXPONENTS, keyed by p."""
-    reports = _one_transformer(_LP_NAMES.values(), transformer, trials, seed, grid)
-    return {p: reports[name] for p, name in _LP_NAMES.items()}
-
-
-def check_modulus_reducing(transformer, trials=MODULUS_MAX_TRIALS, seed=0, grid=DEFAULT_GRID):
-    """The "modulus_reducing" law of :data:`TRANSFORMER_LAWS` alone."""
-    return _one_transformer(("modulus_reducing",), transformer, trials, seed, grid)["modulus_reducing"]
+    return check_transformers({None: transformer}, trials, seed, grid)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -759,31 +726,21 @@ def classify_rearrangement(transformer, grid, plane, seed=0):
     except SymmkitError:
         two_disk = None  # outside the transformer's domain; not decisive
 
-    table = {
-        (1, -1): "identity",
-        (-1, 1): "reflection",
-        (1, 1): "two_point",
-        (-1, -1): "two_point_reflected",
-    }
+    def matches(row):
+        phi = canonical_contraction(row.contraction)
+        return all(abs(phi_hat[t] - phi(t)) <= 1e-9 for t in (ts[0], ts[3]))
 
-    def snap(value):
-        for s in (1, -1):
-            if abs(value - s * PROBE_OFFSET) <= 1e-9:
-                return s
-        return None
-
-    key = (snap(phi_hat[ts[0]]), snap(phi_hat[ts[3]]))
+    label = next((label for label, row in CANONICAL_MAPS.items() if matches(row)), None)
     witness = {
         "probe_center": PROBE_OFFSET,
         "image_center": phi_hat[ts[0]],
         "phi_estimates": {str(t): phi_hat[t] for t in ts},
     }
-    if None in key or not eikonal_ok:
+    if label is None or not eikonal_ok:
         return "other", witness
     if two_disk is False:
         return "other", {"reason": "not invariant on mirror-image two-disk unions"}
-    label = table[key]
-    candidate = CANONICAL_TRANSFORMERS[label]
+    candidate = CANONICAL_MAPS[label].function
     for f in probes:
         if transformer(f) != candidate(f, plane):
             return "other", {"reason": f"probe disagrees with {label}"}

@@ -21,6 +21,7 @@ from .geometry import (
     OrientedHyperplane,
     Reflection,
     reflect_grid_function,
+    reflect_grid_set,
     set_from_indicator,
 )
 
@@ -44,15 +45,44 @@ def _polarize_reflected(f, plane):
     return GridFunction(f.grid, plan.mirror(out, out.min()))
 
 
-# the four canonical maps, each a function (f, plane) -> f; the lambdas look
-# the operators up at call time, so wrappers installed on the module
-# functions (the benchmark's tracer) see these calls too.  The composite
-# reads through a single plan, so no polarize call shows inside it.
-CANONICAL_TRANSFORMERS = {
-    "two_point": lambda f, plane: polarize(f, plane),
-    "reflection": lambda f, plane: reflect_grid_function(f, plane),
-    "identity": lambda f, plane: f,
-    "two_point_reflected": _polarize_reflected,
+def _polarize_set_reflected(a, plane):
+    """reflect_grid_set(polarize_set(a, plane), plane) through one reflection plan."""
+    plan = Reflection(a.grid, plane)
+    return GridSet(a.grid, plan.mirror(plan.two_point(a.mask, False, np.logical_or, np.logical_and), False))
+
+
+@dataclass(frozen=True)
+class CanonicalMap:
+    """One canonical rearrangement: ``function(f, plane)``, its set rule
+    ``set_rule(a, plane)``, the name of the contraction that moves its chord
+    midpoints (see :func:`~symmkit.contractions.canonical_contraction`), and
+    the name of its set map."""
+
+    function: callable
+    set_rule: callable
+    contraction: str
+    set_name: str
+
+
+# the four canonical maps, one row each; the lambdas look the operators up
+# at call time, so wrappers installed on the module functions (the
+# benchmark's tracer) see these calls too, and name their second parameter
+# ``plane`` because ``verify`` passes it by keyword.  The composites read
+# through a single plan, so no polarize call shows inside them.
+CANONICAL_MAPS = {
+    "two_point": CanonicalMap(
+        lambda f, plane: polarize(f, plane), lambda a, plane: polarize_set(a, plane), "abs", "polarization"
+    ),
+    "reflection": CanonicalMap(
+        lambda f, plane: reflect_grid_function(f, plane),
+        lambda a, plane: reflect_grid_set(a, plane),
+        "neg",
+        "reflection",
+    ),
+    "identity": CanonicalMap(lambda f, plane: f, lambda a, plane: a, "id", "identity"),
+    "two_point_reflected": CanonicalMap(
+        _polarize_reflected, _polarize_set_reflected, "negabs", "polarization_dagger"
+    ),
 }
 
 

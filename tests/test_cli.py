@@ -313,3 +313,12 @@ def test_misaligned_plane_exit_2(tmp_path, sample_grd):
          "--out", str(tmp_path / "g.grd")]
     )
     assert status == 2
+
+
+def test_plane_of_another_dimension_exit_2(tmp_path, sample_grd, capsys):
+    path, _ = sample_grd
+    status = cli_dispatch(
+        ["polarize", "--in", str(path), "--normal", "0,0,1", "--out", str(tmp_path / "g.grd")]
+    )
+    assert status == 2
+    assert "a hyperplane in dimension 3 cannot reflect a grid in dimension 2" in capsys.readouterr().err

@@ -175,6 +175,23 @@ class TestReflectGridFunction:
         with pytest.raises(MisalignedHyperplane):
             sk.reflect_grid_function(f, sk.axis_plane(0, 1, 0.1, 1))
 
+    @pytest.mark.parametrize("grid_n, plane_n", [(g, p) for g in (1, 2, 3) for p in (1, 2, 3) if g != p])
+    def test_plane_of_another_dimension_raises(self, grid_n, plane_n):
+        g = sk.centered_grid((4,) * grid_n, 0.5)
+        f = sk.GridFunction(g, np.arange(float(g.num_cells)).reshape(g.dims))
+        a = sk.GridSet(g, f.values > 3.0)
+        plane = sk.axis_plane(0, plane_n)
+        calls = (
+            lambda: sk.Reflection(g, plane),
+            lambda: sk.reflect_grid_function(f, plane),
+            lambda: sk.reflect_grid_set(a, plane),
+            lambda: sk.polarize(f, plane),
+            lambda: sk.polarize_set(a, plane),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"dimension {plane_n} .*dimension {grid_n}"):
+                call()
+
     def test_half_lattice_offsets_are_admissible(self):
         g = sk.Grid((8,), (-1.0,), 0.25)
         f = sk.GridFunction(g, np.arange(8.0))

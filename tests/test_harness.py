@@ -33,24 +33,24 @@ def scramble(f):
 
 class TestEquimeasurable:
     def test_polarization_holds(self):
-        assert sk.check_equimeasurable(polar, trials=100, seed=3).holds
+        assert sk.check_transformer(polar, trials=100, seed=3)["equimeasurable"].holds
 
     def test_shift_fails(self):
-        report = sk.check_equimeasurable(shift, trials=10, seed=3)
+        report = sk.check_transformer(shift, trials=10, seed=3)["equimeasurable"]
         assert not report.holds
         assert report.counterexample["trial"] == 0
 
     def test_mean_pair_fails(self):
         T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)
-        assert not sk.check_equimeasurable(T, trials=50, seed=3).holds
+        assert not sk.check_transformer(T, trials=50, seed=3)["equimeasurable"].holds
 
 
 class TestMonotonic:
     def test_polarization_holds(self):
-        assert sk.check_monotonic(polar, trials=100, seed=5).holds
+        assert sk.check_transformer(polar, trials=100, seed=5)["monotonic"].holds
 
     def test_identity_holds(self):
-        assert sk.check_monotonic(lambda f: f, trials=20, seed=5).holds
+        assert sk.check_transformer(lambda f: f, trials=20, seed=5)["monotonic"].holds
 
     def test_cog_reflection_lifted_fails_on_cone_pair(self):
         dmap = sk.cog_reflection_set_map(u_axis=1)
@@ -67,10 +67,20 @@ class TestMonotonic:
         assert np.any(lifted(cone.indicator()).values > lifted(double.indicator()).values)
 
 
+def lp_name(p):
+    return f"lp_contracting[p={p}]"
+
+
+def lp_reports(transformer, trials, seed, grid=DEFAULT_GRID):
+    """The L^p reports of :func:`check_transformer`, keyed by exponent."""
+    reports = sk.check_transformer(transformer, trials=trials, seed=seed, grid=grid)
+    return {p: reports[lp_name(p)] for p in sk.LP_EXPONENTS}
+
+
 def lp_report_one_exponent(transformer, p, trials, seed, grid):
     """The L^p check for one exponent as a loop of its own: the reference for
-    :func:`check_lp_contracting`, which shares each trial's draws across exponents."""
-    name = f"lp_contracting[p={p}]"
+    :func:`check_transformer`, which shares each trial's draws across exponents."""
+    name = lp_name(p)
     for i in range(trials):
         rng = trial_rng(seed, i)
         f = random_blob_function(rng, grid)
@@ -93,19 +103,21 @@ def weighted(grid, seed):
 class TestLpContracting:
     @pytest.mark.parametrize("p", [1, 2, np.inf])
     def test_polarization_holds(self, p):
-        assert sk.check_lp_contracting(polar, trials=100, seed=7)[p].holds
+        assert sk.check_transformer(polar, trials=100, seed=7)[lp_name(p)].holds
 
     def test_one_report_per_exponent(self):
-        reports = sk.check_lp_contracting(polar, trials=5, seed=7)
-        assert list(reports) == list(sk.LP_EXPONENTS) == [1, 2, np.inf]
-        assert [r.name for r in reports.values()] == [f"lp_contracting[p={p}]" for p in (1, 2, np.inf)]
+        reports = sk.check_transformer(polar, trials=5, seed=7)
+        assert sk.LP_EXPONENTS == (1, 2, np.inf)
+        assert [name for name in reports if name.startswith("lp_contracting")] == [
+            f"lp_contracting[p={p}]" for p in (1, 2, np.inf)
+        ]
 
     def test_doubling_fails(self):
-        reports = sk.check_lp_contracting(lambda f: f.with_values(2.0 * f.values), trials=20, seed=7)
+        reports = lp_reports(lambda f: f.with_values(2.0 * f.values), trials=20, seed=7)
         assert not reports[2].holds
 
     def test_reflection_isometry_holds(self):
-        reports = sk.check_lp_contracting(mirror, trials=50, seed=7)
+        reports = lp_reports(mirror, trials=50, seed=7)
         assert all(r.holds for r in reports.values())
 
     @pytest.mark.parametrize("dims", [(9,), (6, 6), (5, 8), (4, 3, 5)])
@@ -114,7 +126,7 @@ class TestLpContracting:
         mixed = 0
         for seed in range(6):
             T = weighted(grid, seed)
-            shared = sk.check_lp_contracting(T, trials=12, seed=seed, grid=grid)
+            shared = lp_reports(T, trials=12, seed=seed, grid=grid)
             for p in sk.LP_EXPONENTS:
                 assert shared[p] == lp_report_one_exponent(T, p, 12, seed, grid)
             first_failures = {(r.counterexample or {}).get("trial") for r in shared.values()}
@@ -122,36 +134,22 @@ class TestLpContracting:
         # some runs had exponents that hold, or first fail, where others do not
         assert mixed >= 2
 
-    @pytest.mark.parametrize("trials", [1, 7])
-    def test_draws_one_pair_per_trial(self, monkeypatch, trials):
-        import symmkit.harness as harness
-
-        draws = []
-        draw = harness.random_blob_function
-
-        def counted(rng, grid=DEFAULT_GRID, max_blobs=5):
-            draws.append(rng)
-            return draw(rng, grid, max_blobs)
-
-        monkeypatch.setattr(harness, "random_blob_function", counted)
-        sk.check_lp_contracting(polar, trials=trials, seed=3)
-        assert len(draws) == 2 * trials
-
 
 class TestModulusReducing:
     SMALL = sk.centered_grid((12, 12), 1.0 / 3.0)
 
     def test_polarization_holds(self):
-        assert sk.check_modulus_reducing(polar, trials=20, seed=9, grid=self.SMALL).holds
+        assert sk.check_transformer(polar, trials=20, seed=9, grid=self.SMALL)["modulus_reducing"].holds
 
     def test_scrambler_fails(self):
-        report = sk.check_modulus_reducing(scramble, trials=10, seed=9, grid=self.SMALL)
+        report = sk.check_transformer(scramble, trials=10, seed=9, grid=self.SMALL)["modulus_reducing"]
         assert not report.holds
 
     def test_constant_map_reduces_modulus_but_not_equimeasurable(self):
         squash = lambda f: sk.GridFunction(f.grid, np.zeros(f.grid.dims))
-        assert sk.check_modulus_reducing(squash, trials=5, seed=9, grid=self.SMALL).holds
-        assert not sk.check_equimeasurable(squash, trials=5, seed=9, grid=self.SMALL).holds
+        reports = sk.check_transformer(squash, trials=5, seed=9, grid=self.SMALL)
+        assert reports["modulus_reducing"].holds
+        assert not reports["equimeasurable"].holds
 
 
 def one_law_reports(transformer, trials, seed, grid):
@@ -344,7 +342,7 @@ class TestSharedDraw:
 
 class TestReplayability:
     def test_failed_trial_replays_bit_for_bit(self):
-        report = sk.check_equimeasurable(shift, trials=30, seed=21)
+        report = sk.check_transformer(shift, trials=30, seed=21)["equimeasurable"]
         assert not report.holds
         payload = report.counterexample
         f = random_blob_function(trial_rng(payload["seed"], payload["trial"]), GRID)
@@ -352,38 +350,56 @@ class TestReplayability:
         assert again  # same violation reproduces from (seed, trial)
 
 
-# each axis-plane set-map factory with the catalog entry it induces
-AXIS_PLANE_SET_MAPS = {
-    "polarization": (sk.polarization_set_map, "two_point"),
-    "reflection": (sk.reflection_set_map, "reflection"),
-    "polarization_dagger": (sk.polarization_dagger_set_map, "two_point_reflected"),
-}
+def random_grid_and_center_plane(rng):
+    """A random 1D-3D grid with random origin and spacing, and an axis plane
+    through its center in a random orientation."""
+    n = int(rng.integers(1, 4))
+    dims = tuple(int(d) for d in rng.integers(1, 9, n))
+    grid = sk.Grid(dims, tuple(rng.uniform(-3.0, 3.0, n)), float(rng.uniform(0.05, 2.0)))
+    k = int(rng.integers(0, n))
+    return grid, sk.axis_plane(k, n, grid.center[k], int(rng.choice([1, -1])))
+
+
+def set_name(label):
+    return sk.CANONICAL_MAPS[label].set_name
 
 
 class TestSetMapBundle:
-    @pytest.mark.parametrize("name", list(AXIS_PLANE_SET_MAPS))
-    def test_two_point_all_hold(self, name):
-        factory, _ = AXIS_PLANE_SET_MAPS[name]
-        bundle = sk.check_setmap_properties(factory(PLANE), trials=100, seed=1, grid=GRID)
+    @pytest.mark.parametrize("label", ["two_point", "reflection", "two_point_reflected"], ids=set_name)
+    def test_two_point_all_hold(self, label):
+        bundle = sk.check_setmap_properties(sk.canonical_set_map(label, PLANE), trials=100, seed=1, grid=GRID)
         assert {r.verdict for r in bundle.values()} == {"holds"}
 
-    @pytest.mark.parametrize("name", list(AXIS_PLANE_SET_MAPS))
-    def test_agrees_with_catalog_entry(self, name):
-        factory, label = AXIS_PLANE_SET_MAPS[name]
-        dmap = factory(PLANE)
-        induced = sk.induced_set_map(lambda f: sk.CANONICAL_TRANSFORMERS[label](f, PLANE))
+    @pytest.mark.parametrize("label", list(sk.CANONICAL_MAPS), ids=set_name)
+    def test_agrees_with_catalog_entry(self, label):
+        row = sk.CANONICAL_MAPS[label]
         for i in range(30):
-            a = random_blob_set(trial_rng(17, i), GRID)
-            assert dmap(a) == induced(a)
+            rng = trial_rng(17, i)
+            grid, plane = random_grid_and_center_plane(rng)
+            dmap = sk.canonical_set_map(label, plane)
+            assert (dmap.name, dmap.plane, dmap.axis) == (row.set_name, plane, int(np.argmax(plane.normal)))
+            induced = sk.induced_set_map(lambda f: row.function(f, plane))
+            for _ in range(3):
+                a = sk.GridSet(grid, rng.random(grid.dims) < 0.4)
+                assert dmap(a) == induced(a)
+
+    @pytest.mark.parametrize("label", list(sk.CANONICAL_MAPS))
+    def test_carries_catalog_contraction(self, label):
+        want = sk.canonical_contraction(sk.CANONICAL_MAPS[label].contraction)
+        got = sk.canonical_set_map(label, PLANE).contraction
+        assert got.breakpoint_pairs() == want.breakpoint_pairs()
+
+    def test_unknown_label_names_the_catalog(self):
+        # a set map's name is not a catalog label
+        with pytest.raises(UnknownName, match="two_point_reflected"):
+            sk.canonical_set_map("polarization", PLANE)
 
     def test_unknown_law_names_the_catalog(self):
         with pytest.raises(UnknownName, match="measure_preserving"):
-            sk.check_setmap_law("measure_preservng", sk.identity_set_map(), trials=1, plane=PLANE)
+            sk.check_setmap_law("measure_preservng", sk.canonical_set_map("identity", PLANE), trials=1)
 
     def test_identity_all_hold(self):
-        bundle = sk.check_setmap_properties(
-            sk.identity_set_map(), trials=100, seed=2, grid=GRID, plane=PLANE
-        )
+        bundle = sk.check_setmap_properties(sk.canonical_set_map("identity", PLANE), trials=100, seed=2, grid=GRID)
         assert {r.verdict for r in bundle.values()} == {"holds"}
 
     def test_sawtooth_all_hold(self):
@@ -481,24 +497,3 @@ class TestClassify:
             sk.classify_rearrangement(
                 lambda f: f.with_values(f.values + 1.0), GRID, PLANE, seed=0
             )
-
-
-class TestEquivalenceBattery:
-    def test_pointwise_equimeasurable_battery_agrees(self):
-        # the cataloged pointwise transformers that are equimeasurable must
-        # carry monotone, contraction and modulus verdicts in lockstep, and
-        # all three hold for the four canonical pairs
-        small = sk.centered_grid((12, 12), 1.0 / 3.0)
-        plane = sk.axis_plane(1, 2, 0.0, 1)
-        for name in ("max_min", "min_max", "first", "second", "mean"):
-            T = sk.PointwiseTransformer(ASSOCIATED_PAIRS[name], plane)
-            if not sk.check_equimeasurable(T, trials=40, seed=11, grid=small).holds:
-                assert name == "mean"
-                continue
-            verdicts = [
-                sk.check_monotonic(T, trials=40, seed=11, grid=small).holds,
-                *(r.holds for r in sk.check_lp_contracting(T, trials=40, seed=11, grid=small).values()),
-                sk.check_modulus_reducing(T, trials=10, seed=11, grid=small).holds,
-            ]
-            assert len(set(verdicts)) == 1
-            assert verdicts[0] is True

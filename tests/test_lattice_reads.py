@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import symmkit as sk
-from symmkit.chordmaps import polarization_dagger_set_map
 from symmkit.harness import random_blob_function, trial_rng
-from symmkit.rearrange import CANONICAL_TRANSFORMERS
+
+two_point_reflected = sk.CANONICAL_MAPS["two_point_reflected"].function
 
 SEEDS = range(40)
 
@@ -155,7 +155,7 @@ class TestOnePlanComposites:
         f = sk.GridFunction(grid, random_values(rng, grid))
         for plane in axis_planes(rng, grid, 6):
             expect = sk.reflect_grid_function(sk.polarize(f, plane), plane)
-            assert CANONICAL_TRANSFORMERS["two_point_reflected"](f, plane) == expect
+            assert two_point_reflected(f, plane) == expect
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_two_point_reflected_on_diagonal_planes(self, seed):
@@ -166,7 +166,7 @@ class TestOnePlanComposites:
         f = sk.GridFunction(grid, random_values(rng, grid))
         for plane in diagonal_planes(rng, grid, 6):
             expect = sk.reflect_grid_function(sk.polarize(f, plane), plane)
-            assert CANONICAL_TRANSFORMERS["two_point_reflected"](f, plane) == expect
+            assert two_point_reflected(f, plane) == expect
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_polarization_dagger_on_axis_planes(self, seed):
@@ -175,7 +175,7 @@ class TestOnePlanComposites:
         a = sk.GridSet(grid, rng.random(grid.dims) < 0.4)
         for plane in axis_planes(rng, grid, 6):
             expect = sk.reflect_grid_set(sk.polarize_set(a, plane), plane)
-            assert polarization_dagger_set_map(plane)(a) == expect
+            assert sk.canonical_set_map("two_point_reflected", plane)(a) == expect
 
     def test_off_center_fill_reads_the_polarized_minimum(self):
         # the plane x = 1 sends cells 3 and up off the grid; the reflection
@@ -183,7 +183,7 @@ class TestOnePlanComposites:
         grid = sk.Grid((4,), (0.0,), 1.0)
         f = sk.GridFunction(grid, [5.0, 1.0, 2.0, 3.0])
         plane = sk.axis_plane(0, 1, 1.0, -1)
-        out = CANONICAL_TRANSFORMERS["two_point_reflected"](f, plane)
+        out = two_point_reflected(f, plane)
         assert out == sk.reflect_grid_function(sk.polarize(f, plane), plane)
         assert np.array_equal(out.values, [1.0, 5.0, 1.0, 1.0])
 
@@ -198,7 +198,7 @@ class TestOnePlanComposites:
         monkeypatch.setattr(sk.Reflection, "__init__", counted)
         grid = sk.centered_grid((6, 6), 0.25)
         plane = sk.axis_plane(1, 2, 0.25, -1)
-        CANONICAL_TRANSFORMERS["two_point_reflected"](random_blob_function(trial_rng(647, 0), grid), plane)
+        two_point_reflected(random_blob_function(trial_rng(647, 0), grid), plane)
         assert len(built) == 1
-        polarization_dagger_set_map(plane)(sk.disk_raster(grid, (0.0, 0.5), 0.5))
+        sk.canonical_set_map("two_point_reflected", plane)(sk.disk_raster(grid, (0.0, 0.5), 0.5))
         assert len(built) == 2

@@ -108,7 +108,6 @@ def test_matches_pairwise_on_random_small_grids(f):
 @given(grid_and_plane(), st.integers(0, 2**16))
 def test_polarization_reduces_modulus_on_random_grids(grid_plane, seed):
     grid, plane = grid_plane
-    report = sk.check_modulus_reducing(
-        lambda f: sk.polarize(f, plane), trials=4, seed=seed, grid=grid
-    )
+    reports = sk.check_transformer(lambda f: sk.polarize(f, plane), trials=4, seed=seed, grid=grid)
+    report = reports["modulus_reducing"]
     assert report.holds, report.counterexample

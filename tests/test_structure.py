@@ -5,6 +5,7 @@ import pytest
 
 import symmkit as sk
 from symmkit.chordmaps import chord_movement_set_map
+from symmkit.errors import NotARearrangement
 from symmkit.harness import random_blob_function, trial_rng
 from symmkit.rearrange import ASSOCIATED_PAIRS
 
@@ -57,27 +58,45 @@ class TestBallDisplacementLaw:
             assert abs(ps - pt) <= abs(s - t) + GRID.spacing
 
 
+# each associated pair with the canonical map it is; "mean" is not a rearrangement
+POINTWISE_LABELS = {
+    "max_min": "two_point",
+    "min_max": "two_point_reflected",
+    "first": "identity",
+    "second": "reflection",
+    "mean": None,
+}
+
+
 class TestInducedMapsOfPointwiseTransformers:
-    """Equimeasurable pointwise transformers induce one of four set maps."""
+    """The F-value test, the transformer laws and the classifier agree on every
+    associated pair, and each rearrangement induces its canonical set map."""
 
-    def cases(self):
-        return {
-            "first": lambda a: a,
-            "second": lambda a: sk.reflect_grid_set(a, PLANE),
-            "max_min": lambda a: sk.polarize_set(a, PLANE),
-            "min_max": lambda a: sk.reflect_grid_set(sk.polarize_set(a, PLANE), PLANE),
-        }
+    SMALL = sk.centered_grid((12, 12), 1.0 / 3.0)
 
-    def test_indicator_images(self):
-        for name, expected in self.cases().items():
-            T = sk.PointwiseTransformer(ASSOCIATED_PAIRS[name], PLANE)
-            dmap = sk.induced_set_map(T)
-            for i in range(15):
-                rng = trial_rng(223, i)
-                a = sk.GridSet(GRID, rng.random(GRID.dims) < 0.4)
-                image = T(a.indicator())
-                assert set(np.unique(image.values)) <= {0.0, 1.0}
-                assert dmap(a) == expected(a)
+    @pytest.mark.parametrize("name", list(ASSOCIATED_PAIRS))
+    def test_characterization(self, name):
+        label = POINTWISE_LABELS[name]
+        pair = ASSOCIATED_PAIRS[name]
+        T = sk.PointwiseTransformer(pair, PLANE)
+        samples = [(float(r), float(s)) for r in range(-2, 3) for s in range(-2, 3)]
+        assert sk.check_fvalues(pair, samples)[0] == (label is not None)
+
+        verdicts = {law: r.verdict for law, r in sk.check_transformer(T, trials=40, seed=11, grid=self.SMALL).items()}
+        holds = dict.fromkeys(sk.TRANSFORMER_LAWS, "holds")
+        assert verdicts == (holds if label is not None else {**holds, "equimeasurable": "fails"})
+
+        if label is None:
+            with pytest.raises(NotARearrangement):
+                sk.classify_rearrangement(T, GRID, PLANE, seed=0)
+            return
+        assert sk.classify_rearrangement(T, GRID, PLANE, seed=0) == (label, None)
+        dmap = sk.induced_set_map(T)
+        expected = sk.canonical_set_map(label, PLANE)
+        for i in range(15):
+            a = sk.GridSet(GRID, trial_rng(223, i).random(GRID.dims) < 0.4)
+            assert set(np.unique(T(a.indicator()).values)) <= {0.0, 1.0}
+            assert dmap(a) == expected(a)
 
     def test_mean_pair_breaks_indicators(self):
         T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)
