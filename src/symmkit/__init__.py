@@ -51,7 +51,6 @@ from .geometry import (
     centered_grid,
     disk_raster,
     distribution,
-    plus_mask,
     reflect_grid_function,
     reflect_grid_set,
     set_from_indicator,

@@ -267,6 +267,7 @@ def shake_set(a, plane):
     Cells on the positive side stay put; the cell count of each column's
     negative part is preserved.
     """
+    a.grid.require_plane(plane)
     axis, direction = _require_axis_plane(plane)
     coords = a.grid.axis_centers(axis)
     signed = (coords * direction - plane.offset) * plane.positive
@@ -291,6 +292,7 @@ def cog_reflect(a, u_axis):
     whenever the center of gravity sits on the half-cell lattice.  Raises
     OffGrid when a cell would be reflected past the edge of the grid.
     """
+    a.grid.require_axis(u_axis)
     if a.cell_count == 0:
         raise EmptySet("center of gravity of an empty set is undefined")
     h = a.grid.spacing

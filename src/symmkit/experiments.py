@@ -195,11 +195,6 @@ def _straddling_square(dmap, grid, plane, seed, trials):
     return {"perimeter_on_straddling_square": _verdict(not changed)}
 
 
-def _closure_of_interior(dmap, grid, plane, seed, trials):
-    # closure-of-interior acts as the identity at grid scale
-    return {"grid_scale_effect": "not_representable"}
-
-
 # (example, set map of the plane, expected verdicts, fixture check); expected
 # keys that name a law of harness.SETMAP_LAWS are checked by the harness, the
 # rest by the fixture check (set map, grid, plane, seed, trials) -> verdicts
@@ -238,12 +233,6 @@ GALLERY_ROWS = (
             "perimeter_on_straddling_square": "fails",
         },
         _straddling_square,
-    ),
-    (
-        "closure_of_interior",
-        lambda plane: canonical_set_map("identity", plane),
-        {"grid_scale_effect": "not_representable"},
-        _closure_of_interior,
     ),
 )
 

@@ -78,6 +78,11 @@ class Grid:
         if not 0 <= axis < self.n:
             raise ValueError(f"axis {axis} is outside 0..{self.n - 1} for a {self.n}D grid")
 
+    def require_plane(self, plane):
+        """Raise ValueError unless ``plane`` lives in this grid's dimension."""
+        if plane.n != self.n:
+            raise ValueError(f"a hyperplane in dimension {plane.n} cannot reflect a grid in dimension {self.n}")
+
     def axis_centers(self, axis):
         """Cell-center coordinates along one axis."""
         o = self.origin[axis]
@@ -234,8 +239,7 @@ class Reflection:
     """
 
     def __init__(self, grid, plane):
-        if plane.n != grid.n:
-            raise ValueError(f"a hyperplane in dimension {plane.n} cannot reflect a grid in dimension {grid.n}")
+        grid.require_plane(plane)
         centers = grid.centers()
         frac = (plane.reflect(centers) - np.asarray(grid.origin)) / grid.spacing - 0.5
         idx = np.rint(frac)
@@ -248,7 +252,9 @@ class Reflection:
         self.dims = grid.dims
         self.inside = np.all((idx >= 0) & (idx < dims), axis=1)
         self.flat = np.ravel_multi_index(tuple(np.clip(idx, 0, dims - 1).T), grid.dims)
-        self.hplus = (plane.signed(centers) >= 0.0).reshape(grid.dims)
+        # every off-plane cell lies at least h/(2*sqrt(2)) from an admissible
+        # plane, so the slack only keeps on-plane cells, rounded to -1 ulp, in H+
+        self.hplus = (plane.signed(centers) >= -LATTICE_TOL * grid.spacing).reshape(grid.dims)
 
     def mirror(self, values, fill):
         """``values`` read at each cell's mirror image; ``fill`` where it leaves the grid."""
@@ -258,11 +264,6 @@ class Reflection:
         """``fplus(v, mirror)`` on H+ and ``fminus(v, mirror)`` on H-, cell by cell."""
         mirrored = self.mirror(values, fill)
         return np.where(self.hplus, fplus(values, mirrored), fminus(values, mirrored))
-
-
-def plus_mask(grid, plane):
-    """Boolean mask of cells whose centers lie in H+ (the hyperplane included)."""
-    return (plane.signed(grid.centers()) >= 0.0).reshape(grid.dims)
 
 
 def reflect_grid_function(f, plane):

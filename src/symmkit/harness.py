@@ -121,58 +121,50 @@ def random_blob_set(rng, grid=DEFAULT_GRID, max_blobs=4):
     return GridSet(grid, mask)
 
 
-def random_convex_polygon(rng, box=2.0, min_area=0.4, points=10):
-    """Strictly convex ccw polygon with vertices inside [-box, box]^2."""
+def _hull_polygon(draw, min_area):
+    """Hull of the points ``draw()`` returns, redrawn until it is a strictly
+    convex polygon of area at least ``min_area``."""
     while True:
-        pts = rng.uniform(-box, box, size=(points, 2))
-        hull = convex_hull(pts)
-        if len(hull) < 3:
-            continue
+        hull = convex_hull(draw())
         try:
             poly = ConvexPolygon(hull)
-        except ValueError:
+        except ValueError:  # fewer than three hull points, or not strictly convex
             continue
         if poly.area() >= min_area:
             return poly
+
+
+def random_convex_polygon(rng, box=2.0, min_area=0.4, points=10):
+    """Strictly convex ccw polygon with vertices inside [-box, box]^2."""
+    return _hull_polygon(lambda: rng.uniform(-box, box, size=(points, 2)), min_area)
 
 
 def random_symmetric_polygon(rng, u, box=2.0, min_area=0.4):
     """Convex polygon symmetric under reflection in the line u_perp through 0."""
     u = np.asarray(u, dtype=float)
-    while True:
+
+    def draw():
         pts = rng.uniform(-box, box, size=(8, 2))
-        mirrored = pts - 2.0 * np.outer(pts @ u, u)
-        hull = convex_hull(np.vstack([pts, mirrored]))
-        if len(hull) < 3:
-            continue
-        try:
-            poly = ConvexPolygon(hull)
-        except ValueError:
-            continue
-        if poly.area() >= min_area:
-            return poly
+        return np.vstack([pts, pts - 2.0 * np.outer(pts @ u, u)])
+
+    return _hull_polygon(draw, min_area)
 
 
-def random_convex_raster(rng, grid=DEFAULT_GRID, min_cells=12):
-    box = 0.45 * min(u - o for o, u in zip(grid.origin, grid.upper))
+def _redrawn_raster(grid, draw, min_cells):
+    """(raster, polygon) of ``draw(box, min_area)``, redrawn until the raster
+    has at least ``min_cells`` cells; the box keeps the polygon inside the grid."""
+    box = 0.45 * min(up - o for o, up in zip(grid.origin, grid.upper))
     while True:
-        poly = random_convex_polygon(rng, box=box, min_area=(3 * grid.spacing) ** 2)
+        poly = draw(box, (3 * grid.spacing) ** 2)
         raster = polygon_raster(grid, poly)
         if raster.cell_count >= min_cells:
             return raster, poly
 
 
-def nested_convex_rasters(rng, grid=DEFAULT_GRID):
-    big, poly = random_convex_raster(rng, grid)
-    small = polygon_raster(grid, poly.scale_about_centroid(0.3 + 0.5 * rng.random()))
-    return small, big
-
-
-def nested_blob_sets(rng, grid=DEFAULT_GRID):
-    big = random_blob_set(rng, grid)
-    keep = rng.random(grid.dims) < 0.7
-    small = GridSet(grid, big.mask & keep)
-    return small, big
+def random_convex_raster(rng, grid=DEFAULT_GRID, min_cells=12):
+    return _redrawn_raster(
+        grid, lambda box, min_area: random_convex_polygon(rng, box=box, min_area=min_area), min_cells
+    )
 
 
 def _core_cut(grid, small, big):
@@ -200,9 +192,12 @@ def _sample(domain, rng, grid):
 
 
 def _nested_pair(domain, rng, grid):
+    """(small, big) nested sets from a map's declared domain."""
     if domain == "convex":
-        return nested_convex_rasters(rng, grid)
-    small, big = nested_blob_sets(rng, grid)
+        big, poly = random_convex_raster(rng, grid)
+        return polygon_raster(grid, poly.scale_about_centroid(0.3 + 0.5 * rng.random())), big
+    big = random_blob_set(rng, grid)
+    small = GridSet(grid, big.mask & (rng.random(grid.dims) < 0.7))
     return _core_cut(grid, small, big) if domain == "core" else (small, big)
 
 
@@ -211,14 +206,12 @@ def symmetric_raster(rng, plane, grid=DEFAULT_GRID, domain="all"):
     domain, otherwise a set drawn from ``domain`` joined with its mirror image."""
     if domain == "convex":
         u = np.asarray(plane.normal)
-        box = 0.45 * min(up - o for o, up in zip(grid.origin, grid.upper))
-        while True:
-            poly = random_symmetric_polygon(rng, u, box=box, min_area=(3 * grid.spacing) ** 2)
-            if plane.offset != 0.0:
-                poly = poly.translate(plane.offset * u)
-            raster = polygon_raster(grid, poly)
-            if raster.cell_count >= 8:
-                return raster
+
+        def draw(box, min_area):
+            poly = random_symmetric_polygon(rng, u, box=box, min_area=min_area)
+            return poly.translate(plane.offset * u) if plane.offset != 0.0 else poly
+
+        return _redrawn_raster(grid, draw, 8)[0]
     a = _sample(domain, rng, grid)
     mirrored = reflect_grid_set(a, plane)
     return GridSet(grid, a.mask | mirrored.mask)

@@ -308,6 +308,11 @@ class TestShake:
         out = sk.shake_set(sk.GridSet(g, mask), sk.axis_plane(0, 1, 0.0, 1))
         assert sorted(c[out.mask].tolist()) == [-1.0, -0.5]
 
+    def test_plane_of_another_dimension_rejected(self):
+        a = sk.disk_raster(GRID, (0.0, 1.0), 0.6)
+        with pytest.raises(ValueError, match="dimension 3 cannot reflect a grid in dimension 2"):
+            sk.shake_set(a, sk.axis_plane(2, 3))
+
     def test_composite_equals_two_point_on_convex(self):
         comp = sk.blaschke_composite_set_map(PLANE)
         for i in range(20):
@@ -336,6 +341,13 @@ class TestCogReflect:
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
             sk.cog_reflect(sk.GridSet(GRID, np.zeros(GRID.dims, dtype=bool)), 1)
+
+    @pytest.mark.parametrize("u_axis", [2, 5, -1])
+    def test_axis_outside_grid_rejected(self, u_axis):
+        # -1 would otherwise reflect along the last axis without a word
+        a = sk.disk_raster(GRID, (0.25, 0.75), 0.6)
+        with pytest.raises(ValueError, match=f"axis {u_axis} is outside 0..1"):
+            sk.cog_reflect(a, u_axis)
 
     def test_cell_reflected_past_edge_raises(self):
         # a 4x4 block at the top edge plus one far cell: the far cell's mirror

@@ -164,7 +164,6 @@ def test_gallery_matches_expected_matrix():
         "shake_after_polarization",
         "cog_reflection",
         "near_boundary_swap",
-        "closure_of_interior",
     ]
     by_name = {row["example"]: row for row in summary["rows"]}
     saw = by_name["sawtooth_chord_movement"]
@@ -172,9 +171,6 @@ def test_gallery_matches_expected_matrix():
     assert saw["checks"]["perimeter_convex"] == "holds"
     assert by_name["cog_reflection"]["checks"]["monotonic_on_cone_pair"] == "fails"
     assert by_name["near_boundary_swap"]["checks"]["perimeter_on_straddling_square"] == "fails"
-    assert (
-        by_name["closure_of_interior"]["checks"]["grid_scale_effect"] == "not_representable"
-    )
 
 
 @pytest.mark.parametrize("seed", [7, 2024])

@@ -131,22 +131,53 @@ class TestReflectPoint:
             sk.OrientedHyperplane((1.0, 1.0), 0.0)
 
 
+def lattice_planes(grid):
+    """Every admissible plane of a square grid, both orientations, each with
+    the mask of the cells on it worked out in integer index arithmetic: the
+    axis planes at every half-lattice position, and the diagonals
+    x_a -+ x_b = const through cell centers."""
+    idx = np.indices(grid.dims)
+    o, h, n, m = grid.origin, grid.spacing, grid.n, grid.dims[0]
+    e, r = np.eye(n), np.sqrt(0.5)
+    planes = []
+    for k in range(n):
+        for p in range(2 * m + 1):  # x_k = o_k + p h / 2 on the cells 2 i_k + 1 = p
+            planes.append((e[k], o[k] + p * h / 2, 2 * idx[k] + 1 == p))
+    for a in range(n):
+        for b in range(a + 1, n):
+            for d in range(1 - m, m):  # x_a - x_b = (o_a - o_b) + d h on the cells i_a - i_b = d
+                planes.append((r * (e[a] - e[b]), r * ((o[a] - o[b]) + d * h), idx[a] - idx[b] == d))
+            for t in range(1, 2 * m):  # x_a + x_b = (o_a + o_b) + t h on the cells i_a + i_b + 1 = t
+                planes.append((r * (e[a] + e[b]), r * ((o[a] + o[b]) + t * h), idx[a] + idx[b] + 1 == t))
+    for normal, offset, on_plane in planes:
+        for positive in (1, -1):
+            yield sk.OrientedHyperplane(normal, offset, positive), on_plane
+
+
 class TestHalfSpaces:
     def test_half_spaces_cover_and_meet_on_plane(self):
         g = sk.centered_grid((8, 8), 0.5)
         plane = sk.axis_plane(0, 2, 0.0, 1)
-        plus = sk.plus_mask(g, plane)
-        minus = sk.plus_mask(g, sk.axis_plane(0, 2, 0.0, -1))
+        plus = sk.Reflection(g, plane).hplus
+        minus = sk.Reflection(g, sk.axis_plane(0, 2, 0.0, -1)).hplus
         assert np.all(plus | minus)
         on_plane = np.abs(plane.signed(g.centers())).reshape(g.dims) == 0.0
         assert np.array_equal(plus & minus, on_plane)
 
-    def test_reflection_plan_hplus_matches_plus_mask(self):
-        g = sk.centered_grid((6, 6), 0.5)
-        planes = [sk.axis_plane(k, 2, j * 0.25, s) for k in (0, 1) for j in (-3, 0, 2) for s in (1, -1)]
-        planes.append(sk.OrientedHyperplane(unit([1.0, -1.0]), 0.0, -1))
-        for plane in planes:
-            assert np.array_equal(sk.Reflection(g, plane).hplus, sk.plus_mask(g, plane))
+    def test_reflection_plan_hplus_matches_signed_distance(self):
+        # off the plane H+ is the sign of the signed distance; the cells on it
+        # are in both half-spaces, though a diagonal plane's signed distance
+        # leaves some of them at -1 ulp
+        rng = np.random.default_rng(20)
+        grids = [sk.centered_grid((6, 6), 0.5), sk.centered_grid((8, 8), 0.5), sk.centered_grid((32, 32), 0.125)]
+        for _ in range(12):
+            n = int(rng.integers(2, 4))
+            dims = (int(rng.integers(2, {2: 13, 3: 7}[n])),) * n
+            grids.append(sk.Grid(dims, rng.uniform(-2.0, 2.0, n), float(rng.choice([0.1, 0.125, 0.3, 0.5, 1.0]))))
+        for g in grids:
+            for plane, on_plane in lattice_planes(g):
+                expect = (plane.signed(g.centers()) > 0.0).reshape(g.dims) | on_plane
+                assert np.array_equal(sk.Reflection(g, plane).hplus, expect), (g, plane)
 
 
 class TestReflectGridFunction:

@@ -24,7 +24,7 @@ VERIFY_DIGESTS = {
     (42, 1): "d385b91230684170a8b204c1fd8301ea125d066fc41827f49ed1be5ba80ec871",
     (42, 5): "2ecc16c9ff288589fef329fccdde3a503fa00b38d1abb32bfe12e69cc264d34f",
 }
-GALLERY_DIGEST = "4aa72fc716a318b0491c9ff459966e3b50add4b2e0c9735604ea8593a293eed1"
+GALLERY_DIGEST = "9cb8f2afa53542315dfcebb3053c96ce6b5011c814ade5afa20f2040b1c76807"
 CONVERGE_INPUT_DIGEST = "53914e497873c5c118aedb5bd6ed73f4d76703e9cbf71ce1ceb36836a5da6f80"
 CONVERGE_TRACE_DIGEST = "c8430879e3c1dc2071b623d0e2a11c2127bdc8341363ce7b08f58a358330daae"
 CONVERGE_FINAL_DIGEST = "81b4c7ea2ad34be95b8155ec24c545b3baa740fd6c0702af275b8eed25cba796"

@@ -36,7 +36,7 @@ class TestPolarize:
         for i in range(20):
             f = rand_fn(i)
             mirrored = sk.reflect_grid_function(f, PLANE)
-            hplus = sk.plus_mask(GRID, PLANE)
+            hplus = (PLANE.signed(GRID.centers()) >= 0.0).reshape(GRID.dims)
             expect = np.where(
                 hplus,
                 np.maximum(f.values, mirrored.values),
