@@ -51,6 +51,7 @@ from .geometry import (
     centered_grid,
     disk_raster,
     distribution,
+    induced_set_map,
     reflect_grid_function,
     reflect_grid_set,
     set_from_indicator,
@@ -79,7 +80,6 @@ from .rearrange import (
     PointwiseTransformer,
     check_fvalues,
     compose_monotone,
-    induced_set_map,
     layer_cake_rearrangement,
     polarize,
     polarize_set,

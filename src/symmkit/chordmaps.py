@@ -3,8 +3,8 @@
 Exact piecewise-linear form on convex polygons: every chord orthogonal to
 the hyperplane H = u_perp keeps its length and has its midpoint t moved to
 phi(t).  On grids the same map acts per column with nearest-cell rounding.
-Also houses the named set maps: :func:`canonical_set_map` reads the set rule
-and contraction of one row of :data:`~symmkit.rearrange.CANONICAL_MAPS`, and
+Also houses the named set maps: :func:`canonical_set_map` reads the function
+of one row of :data:`~symmkit.rearrange.CANONICAL_MAPS` on indicators, and
 the counterexample maps (Blaschke-style shaking composite, center-of-gravity
 reflection, near-hyperplane swap) sit beside it with the perimeter helpers.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
 from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
-from .geometry import GridSet, reflect_grid_set
+from .geometry import GridSet, induced_set_map, reflect_grid_set
 from .polygons import chords_at, perp
 from .rearrange import CANONICAL_MAPS, polarize_set
 
@@ -360,19 +360,14 @@ class SetMap:
 
 
 def canonical_set_map(label, plane):
-    """The set rule of the :data:`~symmkit.rearrange.CANONICAL_MAPS` row ``label``
-    across an axis-aligned plane, backed by the row's contraction."""
+    """The function of the :data:`~symmkit.rearrange.CANONICAL_MAPS` row ``label``
+    read on indicators across an axis-aligned plane, backed by the row's contraction."""
     if label not in CANONICAL_MAPS:
         raise UnknownName(f"unknown canonical map {label!r}; expected one of {tuple(CANONICAL_MAPS)}")
     row = CANONICAL_MAPS[label]
     axis, _ = _require_axis_plane(plane)
-    return SetMap(
-        row.set_name,
-        lambda a: row.set_rule(a, plane),
-        plane=plane,
-        axis=axis,
-        contraction=canonical_contraction(row.contraction),
-    )
+    apply = induced_set_map(lambda f: row.function(f, plane))
+    return SetMap(row.set_name, apply, plane=plane, axis=axis, contraction=canonical_contraction(row.contraction))
 
 
 def chord_movement_set_map(phi, axis, plane, name=None):
@@ -393,13 +388,10 @@ def blaschke_composite_set_map(plane):
     The comparison on convex rasters justifies the two-point contraction backing;
     on unions of mirror-image pairs of disjoint blobs the two maps differ.
     """
-    def apply(a):
-        return shake_set(polarize_set(a, plane), plane)
-
     axis, _ = _require_axis_plane(plane)
     return SetMap(
         "shake_after_polarization",
-        apply,
+        lambda a: shake_set(polarize_set(a, plane), plane),
         plane=plane,
         axis=axis,
         contraction=canonical_contraction(CANONICAL_MAPS["two_point"].contraction),

@@ -85,7 +85,7 @@ def draw_polarization_plane(grid, axis, rng):
     return axis_plane(axis, grid.n, offset, 1 if offset <= grid.center[axis] else -1)
 
 
-def run_convergence(f, axis, iterations, seed=0, planes=None):
+def run_convergence(f, axis, iterations, seed=0):
     """Iterate two-point rearrangements toward the symmetric-decreasing target.
 
     Records L1/Linf distances (in grid measure) to the per-column
@@ -96,8 +96,6 @@ def run_convergence(f, axis, iterations, seed=0, planes=None):
     """
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
-    if planes is not None and len(planes) < iterations:
-        raise ValueError(f"{iterations} iterations need {iterations} planes, got {len(planes)}")
     grid = f.grid
     target = steiner_symmetrize_function(f, axis)
     profile = distribution(f)
@@ -113,7 +111,7 @@ def run_convergence(f, axis, iterations, seed=0, planes=None):
     current = f
     prev_l1 = trace.initial_l1
     for k in range(1, int(iterations) + 1):
-        plane = planes[k - 1] if planes is not None else draw_polarization_plane(grid, axis, rng)
+        plane = draw_polarization_plane(grid, axis, rng)
         current = polarize(current, plane)
         if distribution(current) != profile:
             raise AssertionError("iterate lost the distribution profile")

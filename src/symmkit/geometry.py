@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * Values are stored row-major with shape ``dims`` (numpy C order).
 * A reflection is admissible for a grid when it maps the cell-center
   lattice to itself; queries that land outside the grid read the minimum
-  sampled value (functions) or False (sets).
+  sampled value.  Sets are read through their indicators, so off-grid reads
+  are False, except that the full grid reads as all of space.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ class Grid:
             raise ValueError("origin must be finite")
         if not (np.isfinite(self.spacing) and self.spacing > 0):
             raise ValueError("spacing must be positive and finite")
+        try:
+            finite = all(math.isfinite(c) for c in self.upper) and 0.0 < self.cell_volume < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("the grid's far corner and cell volume must be finite and positive")
 
     @property
     def n(self):
@@ -177,6 +184,11 @@ def set_from_indicator(f):
     return GridSet(f.grid, vals == 1.0)
 
 
+def induced_set_map(transformer):
+    """Set map A -> {x : T(1_A)(x) = 1} read off exactly."""
+    return lambda a: GridSet(a.grid, transformer(a.indicator()).values == 1.0)
+
+
 @dataclass(frozen=True)
 class OrientedHyperplane:
     """Hyperplane {x : x.normal = offset} with a chosen positive side.
@@ -272,8 +284,8 @@ def reflect_grid_function(f, plane):
 
 
 def reflect_grid_set(a, plane):
-    """Mirror image of a grid set; cells reflecting outside the grid read False."""
-    return GridSet(a.grid, Reflection(a.grid, plane).mirror(a.mask, False))
+    """Mirror image of a grid set: :func:`reflect_grid_function` read on the indicator."""
+    return induced_set_map(lambda f: reflect_grid_function(f, plane))(a)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,11 @@ from .geometry import (
     centered_grid,
     disk_raster,
     distribution,
+    induced_set_map,
     reflect_grid_set,
 )
 from .polygons import ConvexPolygon, convex_hull, polygon_raster
-from .rearrange import CANONICAL_MAPS, induced_set_map
+from .rearrange import CANONICAL_MAPS
 
 DEFAULT_GRID = centered_grid((32, 32), 1.0 / 8.0)
 MAX_BLOB_LEVEL = 8  # blob levels are integers in 0..MAX_BLOB_LEVEL
@@ -150,10 +151,20 @@ def random_symmetric_polygon(rng, u, box=2.0, min_area=0.4):
     return _hull_polygon(draw, min_area)
 
 
+def _shortest_side(grid):
+    """Length of the grid box's shortest side."""
+    return min(up - o for o, up in zip(grid.origin, grid.upper))
+
+
+def _center_of_mass(grid, a):
+    """Mean of the cell centers of a nonempty set."""
+    return grid.centers()[a.mask.ravel()].mean(axis=0)
+
+
 def _redrawn_raster(grid, draw, min_cells):
     """(raster, polygon) of ``draw(box, min_area)``, redrawn until the raster
     has at least ``min_cells`` cells; the box keeps the polygon inside the grid."""
-    box = 0.45 * min(up - o for o, up in zip(grid.origin, grid.upper))
+    box = 0.45 * _shortest_side(grid)
     while True:
         poly = draw(box, (3 * grid.spacing) ** 2)
         raster = polygon_raster(grid, poly)
@@ -175,7 +186,7 @@ def _core_cut(grid, small, big):
     If ``small`` misses the box, the cells within a spacing of the center
     stand in for it.
     """
-    w = 0.125 * min(up - o for o, up in zip(grid.origin, grid.upper))
+    w = 0.125 * _shortest_side(grid)
     core = box_raster(grid, [c - w for c in grid.center], [c + w for c in grid.center]).mask
     inner = small.mask & core
     if not inner.any():
@@ -226,7 +237,7 @@ def centered_cylinder_raster(rng, plane, grid=DEFAULT_GRID):
     in_h = centers - np.outer(centers @ normal, normal)
     mid = np.asarray(grid.center)
     mid_h = mid - (mid @ normal) * normal
-    span = 0.4 * min(up - o for o, up in zip(grid.origin, grid.upper))
+    span = 0.4 * _shortest_side(grid)
     r = (0.2 + 0.8 * rng.random()) * span
     s = (0.2 + 0.8 * rng.random()) * span
     radial = np.linalg.norm(in_h - mid_h, axis=1) if grid.n > 1 else np.zeros(len(centers))
@@ -582,7 +593,7 @@ def _maps_balls_to_balls(dmap, plane, grid, rng):
         return {"t": t, "reason": "cell count changed"}
     if image.cell_count == 0:
         return None
-    com = grid.centers()[image.mask.ravel()].mean(axis=0)
+    com = _center_of_mass(grid, image)
     # admissible ball centers live on the half-cell lattice
     snapped = np.asarray(grid.origin) + np.rint((com - np.asarray(grid.origin)) / (h / 2.0)) * (h / 2.0)
     if image != disk_raster(grid, snapped, r):
@@ -660,7 +671,7 @@ def _cone_probes(grid, plane, seed):
     rng = trial_rng(seed, 987)
     u = np.asarray(plane.normal, dtype=float)
     base = _nearest_plane_point(grid, plane)
-    span = 0.5 * min(up - o for o, up in zip(grid.origin, grid.upper))
+    span = 0.5 * _shortest_side(grid)
     probes = []
     for _ in range(CONE_PROBES):
         t = float(rng.integers(-8, 9)) * grid.spacing
@@ -698,7 +709,7 @@ def classify_rearrangement(transformer, grid, plane, seed=0):
         image = dmap(disk_raster(grid, base + t * u, radius))
         if image.cell_count == 0:
             return None
-        com = grid.centers()[image.mask.ravel()].mean(axis=0)
+        com = _center_of_mass(grid, image)
         return float((com - base) @ u)
 
     ts = [PROBE_OFFSET, PROBE_OFFSET * 2 / 3, -PROBE_OFFSET * 2 / 3, -PROBE_OFFSET]

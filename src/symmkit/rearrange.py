@@ -2,7 +2,7 @@
 
 The two-point operator replaces f by max(f, f_mirror) on the positive side
 of an oriented hyperplane and by min(f, f_mirror) on the negative side; the
-other operators here either specialize it (set version), generalize it
+other operators here either read it on indicators (set version), generalize it
 (pointwise maps built from a pair of associated functions), or rebuild a
 transformer from the images of super-level sets (layer-cake reconstruction).
 """
@@ -20,9 +20,8 @@ from .geometry import (
     GridSet,
     OrientedHyperplane,
     Reflection,
+    induced_set_map,
     reflect_grid_function,
-    reflect_grid_set,
-    set_from_indicator,
 )
 
 
@@ -33,9 +32,8 @@ def polarize(f, plane):
 
 
 def polarize_set(a, plane):
-    """Set version: union with the mirror image on H+, intersection on H-."""
-    out = Reflection(a.grid, plane).two_point(a.mask, False, np.logical_or, np.logical_and)
-    return GridSet(a.grid, out)
+    """Set version: :func:`polarize` read on the indicator."""
+    return induced_set_map(lambda f: polarize(f, plane))(a)
 
 
 def _polarize_reflected(f, plane):
@@ -45,21 +43,14 @@ def _polarize_reflected(f, plane):
     return GridFunction(f.grid, plan.mirror(out, out.min()))
 
 
-def _polarize_set_reflected(a, plane):
-    """reflect_grid_set(polarize_set(a, plane), plane) through one reflection plan."""
-    plan = Reflection(a.grid, plane)
-    return GridSet(a.grid, plan.mirror(plan.two_point(a.mask, False, np.logical_or, np.logical_and), False))
-
-
 @dataclass(frozen=True)
 class CanonicalMap:
-    """One canonical rearrangement: ``function(f, plane)``, its set rule
-    ``set_rule(a, plane)``, the name of the contraction that moves its chord
+    """One canonical rearrangement: ``function(f, plane)``, read on indicators
+    for its set map, the name of the contraction that moves its chord
     midpoints (see :func:`~symmkit.contractions.canonical_contraction`), and
     the name of its set map."""
 
     function: callable
-    set_rule: callable
     contraction: str
     set_name: str
 
@@ -67,22 +58,13 @@ class CanonicalMap:
 # the four canonical maps, one row each; the lambdas look the operators up
 # at call time, so wrappers installed on the module functions (the
 # benchmark's tracer) see these calls too, and name their second parameter
-# ``plane`` because ``verify`` passes it by keyword.  The composites read
-# through a single plan, so no polarize call shows inside them.
+# ``plane`` because ``verify`` passes it by keyword.  The composite reads
+# through a single plan, so no polarize call shows inside it.
 CANONICAL_MAPS = {
-    "two_point": CanonicalMap(
-        lambda f, plane: polarize(f, plane), lambda a, plane: polarize_set(a, plane), "abs", "polarization"
-    ),
-    "reflection": CanonicalMap(
-        lambda f, plane: reflect_grid_function(f, plane),
-        lambda a, plane: reflect_grid_set(a, plane),
-        "neg",
-        "reflection",
-    ),
-    "identity": CanonicalMap(lambda f, plane: f, lambda a, plane: a, "id", "identity"),
-    "two_point_reflected": CanonicalMap(
-        _polarize_reflected, _polarize_set_reflected, "negabs", "polarization_dagger"
-    ),
+    "two_point": CanonicalMap(lambda f, plane: polarize(f, plane), "abs", "polarization"),
+    "reflection": CanonicalMap(lambda f, plane: reflect_grid_function(f, plane), "neg", "reflection"),
+    "identity": CanonicalMap(lambda f, plane: f, "id", "identity"),
+    "two_point_reflected": CanonicalMap(_polarize_reflected, "negabs", "polarization_dagger"),
 }
 
 
@@ -110,7 +92,7 @@ def steiner_symmetrize_function(f, axis):
 
 def steiner_symmetrize_set(a, axis):
     """Per-column recentring of each run count: the function rule read on the indicator."""
-    return set_from_indicator(steiner_symmetrize_function(a.indicator(), axis))
+    return induced_set_map(lambda f: steiner_symmetrize_function(f, axis))(a)
 
 
 def _fiber_fill_order(shape):
@@ -204,16 +186,6 @@ def check_fvalues(pair, samples):
         if not (min(p, q) == min(r, s) and max(p, q) == max(r, s)):
             return False, {"pair": (r, s), "produced": (p, q)}
     return True, None
-
-
-def induced_set_map(transformer):
-    """Set map A -> {x : T(1_A)(x) = 1} read off exactly."""
-
-    def mapped(a):
-        image = transformer(a.indicator())
-        return GridSet(a.grid, image.values == 1.0)
-
-    return mapped
 
 
 def layer_cake_rearrangement(set_map, f, strict=False):

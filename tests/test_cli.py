@@ -124,6 +124,26 @@ def test_malformed_grd1_exit_2(tmp_path, capsys, header):
     assert "GRD1 header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, dims, spacing",
+    [
+        # every cell center past the second would be inf, its lattice error NaN
+        (["polarize", "--normal", "1", "--offset", "1e308", "--positive", "-"], [10], 1e308),
+        # cell volume 1e400, past the float range
+        (["converge", "--axis", "1", "--iters", "3"], [4, 4], 1e200),
+    ],
+)
+def test_grid_past_the_float_range_exit_2(tmp_path, capsys, command, dims, spacing):
+    header = {"dims": dims, "origin": [0.0] * len(dims), "spacing": spacing}
+    path = tmp_path / "wide.grd"
+    path.write_bytes(b"GRD1\n" + json.dumps(header).encode() + b"\n" + np.arange(float(np.prod(dims))).tobytes())
+    out = tmp_path / "o.out"
+    argv = [command[0], "--in", str(path), *command[1:], "--out", str(out)]
+    assert cli_dispatch(argv) == 2
+    assert "far corner and cell volume" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grd1_header_larger_than_file_exit_2(tmp_path, capsys):
     # 8e18 payload bytes: refused from the file size, never read or allocated
     header = {"dims": [10**6] * 3, "origin": [0.0] * 3, "spacing": 1.0}

@@ -44,6 +44,24 @@ class TestGrid:
         assert sk.Grid((3037000500,) * 2, (0.0, 0.0), 1.0).num_cells == 3037000500**2
         assert sk.Grid((np.int64(3), 4), (0.0, 0.0), 1.0).dims == (3, 4)
 
+    @pytest.mark.parametrize(
+        "dims, origin, spacing",
+        [
+            ((10,), (0.0,), 1e308),  # far corner past the float range
+            ((2,), (1.7e308,), 1e307),  # finite spacing, origin near the top of the range
+            ((10**400,), (0.0,), 1.0),  # more cells than a float can count
+            ((4, 4), (0.0, 0.0), 1e200),  # cell volume 1e400
+            ((2, 2, 2), (0.0,) * 3, 1e-120),  # cell volume underflows to 0
+        ],
+    )
+    def test_rejects_box_or_cell_volume_past_floats(self, dims, origin, spacing):
+        with pytest.raises(ValueError, match="far corner and cell volume"):
+            sk.Grid(dims, origin, spacing)
+
+    def test_accepts_box_and_cell_volume_near_the_float_range(self):
+        g = sk.Grid((4, 4), (0.0, 0.0), 2.0**500)
+        assert g.upper == (2.0**502, 2.0**502) and g.cell_volume == 2.0**1000
+
 
 class TestGridFunction:
     def test_rejects_nonfinite(self):
