@@ -12,8 +12,7 @@ shreds perimeter.
 import numpy as np
 
 import symmkit as sk
-from symmkit.experiments import run_gallery
-from symmkit.harness import two_disk_symmetric_set
+from symmkit.harness import run_gallery, two_disk_symmetric_set
 
 summary = run_gallery(seed=7, trials=20)
 print("expected verdict matrices reproduced:", summary["all_match"])

@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from . import gridio
-from .chordmaps import chord_move_gridset, chord_move_polygon
 from .errors import GalleryMismatch, SymmkitError
-from .experiments import run_convergence, run_gallery, run_verify
+from .experiments import run_convergence
 from .geometry import OrientedHyperplane
 from .rearrange import polarize, schwarz_symmetrize_set, steiner_symmetrize_function
 
@@ -102,6 +101,8 @@ def _cmd_schwarz(args):
 
 
 def _cmd_chordmap(args):
+    from .chordmaps import chord_move_gridset, chord_move_polygon
+
     phi = gridio.read_contraction(args.contraction)
     if args.inp.endswith(".json"):
         if args.normal is None:
@@ -118,6 +119,8 @@ def _cmd_chordmap(args):
 
 
 def _cmd_verify(args):
+    from .harness import run_verify
+
     report, all_hold = run_verify(trials=args.trials, seed=args.seed)
     if args.report:
         _write_json(args.report, report)
@@ -136,6 +139,8 @@ def _cmd_converge(args):
 
 
 def _cmd_gallery(args):
+    from .harness import run_gallery
+
     try:
         summary = run_gallery(seed=args.seed, trials=args.trials)
         status = 0

@@ -14,10 +14,8 @@ import stat
 
 import numpy as np
 
-from .chordmaps import ChordMovedRegion
 from .contractions import PLContraction
 from .geometry import Grid, GridFunction, set_from_indicator
-from .polygons import ConvexPolygon
 
 MAGIC = b"GRD1"
 STREAM_CHUNK = 1 << 20  # bytes per read of a payload that is not a regular file
@@ -138,6 +136,8 @@ def write_polygon(path, poly):
 
 
 def read_polygon(path):
+    from .polygons import ConvexPolygon
+
     (vertices,) = _read_json_fields(path, "polygon", _POLYGON)
     return ConvexPolygon(np.asarray(vertices, dtype=float))
 
@@ -170,6 +170,8 @@ def write_region(path, region):
 
 
 def read_region(path):
+    from .chordmaps import ChordMovedRegion
+
     u, gplus, gminus = _read_json_fields(path, "region", _REGION)
     gplus = np.asarray(gplus, dtype=float).reshape(-1, 2)
     gminus = np.asarray(gminus, dtype=float).reshape(-1, 2)

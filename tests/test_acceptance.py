@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import symmkit as sk
-from symmkit.experiments import run_convergence, run_gallery
+from symmkit.experiments import run_convergence
 from symmkit.harness import (
     modulus_profile,
     random_blob_function,
     random_convex_polygon,
     random_symmetric_polygon,
+    run_gallery,
     trial_rng,
 )
 from symmkit.polygons import chords_at

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import symmkit as sk
 from symmkit import gridio
 from symmkit.cli import cli_dispatch
 from symmkit.harness import random_blob_function, trial_rng
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -290,6 +295,23 @@ def test_converge_trace(tmp_path, sample_grd):
     assert len(lines) == 31
     out = gridio.read_grid_function(final)
     assert sk.distribution(out) == sk.distribution(f)
+
+
+def test_python_m_symmkit_runs_the_cli(tmp_path, sample_grd):
+    path, f = sample_grd
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "symmkit", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    done = run("converge", "--in", str(path), "--axis", "1", "--iters", "5", "--out", str(tmp_path / "t.csv"),
+               "--final", str(tmp_path / "final.grd"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("converge: initial L1 ")
+    assert sk.distribution(gridio.read_grid_function(tmp_path / "final.grd")) == sk.distribution(f)
+    assert run("no-such-command").returncode == 2
 
 
 def test_converge_deterministic(tmp_path, sample_grd):

@@ -8,13 +8,8 @@ import pytest
 
 import symmkit as sk
 from symmkit.errors import GalleryMismatch
-from symmkit.experiments import (
-    draw_polarization_plane,
-    run_convergence,
-    run_gallery,
-    run_verify,
-)
-from symmkit.harness import random_blob_function
+from symmkit.experiments import draw_polarization_plane, run_convergence
+from symmkit.harness import random_blob_function, run_gallery, run_verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +42,16 @@ def test_1d_fixture_reaches_target_exactly():
     trace = run_convergence(f, 0, 300, seed=5)
     assert trace.final_l1 == 0.0
     assert trace.final == sk.steiner_symmetrize_function(f, 0)
+
+
+def test_central_plane_oriented_by_lattice_index():
+    # the central plane's offset rounds to 0.30999999999999994, an ulp past
+    # the rounded center 0.3099999999999999; oriented by that float test it
+    # pointed away from the center, and f never moved from [1, 0]
+    g = sk.Grid((2,), (-0.39,), 0.7)
+    trace = run_convergence(sk.GridFunction(g, np.array([1.0, 0.0])), 0, 400)
+    assert trace.final.values.tolist() == [0.0, 1.0]
+    assert trace.final_l1 == 0.0
 
 
 def test_every_iterate_equimeasurable_and_trace_shape():
@@ -156,26 +161,26 @@ def test_gallery_matches_expected_matrix():
 
 @pytest.mark.parametrize("seed", [7, 2024])
 def test_gallery_checks_pin_expected_matrix(seed):
-    import symmkit.experiments as ex
+    from symmkit import harness
 
     summary = run_gallery(seed=seed, trials=20)
     got = [(row["example"], list(row["checks"].items())) for row in summary["rows"]]
-    want = [(example, list(expected.items())) for example, _, expected, _ in ex.GALLERY_ROWS]
+    want = [(example, list(expected.items())) for example, _, expected, _ in harness.GALLERY_ROWS]
     assert got == want
 
 
 def test_gallery_strict_raises_on_tampered_expectation(monkeypatch):
-    import symmkit.experiments as ex
+    from symmkit import harness
 
     rows = [
         (example, set_map, {**expected, "measure_preserving": "fails"}, check)
         if example == "cog_reflection"
         else (example, set_map, expected, check)
-        for example, set_map, expected, check in ex.GALLERY_ROWS
+        for example, set_map, expected, check in harness.GALLERY_ROWS
     ]
-    monkeypatch.setattr(ex, "GALLERY_ROWS", tuple(rows))
+    monkeypatch.setattr(harness, "GALLERY_ROWS", tuple(rows))
     with pytest.raises(GalleryMismatch) as info:
-        ex.run_gallery(seed=1, trials=2)
+        harness.run_gallery(seed=1, trials=2)
     bad = [row["example"] for row in info.value.summary["rows"] if not row["match"]]
     assert bad == ["cog_reflection"]
 
@@ -185,7 +190,7 @@ def test_verify_imports_no_thread_pool_or_masked_arrays():
     script = (
         "import sys\n"
         "import symmkit.cli\n"
-        "from symmkit.experiments import run_verify\n"
+        "from symmkit.harness import run_verify\n"
         "run_verify(trials=1)\n"
         "print(sorted({'concurrent.futures', 'numpy.ma'} & set(sys.modules)))\n"
     )
