@@ -36,8 +36,8 @@ _EXPORTS = {
     "rearrange": (
         "ASSOCIATED_PAIRS", "CANONICAL_MAPS", "AssociatedFunctionPair", "CanonicalMap", "MonotonePL",
         "MonotoneStep", "PointwiseTransformer", "check_fvalues", "compose_monotone",
-        "layer_cake_rearrangement", "polarize", "polarize_set", "schwarz_symmetrize_set",
-        "steiner_symmetrize_function", "steiner_symmetrize_set",
+        "layer_cake_rearrangement", "polarize", "polarize_set", "schwarz_symmetrize_function",
+        "schwarz_symmetrize_set", "steiner_symmetrize_function", "steiner_symmetrize_set",
     ),
 }
 # each public name -> its home module; a module's own name is its home

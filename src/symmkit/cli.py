@@ -16,7 +16,7 @@ from . import gridio
 from .errors import GalleryMismatch, SymmkitError
 from .experiments import run_convergence
 from .geometry import OrientedHyperplane
-from .rearrange import polarize, schwarz_symmetrize_set, steiner_symmetrize_function
+from .rearrange import polarize, schwarz_symmetrize_function, steiner_symmetrize_function
 
 
 def _parse_vector(text):
@@ -42,7 +42,7 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--axis", type=int, required=True, help="0-based axis index")
 
-    p = sub.add_parser("schwarz", help="planar-fiber symmetrization of a 3D indicator grid")
+    p = sub.add_parser("schwarz", help="planar-fiber symmetrization of a 3D grid function")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--axis", type=int, required=True, help="0-based axis index")
@@ -88,15 +88,10 @@ def _cmd_polarize(args):
     return 0
 
 
-def _cmd_steiner(args):
+def _cmd_symmetrize(args):
+    rule = steiner_symmetrize_function if args.command == "steiner" else schwarz_symmetrize_function
     f = gridio.read_grid_function(args.inp)
-    gridio.write_grid_function(args.out, steiner_symmetrize_function(f, args.axis))
-    return 0
-
-
-def _cmd_schwarz(args):
-    a = gridio.read_grid_set(args.inp)
-    gridio.write_grid_set(args.out, schwarz_symmetrize_set(a, args.axis))
+    gridio.write_grid_function(args.out, rule(f, args.axis))
     return 0
 
 
@@ -135,6 +130,8 @@ def _cmd_converge(args):
     if args.final:
         gridio.write_grid_function(args.final, trace.final)
     print(f"converge: initial L1 {trace.initial_l1!r}, final L1 {trace.final_l1!r}")
+    step = trace.target_step
+    print("converge: target not reached" if step is None else f"converge: target reached at step {step}")
     return 0
 
 
@@ -155,8 +152,8 @@ def _cmd_gallery(args):
 
 _HANDLERS = {
     "polarize": _cmd_polarize,
-    "steiner": _cmd_steiner,
-    "schwarz": _cmd_schwarz,
+    "steiner": _cmd_symmetrize,
+    "schwarz": _cmd_symmetrize,
     "chordmap": _cmd_chordmap,
     "verify": _cmd_verify,
     "converge": _cmd_converge,

@@ -24,6 +24,7 @@ class ConvergenceTrace:
     initial_l1: float = 0.0
     increased_steps: list = field(default_factory=list)
     final: GridFunction = None
+    target_step: int = None  # the first step whose iterate equals the target, or None
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -66,7 +67,8 @@ def run_convergence(f, axis, iterations, seed=0):
     symmetric-decreasing rearrangement after each step and verifies that
     every iterate keeps the exact distribution profile of the input.
     L1 monotonicity is measured, not assumed: steps that increase the
-    distance are collected in ``increased_steps``.
+    distance are collected in ``increased_steps``, and the first step whose
+    iterate equals the target (cell for cell) in ``target_step``.
     """
     if iterations < 1:
         raise ValueError("iteration count must be at least 1")
@@ -87,6 +89,8 @@ def run_convergence(f, axis, iterations, seed=0):
     for k in range(1, int(iterations) + 1):
         plane = draw_polarization_plane(grid, axis, rng)
         current = polarize(current, plane)
+        if trace.target_step is None and np.array_equal(current.values, target.values):
+            trace.target_step = k
         if distribution(current) != profile:
             raise AssertionError("iterate lost the distribution profile")
         l1, linf = distances(current)

@@ -68,6 +68,16 @@ CANONICAL_MAPS = {
 }
 
 
+def _symmetrize_fibers(f, axes, order):
+    """Sort each fiber over ``axes`` descending into ``order``: the flat (scan-order) cell of each rank."""
+    fiber = tuple(range(-len(axes), 0))
+    moved = np.moveaxis(np.asarray(f.values), axes, fiber)
+    flat = moved.reshape(*moved.shape[: -len(axes)], -1)
+    out = np.empty_like(flat)
+    out[..., order] = np.sort(flat, axis=-1)[..., ::-1]
+    return GridFunction(f.grid, np.moveaxis(out.reshape(moved.shape), fiber, axes))
+
+
 def _center_out_order(m):
     """Cell order by distance from the column center, upper side first on ties."""
     mid = (m - 1) / 2.0
@@ -81,13 +91,7 @@ def steiner_symmetrize_function(f, axis):
     (positive axis) side first on ties; every column keeps its value multiset.
     """
     f.grid.require_axis(axis)
-    m = f.grid.dims[axis]
-    order = _center_out_order(m)
-    moved = np.moveaxis(np.asarray(f.values), axis, -1)
-    ranked = np.sort(moved, axis=-1)[..., ::-1]
-    out = np.empty_like(moved)
-    out[..., order] = ranked
-    return GridFunction(f.grid, np.moveaxis(out, -1, axis))
+    return _symmetrize_fibers(f, (axis,), _center_out_order(f.grid.dims[axis]))
 
 
 def steiner_symmetrize_set(a, axis):
@@ -100,30 +104,25 @@ def _fiber_fill_order(shape):
     m1, m2 = shape
     ii, jj = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
     d2 = (ii + 0.5 - m1 / 2.0) ** 2 + (jj + 0.5 - m2 / 2.0) ** 2
-    flat_d2 = d2.ravel()
-    return np.argsort(flat_d2, kind="stable")
+    return np.argsort(d2.ravel(), kind="stable")
+
+
+def schwarz_symmetrize_function(f, axis):
+    """Per-fiber rearrangement of the planes orthogonal to ``axis``, 3D grids only.
+
+    Fiber values are sorted descending and placed by distance from the fiber
+    center, ties in scan order; every fiber keeps its value multiset.
+    """
+    if f.grid.n != 3:
+        raise ValueError("planar-fiber symmetrization needs a 3D grid")
+    f.grid.require_axis(axis)
+    axes = tuple(k for k in range(3) if k != axis)
+    return _symmetrize_fibers(f, axes, _fiber_fill_order([f.grid.dims[k] for k in axes]))
 
 
 def schwarz_symmetrize_set(a, axis):
-    """Replace each planar fiber orthogonal to ``axis`` by a centered quasi-disk.
-
-    Only defined for 3D grids.  Cell counts are preserved exactly: the disk
-    is grown cell by cell in a fixed order (distance from the fiber center,
-    ties broken by scan order).
-    """
-    if a.grid.n != 3:
-        raise ValueError("planar-fiber symmetrization needs a 3D grid")
-    a.grid.require_axis(axis)
-    moved = np.moveaxis(np.asarray(a.mask), axis, 0)
-    fiber_shape = moved.shape[1:]
-    order = _fiber_fill_order(fiber_shape)
-    rank = np.empty(order.shape, dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    out = np.empty_like(moved)
-    for i in range(moved.shape[0]):
-        k = int(moved[i].sum())
-        out[i] = (rank < k).reshape(fiber_shape)
-    return GridSet(a.grid, np.moveaxis(out, 0, axis))
+    """Centered quasi-disk of each planar fiber's cell count: the function rule read on the indicator."""
+    return induced_set_map(lambda f: schwarz_symmetrize_function(f, axis))(a)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,16 @@ def test_schwarz(tmp_path):
     assert gridio.read_grid_set(out) == sk.schwarz_symmetrize_set(a, 0)
 
 
+def test_schwarz_takes_any_3d_function(tmp_path):
+    g = sk.centered_grid((4, 6, 5), 0.5)
+    f = sk.GridFunction(g, trial_rng(74, 0).integers(-3, 4, g.dims) * 0.5)
+    path = tmp_path / "f.grd"
+    gridio.write_grid_function(path, f)
+    out = tmp_path / "g.grd"
+    assert cli_dispatch(["schwarz", "--in", str(path), "--axis", "2", "--out", str(out)]) == 0
+    assert gridio.read_grid_function(out) == sk.schwarz_symmetrize_function(f, 2)
+
+
 def test_converge_rejects_zero_iters(tmp_path, sample_grd):
     path, _ = sample_grd
     argv = ["converge", "--in", str(path), "--axis", "1", "--iters", "0", "--out", str(tmp_path / "t.csv")]
@@ -312,6 +322,20 @@ def test_python_m_symmkit_runs_the_cli(tmp_path, sample_grd):
     assert done.stdout.startswith("converge: initial L1 ")
     assert sk.distribution(gridio.read_grid_function(tmp_path / "final.grd")) == sk.distribution(f)
     assert run("no-such-command").returncode == 2
+
+
+def test_converge_prints_the_first_step_at_the_target(tmp_path, capsys):
+    path = tmp_path / "f.grd"
+    values = np.array([0.0, 0.0, 7.0, 1.0, 3.0, 0.0, 2.0, 0.0])
+    gridio.write_grid_function(path, sk.GridFunction(sk.Grid((8,), (-1.0,), 0.25), values))
+    argv = ["converge", "--in", str(path), "--axis", "0", "--seed", "5", "--out", str(tmp_path / "t.csv")]
+    assert cli_dispatch([*argv, "--iters", "300"]) == 0
+    assert cli_dispatch([*argv, "--iters", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "converge: initial L1 4.0, final L1 0.0"
+    assert lines[1] == "converge: target reached at step 13"
+    assert lines[2] == "converge: initial L1 4.0, final L1 1.0"
+    assert lines[3] == "converge: target not reached"
 
 
 def test_converge_deterministic(tmp_path, sample_grd):

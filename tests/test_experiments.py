@@ -9,7 +9,7 @@ import pytest
 import symmkit as sk
 from symmkit.errors import GalleryMismatch
 from symmkit.experiments import draw_polarization_plane, run_convergence
-from symmkit.harness import random_blob_function, run_gallery, run_verify
+from symmkit.harness import random_blob_function, run_gallery, run_verify, trial_rng
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,6 +34,7 @@ def test_symmetric_input_all_distances_zero():
     trace = run_convergence(f, 0, 50, seed=2)
     assert trace.initial_l1 == 0.0
     assert all(row["l1"] == 0.0 for row in trace.rows)
+    assert trace.target_step == 1
 
 
 def test_1d_fixture_reaches_target_exactly():
@@ -42,6 +43,17 @@ def test_1d_fixture_reaches_target_exactly():
     trace = run_convergence(f, 0, 300, seed=5)
     assert trace.final_l1 == 0.0
     assert trace.final == sk.steiner_symmetrize_function(f, 0)
+
+
+def test_target_step_is_the_first_row_at_the_target():
+    # the golden converge input: 200 steps fall short of the target, which
+    # the same rng stream reaches at step 213
+    f = random_blob_function(trial_rng(4242, 0), sk.centered_grid((64, 64), 1.0 / 16.0))
+    assert run_convergence(f, 1, 200, seed=5).target_step is None
+    trace = run_convergence(f, 1, 300, seed=5)
+    assert trace.target_step == 213
+    assert [row["k"] for row in trace.rows if row["l1"] == 0.0] == list(range(213, 301))
+    assert trace.final == sk.steiner_symmetrize_function(f, 1)
 
 
 def test_central_plane_oriented_by_lattice_index():

@@ -1,4 +1,4 @@
-"""The package surface: 88 public names, each loaded from its home module on first use."""
+"""The package surface: 89 public names, each loaded from its home module on first use."""
 
 import importlib
 import inspect
@@ -15,7 +15,8 @@ from symmkit import rearrange
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# symmkit.__all__ as it was when the package imported every module eagerly
+# symmkit.__all__: the 88 names of the package when it imported every module
+# eagerly, and schwarz_symmetrize_function
 PUBLIC = """
     ASSOCIATED_PAIRS AssociatedFunctionPair CANONICAL_MAPS CanonicalMap ChordMovedRegion
     ConvergenceTrace ConvexPolygon DegenerateBody DistributionProfile EmptySet GalleryMismatch Grid
@@ -31,11 +32,11 @@ PUBLIC = """
     layer_cake_rearrangement modulus_profile near_swap near_swap_set_map perimeter_region polarize
     polarize_set polygon_raster polygons rearrange reflect_grid_function reflect_grid_set
     region_is_convex run_convergence run_gallery run_verify sawtooth_contraction
-    schwarz_symmetrize_set set_from_indicator shake_set steiner_symmetrize_function
-    steiner_symmetrize_set union_of_translates
+    schwarz_symmetrize_function schwarz_symmetrize_set set_from_indicator shake_set
+    steiner_symmetrize_function steiner_symmetrize_set union_of_translates
 """.split()
 
-# what `converge`, `polarize` and `steiner` load, and nothing more
+# what `converge`, `polarize`, `steiner` and `schwarz` load, and nothing more
 COMMAND_MODULES = [
     "symmkit", "symmkit.cli", "symmkit.contractions", "symmkit.errors", "symmkit.experiments",
     "symmkit.geometry", "symmkit.gridio", "symmkit.rearrange",
@@ -56,6 +57,9 @@ def test_commands_load_only_their_modules():
         "    gridio.write_grid_function(path, f)\n"
         "    codes = [cli_dispatch([*argv, '--in', path, '--out', tmp + '/out']) for argv in (\n"
         "        ['converge', '--axis', '1', '--iters', '5'], ['polarize', '--normal', '0,1'], ['steiner', '--axis', '1'])]\n"
+        "    g = sk.GridFunction(sk.centered_grid((3, 4, 5), 0.5), np.arange(60.0).reshape(3, 4, 5))\n"
+        "    gridio.write_grid_function(path, g)\n"
+        "    codes.append(cli_dispatch(['schwarz', '--axis', '0', '--in', path, '--out', tmp + '/out']))\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'symmkit')]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -64,12 +68,12 @@ def test_commands_load_only_their_modules():
     )
     assert done.returncode == 0, done.stderr
     codes, modules = json.loads(done.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert modules == COMMAND_MODULES
 
 
 def test_all_is_the_public_surface():
-    assert len(PUBLIC) == 88
+    assert len(PUBLIC) == 89
     assert sk.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(sk))
 

@@ -170,11 +170,11 @@ class TestCliErrorPaths:
         )
         assert status == 2
 
-    def test_schwarz_rejects_non_indicator(self, tmp_path):
+    def test_schwarz_rejects_a_2d_grid(self, tmp_path):
         from symmkit import gridio
         from symmkit.cli import cli_dispatch
 
-        g = sk.centered_grid((4, 4, 4), 0.5)
+        g = sk.centered_grid((4, 4), 0.5)
         f = sk.GridFunction(g, np.full(g.dims, 0.5))
         path = tmp_path / "f.grd"
         gridio.write_grid_function(path, f)
