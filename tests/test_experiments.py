@@ -20,6 +20,49 @@ def test_run_convergence_rejects_zero_iterations():
         run_convergence(f, 0, 0)
 
 
+@pytest.mark.parametrize("iterations", [2.7, 2.0, float("inf"), "3", None])
+def test_run_convergence_rejects_a_non_integer_count(iterations):
+    # 2.7 used to run 2 steps, and inf raised OverflowError
+    f = sk.GridFunction(sk.centered_grid((8,), 0.25), np.arange(8.0))
+    with pytest.raises(ValueError, match="iteration count must be an integer"):
+        run_convergence(f, 0, iterations)
+
+
+def test_run_convergence_takes_a_numpy_integer_count():
+    f = sk.GridFunction(sk.centered_grid((8,), 0.25), np.arange(8.0))
+    assert len(run_convergence(f, 0, np.int64(3)).rows) == 3
+
+
+def _cell_copied(f, plane):
+    # the top value written over the first cell: the set of values stays, their counts do not
+    values = f.values.copy()
+    values.flat[0] = values.max()
+    return f.with_values(values)
+
+
+def _permuted(f, plane):
+    return f.with_values(f.values[::-1])
+
+
+def _zeros_negated(f, plane):
+    # -0.0 and 0.0 are one value in a distribution profile
+    return f.with_values(np.where(f.values == 0.0, -0.0, f.values)[::-1])
+
+
+@pytest.mark.parametrize("step, breaks", [(_cell_copied, True), (_permuted, False), (_zeros_negated, False)])
+def test_profile_guard_catches_a_step_that_changes_a_value(monkeypatch, step, breaks):
+    from symmkit import experiments
+
+    f = random_blob_function(trial_rng(61, 0), sk.centered_grid((8, 8), 0.5))
+    assert f.values.flat[0] == f.values.min() == 0.0 < f.values.max()
+    monkeypatch.setattr(experiments, "polarize", step)
+    if breaks:
+        with pytest.raises(AssertionError, match="iterate lost the distribution profile"):
+            run_convergence(f, 1, 3)
+    else:
+        assert len(run_convergence(f, 1, 3).rows) == 3
+
+
 @pytest.mark.parametrize("run", [run_verify, run_gallery])
 def test_zero_trials_rejected(run):
     with pytest.raises(ValueError):
@@ -113,6 +156,38 @@ def test_verify_battery_all_hold():
         assert all(r["verdict"] == "holds" for r in checks.values())
 
 
+def calls_made(watched, run):
+    """Calls of each watched function while ``run()`` runs, by name; ``watched`` maps code objects to names."""
+    calls = dict.fromkeys(watched.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_converge_work_per_step():
+    # one reflection plan and one polarize per step, and no distribution
+    # profile: the per-step guard compares sorted values. A plan cache
+    # would re-pin the plan count.
+    from symmkit import geometry, rearrange
+
+    watched = {
+        geometry.Reflection.__init__.__code__: "Reflection",
+        rearrange.polarize.__code__: "polarize",
+        geometry.distribution.__code__: "distribution",
+    }
+    f = random_blob_function(trial_rng(67, 0), sk.centered_grid((16, 16), 0.25))
+    calls = calls_made(watched, lambda: run_convergence(f, 1, 50))
+    assert calls == {"Reflection": 50, "polarize": 50, "distribution": 0}
+
+
 @pytest.mark.parametrize("seed", [7, 311])
 def test_verify_work_per_trial(seed):
     # one trial of every suite: f, the monotone bump and the L^p partner are
@@ -132,18 +207,7 @@ def test_verify_work_per_trial(seed):
         harness.modulus_profile.__code__: "modulus_profile",
         geometry.distribution.__code__: "distribution",
     }
-    calls = dict.fromkeys(watched.values(), 0)
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code in watched:
-            calls[watched[frame.f_code]] += 1
-
-    sys.setprofile(count)
-    try:
-        run_verify(trials=1, seed=seed)
-    finally:
-        sys.setprofile(None)
-    assert calls == {
+    assert calls_made(watched, lambda: run_verify(trials=1, seed=seed)) == {
         "random_blob_function": 11,
         "Reflection": 18,
         "polarize": 10,

@@ -3,6 +3,7 @@ import pytest
 
 import symmkit as sk
 from symmkit.errors import MisalignedHyperplane, NonMonotoneMap
+from symmkit.geometry import LATTICE_TOL
 
 
 def unit(v):
@@ -150,18 +151,18 @@ class TestReflectPoint:
 
 
 def lattice_planes(grid):
-    """Every admissible plane of a square grid, both orientations, each with
-    the mask of the cells on it worked out in integer index arithmetic: the
-    axis planes at every half-lattice position, and the diagonals
-    x_a -+ x_b = const through cell centers."""
+    """Every admissible plane of a grid, both orientations, each with the
+    mask of the cells on it worked out in integer index arithmetic: the axis
+    planes at every half-lattice position, edges included, and on a square
+    grid the diagonals x_a -+ x_b = const through cell centers."""
     idx = np.indices(grid.dims)
     o, h, n, m = grid.origin, grid.spacing, grid.n, grid.dims[0]
     e, r = np.eye(n), np.sqrt(0.5)
     planes = []
     for k in range(n):
-        for p in range(2 * m + 1):  # x_k = o_k + p h / 2 on the cells 2 i_k + 1 = p
+        for p in range(2 * grid.dims[k] + 1):  # x_k = o_k + p h / 2 on the cells 2 i_k + 1 = p
             planes.append((e[k], o[k] + p * h / 2, 2 * idx[k] + 1 == p))
-    for a in range(n):
+    for a in range(n) if grid.dims == (m,) * n else ():  # diagonals on square grids only
         for b in range(a + 1, n):
             for d in range(1 - m, m):  # x_a - x_b = (o_a - o_b) + d h on the cells i_a - i_b = d
                 planes.append((r * (e[a] - e[b]), r * ((o[a] - o[b]) + d * h), idx[a] - idx[b] == d))
@@ -196,6 +197,44 @@ class TestHalfSpaces:
             for plane, on_plane in lattice_planes(g):
                 expect = (plane.signed(g.centers()) > 0.0).reshape(g.dims) | on_plane
                 assert np.array_equal(sk.Reflection(g, plane).hplus, expect), (g, plane)
+
+
+def plan_oracle(grid, plane):
+    """``Reflection``'s (inside, flat, hplus) as built before its bounds test
+    ANDed the index columns: with ``np.all`` over the column axis."""
+    centers = grid.centers()
+    idx = np.rint((plane.reflect(centers) - np.asarray(grid.origin)) / grid.spacing - 0.5).astype(np.int64)
+    dims = np.asarray(grid.dims)
+    inside = np.all((idx >= 0) & (idx < dims), axis=1)
+    flat = np.ravel_multi_index(tuple(np.clip(idx, 0, dims - 1).T), grid.dims)
+    hplus = (plane.signed(centers) >= -LATTICE_TOL * grid.spacing).reshape(grid.dims)
+    return inside, flat, hplus
+
+
+class TestReflectionPlanOracle:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_plan_and_its_reads_equal_the_oracle(self, seed):
+        # random 1D-3D grids, half of them square so that they get diagonal
+        # planes; every axis plane, the edge ones included, whose mirrors all
+        # leave the grid, and off-center ones, whose mirrors leave it in part
+        rng = np.random.default_rng([53, seed])
+        n = int(rng.integers(1, 4))
+        m = rng.integers(1, {1: 12, 2: 9, 3: 6}[n], n)
+        dims = (int(m[0]),) * n if rng.random() < 0.5 else tuple(int(d) for d in m)
+        grid = sk.Grid(dims, tuple(rng.uniform(-3.0, 3.0, n)), float(rng.uniform(0.05, 2.0)))
+        values = rng.integers(-3, 4, dims).astype(float)  # ties, between mirror cells too
+        fill = float(values.min())
+        for plane, _ in lattice_planes(grid):
+            plan = sk.Reflection(grid, plane)
+            inside, flat, hplus = plan_oracle(grid, plane)
+            assert np.array_equal(plan.inside, inside), (grid, plane)
+            assert np.array_equal(plan.flat, flat), (grid, plane)
+            assert np.array_equal(plan.hplus, hplus), (grid, plane)
+            mirrored = np.where(inside, values.ravel()[flat], fill).reshape(dims)
+            assert np.array_equal(plan.mirror(values, fill), mirrored), (grid, plane)
+            for fplus, fminus in ((np.maximum, np.minimum), (np.minimum, np.maximum)):
+                expect = np.where(hplus, fplus(values, mirrored), fminus(values, mirrored))
+                assert np.array_equal(plan.two_point(values, fill, fplus, fminus), expect), (grid, plane)
 
 
 class TestReflectGridFunction:

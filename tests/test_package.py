@@ -41,35 +41,58 @@ COMMAND_MODULES = [
     "symmkit", "symmkit.cli", "symmkit.contractions", "symmkit.errors", "symmkit.experiments",
     "symmkit.geometry", "symmkit.gridio", "symmkit.rearrange",
 ]
+# what `verify` and `gallery` load: those and `polygons`, `chordmaps` and `harness`
+PROPERTY_MODULES = sorted([*COMMAND_MODULES, "symmkit.chordmaps", "symmkit.harness", "symmkit.polygons"])
 
 
-def test_commands_load_only_their_modules():
-    # a fresh interpreter: the modules other tests import do not count
+def codes_and_modules(body):
+    """Exit codes of ``body``'s ``cli_dispatch`` calls in a fresh interpreter, and the symmkit modules it loaded.
+
+    ``body`` runs inside a temporary directory ``tmp`` and appends each exit
+    code to ``codes``. A fresh interpreter, so the modules other tests import
+    do not count.
+    """
     script = (
         "import json, sys, tempfile\n"
         "import numpy as np\n"
         "import symmkit as sk\n"
         "from symmkit import gridio\n"
         "from symmkit.cli import cli_dispatch\n"
+        "codes = []\n"
         "with tempfile.TemporaryDirectory() as tmp:\n"
-        "    path = tmp + '/f.grd'\n"
-        "    f = sk.GridFunction(sk.centered_grid((4, 4), 0.5), np.arange(16.0).reshape(4, 4))\n"
-        "    gridio.write_grid_function(path, f)\n"
-        "    codes = [cli_dispatch([*argv, '--in', path, '--out', tmp + '/out']) for argv in (\n"
-        "        ['converge', '--axis', '1', '--iters', '5'], ['polarize', '--normal', '0,1'], ['steiner', '--axis', '1'])]\n"
-        "    g = sk.GridFunction(sk.centered_grid((3, 4, 5), 0.5), np.arange(60.0).reshape(3, 4, 5))\n"
-        "    gridio.write_grid_function(path, g)\n"
-        "    codes.append(cli_dispatch(['schwarz', '--axis', '0', '--in', path, '--out', tmp + '/out']))\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'symmkit')]))\n"
+        + "".join(f"    {line}\n" for line in body)
+        + "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'symmkit')]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    codes, modules = json.loads(done.stdout.splitlines()[-1])
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_load_only_their_modules():
+    codes, modules = codes_and_modules([
+        "path = tmp + '/f.grd'",
+        "f = sk.GridFunction(sk.centered_grid((4, 4), 0.5), np.arange(16.0).reshape(4, 4))",
+        "gridio.write_grid_function(path, f)",
+        "for argv in (['converge', '--axis', '1', '--iters', '5'], ['polarize', '--normal', '0,1'], ['steiner', '--axis', '1']):",
+        "    codes.append(cli_dispatch([*argv, '--in', path, '--out', tmp + '/out']))",
+        "g = sk.GridFunction(sk.centered_grid((3, 4, 5), 0.5), np.arange(60.0).reshape(3, 4, 5))",
+        "gridio.write_grid_function(path, g)",
+        "codes.append(cli_dispatch(['schwarz', '--axis', '0', '--in', path, '--out', tmp + '/out']))",
+    ])
     assert codes == [0, 0, 0, 0]
     assert modules == COMMAND_MODULES
+
+
+@pytest.mark.parametrize("command", ["verify", "gallery"])
+def test_property_commands_load_only_their_modules(command):
+    codes, modules = codes_and_modules(
+        [f"codes.append(cli_dispatch(['{command}', '--trials', '1', '--report', tmp + '/report.json']))"]
+    )
+    assert codes == [0]
+    assert modules == PROPERTY_MODULES
 
 
 def test_all_is_the_public_surface():
