@@ -86,8 +86,8 @@ def run_convergence(f, axis, iterations, seed=0):
     vol = grid.cell_volume
 
     def distances(g):
-        diff = g.values - target.values
-        return float(np.abs(diff).sum() * vol), float(np.abs(diff).max())
+        diff = np.abs(g.values - target.values)
+        return float(diff.sum() * vol), float(diff.max())
 
     trace = ConvergenceTrace()
     trace.initial_l1 = distances(f)[0]

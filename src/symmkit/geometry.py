@@ -103,9 +103,10 @@ class Grid:
 
     def centers(self):
         """All cell centers as an ``(num_cells, n)`` array in row-major order."""
-        axes = [self.axis_centers(k) for k in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        out = np.empty(self.dims + (self.n,))
+        for k, x in enumerate(self.open_centers()):
+            out[..., k] = x
+        return out.reshape(-1, self.n)
 
 
 def centered_grid(dims, spacing):
@@ -208,9 +209,12 @@ class OrientedHyperplane:
         pos = self.positive
         if pos in ("+", "-"):
             pos = 1 if pos == "+" else -1
-        pos = int(pos)
+        try:
+            pos = operator.index(pos)
+        except TypeError:
+            pos = None
         if pos not in (1, -1):
-            raise ValueError("positive must be +1 or -1")
+            raise ValueError(f"positive must be +1, -1, '+' or '-', got {self.positive!r}")
         if not np.all(np.isfinite(normal)) or abs(float(np.linalg.norm(normal)) - 1.0) > UNIT_TOL:
             raise ValueError("normal must be a finite unit vector")
         offset = float(self.offset)
@@ -265,7 +269,8 @@ class Reflection:
         self.dims = grid.dims
         # AND the n <= 3 columns: np.all over an axis that short costs several times more
         self.inside = functools.reduce(operator.and_, ((idx >= 0) & (idx < dims)).T)
-        self.flat = np.ravel_multi_index(tuple(np.clip(idx, 0, dims - 1).T), grid.dims)
+        # off-grid mirrors clip to an edge cell, which `inside` masks in every read
+        self.flat = np.ravel_multi_index(tuple(idx.T), grid.dims, mode="clip")
         # every off-plane cell lies at least h/(2*sqrt(2)) from an admissible
         # plane, so the slack only keeps on-plane cells, rounded to -1 ulp, in H+
         self.hplus = (plane.signed(centers) >= -LATTICE_TOL * grid.spacing).reshape(grid.dims)

@@ -11,6 +11,13 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def stacked_meshgrid_centers(grid):
+    """Cell centers built apart from ``Grid``: the per-axis coordinates put
+    on an ``ij`` meshgrid, each raveled and stacked as one column."""
+    axes = [o + (np.arange(d) + 0.5) * grid.spacing for o, d in zip(grid.origin, grid.dims)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 class TestGrid:
     def test_cell_enumeration(self):
         g = sk.Grid((3, 4), (0.0, 0.0), 0.5)
@@ -22,6 +29,19 @@ class TestGrid:
         g = sk.Grid((2, 2), (0.0, 0.0), 1.0)
         expected = np.array([[0.5, 0.5], [0.5, 1.5], [1.5, 0.5], [1.5, 1.5]])
         assert np.array_equal(g.centers(), expected)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_centers_equal_the_stacked_meshgrid(self, seed):
+        # random 1D-3D grids with random origins and spacings, 1-cell axes included
+        rng = np.random.default_rng([59, seed])
+        n = int(rng.integers(1, 4))
+        dims = tuple(int(d) if rng.random() < 0.8 else 1 for d in rng.integers(1, {1: 40, 2: 12, 3: 7}[n], n))
+        g = sk.Grid(dims, tuple(rng.uniform(-5.0, 5.0, n)), float(rng.uniform(0.01, 3.0)))
+        got, expect = g.centers(), stacked_meshgrid_centers(g)
+        assert got.shape == expect.shape == (g.num_cells, n)
+        assert got.dtype == expect.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, expect), g
 
     def test_centered_grid_symmetric(self):
         g = sk.centered_grid((8, 8), 0.25)
@@ -149,6 +169,20 @@ class TestReflectPoint:
         with pytest.raises(ValueError):
             sk.OrientedHyperplane((1.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "positive", [1.5, -1.9, 1.0, -1.0, np.float64(1.0), 0, 2, -2, "1", "+1", None, [1]], ids=repr
+    )
+    def test_rejects_positive_other_than_a_sign(self, positive):
+        with pytest.raises(ValueError, match="positive must be"):
+            sk.OrientedHyperplane((1.0, 0.0), 0.0, positive)
+
+    @pytest.mark.parametrize(
+        "positive, sign", [(1, 1), (-1, -1), ("+", 1), ("-", -1), (np.int64(-1), -1)]
+    )
+    def test_positive_accepts_signs_and_integral_units(self, positive, sign):
+        plane = sk.OrientedHyperplane((1.0, 0.0), 0.0, positive)
+        assert plane.positive == sign and type(plane.positive) is int
+
 
 def lattice_planes(grid):
     """Every admissible plane of a grid, both orientations, each with the
@@ -201,8 +235,10 @@ class TestHalfSpaces:
 
 def plan_oracle(grid, plane):
     """``Reflection``'s (inside, flat, hplus) as built before its bounds test
-    ANDed the index columns: with ``np.all`` over the column axis."""
-    centers = grid.centers()
+    ANDed the index columns, its gather clipped inside the ravel and its
+    centers filled per axis: with ``np.all`` over the column axis, a separate
+    ``np.clip`` and the stacked-meshgrid centers."""
+    centers = stacked_meshgrid_centers(grid)
     idx = np.rint((plane.reflect(centers) - np.asarray(grid.origin)) / grid.spacing - 0.5).astype(np.int64)
     dims = np.asarray(grid.dims)
     inside = np.all((idx >= 0) & (idx < dims), axis=1)
