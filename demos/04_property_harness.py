@@ -8,8 +8,6 @@ at the end identifies a transformer among the four canonical rearrangements
 or proves it is something else by exhibiting a witness.
 """
 
-import functools
-
 import numpy as np
 
 import symmkit as sk
@@ -26,7 +24,7 @@ for law, r in sk.check_transformer(polar, trials=100, seed=7, grid=grid).items()
     print(f"  {law:22s}: {r.verdict}")
 
 # the four canonical rearrangements, all scored on one shared draw per trial
-canonical = {label: functools.partial(row.function, plane=plane) for label, row in sk.CANONICAL_MAPS.items()}
+canonical = {label: row.transformer(plane) for label, row in sk.CANONICAL_MAPS.items()}
 table = sk.check_transformers(canonical, trials=20, seed=7, grid=grid)
 laws = list(sk.TRANSFORMER_LAWS)
 print("\ncanonical transformers (one check_transformers call):")

@@ -3,8 +3,8 @@
 Exact piecewise-linear form on convex polygons: every chord orthogonal to
 the hyperplane H = u_perp keeps its length and has its midpoint t moved to
 phi(t).  On grids the same map acts per column with nearest-cell rounding.
-Also houses the named set maps: :func:`canonical_set_map` reads the function
-of one row of :data:`~symmkit.rearrange.CANONICAL_MAPS` on indicators, and
+Also houses the named set maps: :func:`canonical_set_map` reads one row of
+:data:`~symmkit.rearrange.CANONICAL_MAPS` on indicators, and
 the counterexample maps (Blaschke-style shaking composite, center-of-gravity
 reflection, near-hyperplane swap) sit beside it with the perimeter helpers.
 """
@@ -360,13 +360,13 @@ class SetMap:
 
 
 def canonical_set_map(label, plane):
-    """The function of the :data:`~symmkit.rearrange.CANONICAL_MAPS` row ``label``
+    """The transformer of the :data:`~symmkit.rearrange.CANONICAL_MAPS` row ``label``
     read on indicators across an axis-aligned plane, backed by the row's contraction."""
     if label not in CANONICAL_MAPS:
         raise UnknownName(f"unknown canonical map {label!r}; expected one of {tuple(CANONICAL_MAPS)}")
     row = CANONICAL_MAPS[label]
     axis, _ = _require_axis_plane(plane)
-    apply = induced_set_map(lambda f: row.function(f, plane))
+    apply = induced_set_map(row.transformer(plane))
     return SetMap(row.set_name, apply, plane=plane, axis=axis, contraction=canonical_contraction(row.contraction))
 
 

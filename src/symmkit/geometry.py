@@ -249,7 +249,7 @@ def axis_plane(axis, n, offset=0.0, positive=1):
 class Reflection:
     """Mirror read of one grid across one hyperplane, built from one ``centers()`` pass.
 
-    Holds the clipped flat gather of the reflected cell centers, the mask of
+    Holds its grid, the clipped flat gather of the reflected cell centers, the mask of
     cells whose mirror lies in the grid, and the H+ mask.  Raises ValueError
     when the plane's dimension is not the grid's, and MisalignedHyperplane
     when the reflection does not map the cell-center lattice to itself.
@@ -266,7 +266,7 @@ class Reflection:
             )
         idx = idx.astype(np.int64)
         dims = np.asarray(grid.dims)
-        self.dims = grid.dims
+        self.grid = grid
         # AND the n <= 3 columns: np.all over an axis that short costs several times more
         self.inside = functools.reduce(operator.and_, ((idx >= 0) & (idx < dims)).T)
         # off-grid mirrors clip to an edge cell, which `inside` masks in every read
@@ -277,7 +277,7 @@ class Reflection:
 
     def mirror(self, values, fill):
         """``values`` read at each cell's mirror image; ``fill`` where it leaves the grid."""
-        return np.where(self.inside, values.ravel()[self.flat], fill).reshape(self.dims)
+        return np.where(self.inside, values.ravel()[self.flat], fill).reshape(self.grid.dims)
 
     def two_point(self, values, fill, fplus, fminus):
         """``fplus(v, mirror)`` on H+ and ``fminus(v, mirror)`` on H-, cell by cell."""

@@ -58,7 +58,6 @@ from .rearrange import CANONICAL_MAPS, layer_cake_rearrangement
 
 DEFAULT_GRID = centered_grid((32, 32), 1.0 / 8.0)
 MAX_BLOB_LEVEL = 8  # blob levels are integers in 0..MAX_BLOB_LEVEL
-LAW_TOL = 1e-12  # slack of the L^p and modulus inequalities
 LP_EXPONENTS = (1, 2, np.inf)  # the exponents of the L^p contraction law
 
 
@@ -480,29 +479,34 @@ def _keeps_order(trial):
     return None
 
 
+def _lp_sum(values, p):
+    """Sum of |v|^p (max |v| for p = inf): ordered as the L^p norm, with no volume or root to round."""
+    return np.abs(values).max() if p == np.inf else np.sum(np.abs(values) ** p)
+
+
 def _lp_norm(values, p, cell_volume):
-    if p == np.inf:
-        return float(np.abs(values).max())
-    return float((np.sum(np.abs(values) ** p) * cell_volume) ** (1.0 / p))
+    total = _lp_sum(values, p)
+    return float(total if p == np.inf else (total * cell_volume) ** (1.0 / p))
 
 
 def _contracts_lp(p):
-    """||Tf - Tg||_p <= ||f - g||_p + LAW_TOL."""
+    """||Tf - Tg||_p <= ||f - g||_p, exactly."""
 
     def score(trial):
         image_diff, diff = trial.lp_diffs
-        lhs = _lp_norm(image_diff, p, trial.grid.cell_volume)
-        rhs = _lp_norm(diff, p, trial.grid.cell_volume)
-        return {"p": str(p), "lhs": lhs, "rhs": rhs} if lhs > rhs + LAW_TOL else None
+        if _lp_sum(image_diff, p) <= _lp_sum(diff, p):
+            return None
+        lhs, rhs = (_lp_norm(d, p, trial.grid.cell_volume) for d in (image_diff, diff))
+        return {"p": str(p), "lhs": lhs, "rhs": rhs}
 
     return score
 
 
 def _reduces_modulus(trial):
-    """omega_d(Tf) <= omega_d(f) + LAW_TOL for every grid distance d."""
+    """omega_d(Tf) <= omega_d(f) for every grid distance d, exactly."""
     ds, before = trial.draw.profile
     _, after = trial.tf_profile
-    bad = after > before + LAW_TOL
+    bad = after > before
     if bad.any():
         j = int(np.argmax(bad))
         return {"distance": float(ds[j]), "before": float(before[j]), "after": float(after[j])}
@@ -758,9 +762,9 @@ def classify_rearrangement(transformer, grid, plane, seed=0):
         return "other", witness
     if two_disk is False:
         return "other", {"reason": "not invariant on mirror-image two-disk unions"}
-    candidate = CANONICAL_MAPS[label].function
+    candidate = CANONICAL_MAPS[label].transformer(plane)
     for f in probes:
-        if transformer(f) != candidate(f, plane):
+        if transformer(f) != candidate(f):
             return "other", {"reason": f"probe disagrees with {label}"}
     return label, None
 
@@ -778,7 +782,7 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
     if trials < 1:
         raise ValueError("trial count must be at least 1")
     plane = axis_plane(1, grid.n, 0.0, 1)
-    transformers = {name: functools.partial(row.function, plane=plane) for name, row in CANONICAL_MAPS.items()}
+    transformers = {name: row.transformer(plane) for name, row in CANONICAL_MAPS.items()}
     report = {"transformers": {}, "set_maps": {}}
     all_hold = True
     for name, out in check_transformers(transformers, trials, seed, grid).items():

@@ -1,15 +1,17 @@
 """Function-level rearrangement operators on grids.
 
-The two-point operator replaces f by max(f, f_mirror) on the positive side
-of an oriented hyperplane and by min(f, f_mirror) on the negative side; the
-other operators here either read it on indicators (set version), generalize it
-(pointwise maps built from a pair of associated functions), or rebuild a
-transformer from the images of super-level sets (layer-cake reconstruction).
+Every pointwise map is one kernel, :class:`PointwiseTransformer`: an associated
+pair (F+, F-) applied to (f(x), f(x')), x' the mirror image of x, F+ on H+ and
+F- on H-.  The four :data:`CANONICAL_MAPS` are the pairs (max, min), (min, max),
+(first, first) and (second, second).  An off-grid x' reads the minimum of f, so
+each is, at every admissible plane, the restriction of its map on f extended by
+its minimum.  Set versions read these maps on indicators; Steiner and Schwarz
+sort fibers; layer-cake reconstruction rebuilds a transformer from level sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,14 +23,61 @@ from .geometry import (
     OrientedHyperplane,
     Reflection,
     induced_set_map,
-    reflect_grid_function,
 )
+
+
+@dataclass(frozen=True)
+class AssociatedFunctionPair:
+    """Pair of two-argument functions that agree on the diagonal.
+
+    ``fplus`` is applied on the positive side of the hyperplane, ``fminus``
+    on the negative side; both receive (own value, mirrored value).
+    """
+
+    name: str
+    fplus: callable
+    fminus: callable
+
+
+def _proj_first(r, s):
+    return r
+
+
+def _proj_second(r, s):
+    return s
+
+
+def _mean(r, s):
+    return (np.asarray(r, dtype=float) + np.asarray(s, dtype=float)) / 2.0
+
+
+ASSOCIATED_PAIRS = {
+    "max_min": AssociatedFunctionPair("max_min", np.maximum, np.minimum),
+    "min_max": AssociatedFunctionPair("min_max", np.minimum, np.maximum),
+    "first": AssociatedFunctionPair("first", _proj_first, _proj_first),
+    "second": AssociatedFunctionPair("second", _proj_second, _proj_second),
+    "mean": AssociatedFunctionPair("mean", _mean, _mean),
+}
+
+
+@dataclass(frozen=True)
+class PointwiseTransformer:
+    """Grid transformer acting cellwise through an associated pair; keeps the
+    reflection plan of the last grid it read, and builds one only for another grid."""
+
+    pair: AssociatedFunctionPair
+    plane: OrientedHyperplane
+    _plan: Reflection = field(default=None, init=False, repr=False, compare=False)
+
+    def __call__(self, f):
+        if self._plan is None or self._plan.grid != f.grid:
+            object.__setattr__(self, "_plan", Reflection(f.grid, self.plane))
+        return GridFunction(f.grid, self._plan.two_point(f.values, f.essinf, self.pair.fplus, self.pair.fminus))
 
 
 def polarize(f, plane):
     """Two-point rearrangement of a grid function across an oriented hyperplane."""
-    out = Reflection(f.grid, plane).two_point(f.values, f.essinf, np.maximum, np.minimum)
-    return GridFunction(f.grid, out)
+    return PointwiseTransformer(ASSOCIATED_PAIRS["max_min"], plane)(f)
 
 
 def polarize_set(a, plane):
@@ -36,35 +85,27 @@ def polarize_set(a, plane):
     return induced_set_map(lambda f: polarize(f, plane))(a)
 
 
-def _polarize_reflected(f, plane):
-    """reflect_grid_function(polarize(f, plane), plane) through one reflection plan."""
-    plan = Reflection(f.grid, plane)
-    out = plan.two_point(f.values, f.essinf, np.maximum, np.minimum)
-    return GridFunction(f.grid, plan.mirror(out, out.min()))
-
-
 @dataclass(frozen=True)
 class CanonicalMap:
-    """One canonical rearrangement: ``function(f, plane)``, read on indicators
+    """One canonical rearrangement: its associated pair, read on indicators
     for its set map, the name of the contraction that moves its chord
     midpoints (see :func:`~symmkit.contractions.canonical_contraction`), and
     the name of its set map."""
 
-    function: callable
+    pair: AssociatedFunctionPair
     contraction: str
     set_name: str
 
+    def transformer(self, plane):
+        """The map across ``plane``: the pair's :class:`PointwiseTransformer`."""
+        return PointwiseTransformer(self.pair, plane)
 
-# the four canonical maps, one row each; the lambdas look the operators up
-# at call time, so wrappers installed on the module functions (the
-# benchmark's tracer) see these calls too, and name their second parameter
-# ``plane`` because ``verify`` passes it by keyword.  The composite reads
-# through a single plan, so no polarize call shows inside it.
+
 CANONICAL_MAPS = {
-    "two_point": CanonicalMap(lambda f, plane: polarize(f, plane), "abs", "polarization"),
-    "reflection": CanonicalMap(lambda f, plane: reflect_grid_function(f, plane), "neg", "reflection"),
-    "identity": CanonicalMap(lambda f, plane: f, "id", "identity"),
-    "two_point_reflected": CanonicalMap(_polarize_reflected, "negabs", "polarization_dagger"),
+    "two_point": CanonicalMap(ASSOCIATED_PAIRS["max_min"], "abs", "polarization"),
+    "reflection": CanonicalMap(ASSOCIATED_PAIRS["second"], "neg", "reflection"),
+    "identity": CanonicalMap(ASSOCIATED_PAIRS["first"], "id", "identity"),
+    "two_point_reflected": CanonicalMap(ASSOCIATED_PAIRS["min_max"], "negabs", "polarization_dagger"),
 }
 
 
@@ -123,52 +164,6 @@ def schwarz_symmetrize_function(f, axis):
 def schwarz_symmetrize_set(a, axis):
     """Centered quasi-disk of each planar fiber's cell count: the function rule read on the indicator."""
     return induced_set_map(lambda f: schwarz_symmetrize_function(f, axis))(a)
-
-
-@dataclass(frozen=True)
-class AssociatedFunctionPair:
-    """Pair of two-argument functions that agree on the diagonal.
-
-    ``fplus`` is applied on the positive side of the hyperplane, ``fminus``
-    on the negative side; both receive (own value, mirrored value).
-    """
-
-    name: str
-    fplus: callable
-    fminus: callable
-
-
-def _proj_first(r, s):
-    return np.asarray(r, dtype=float) + 0.0 * np.asarray(s, dtype=float)
-
-
-def _proj_second(r, s):
-    return np.asarray(s, dtype=float) + 0.0 * np.asarray(r, dtype=float)
-
-
-def _mean(r, s):
-    return (np.asarray(r, dtype=float) + np.asarray(s, dtype=float)) / 2.0
-
-
-ASSOCIATED_PAIRS = {
-    "max_min": AssociatedFunctionPair("max_min", np.maximum, np.minimum),
-    "min_max": AssociatedFunctionPair("min_max", np.minimum, np.maximum),
-    "first": AssociatedFunctionPair("first", _proj_first, _proj_first),
-    "second": AssociatedFunctionPair("second", _proj_second, _proj_second),
-    "mean": AssociatedFunctionPair("mean", _mean, _mean),
-}
-
-
-@dataclass(frozen=True)
-class PointwiseTransformer:
-    """Grid transformer acting cellwise through an associated pair."""
-
-    pair: AssociatedFunctionPair
-    plane: OrientedHyperplane
-
-    def __call__(self, f):
-        plan = Reflection(f.grid, self.plane)
-        return GridFunction(f.grid, plan.two_point(f.values, f.essinf, self.pair.fplus, self.pair.fminus))
 
 
 def check_fvalues(pair, samples):

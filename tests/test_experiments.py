@@ -194,23 +194,26 @@ def test_verify_work_per_trial(seed):
     # drawn once for all four transformers (3 draws, one trial_rng), with one
     # distribution(f) and one modulus_profile(f); each Tf adds a
     # distribution and, but for the identity's (Tf equals f), a
-    # modulus_profile; the set-map laws take 8 draws and 14 trial_rng calls,
-    # and each of the 7 images the polarization set map makes there is
-    # polarize read on an indicator
+    # modulus_profile; the set-map laws take 8 draws and 14 trial_rng calls.
+    # Every canonical map is one pointwise transformer that keeps the plan of
+    # the grid it last read: the four rows read f, the bumped f and the
+    # partner (12 kernel calls, 4 plans), the two set maps make 7 images each
+    # (14 kernel calls, 2 plans), and the symmetric sets of the set-map laws
+    # take 2 mirror reads
     from symmkit import geometry, harness, rearrange
 
     watched = {
         harness.random_blob_function.__code__: "random_blob_function",
         geometry.Reflection.__init__.__code__: "Reflection",
-        rearrange.polarize.__code__: "polarize",
+        rearrange.PointwiseTransformer.__call__.__code__: "kernel",
         harness.trial_rng.__code__: "trial_rng",
         harness.modulus_profile.__code__: "modulus_profile",
         geometry.distribution.__code__: "distribution",
     }
     assert calls_made(watched, lambda: run_verify(trials=1, seed=seed)) == {
         "random_blob_function": 11,
-        "Reflection": 18,
-        "polarize": 10,
+        "Reflection": 8,
+        "kernel": 26,
         "trial_rng": 15,
         "modulus_profile": 4,
         "distribution": 5,

@@ -1,18 +1,25 @@
-"""Per-axis rasters and generators, and one-plan composite maps, against their old forms.
+"""Per-axis rasters and generators, and the canonical maps at every plane, against reference forms.
 
 The rasters and the blob generator read per-axis cell-center vectors instead
-of ``Grid.centers()``; the composite maps reflect after polarizing through a
-single reflection plan.  Each is checked with ``==`` against the form it
-replaced, on random 1D-3D grids and planes.
+of ``Grid.centers()``; each is checked with ``==`` against the ``centers()``
+form it replaced.  Each canonical map, function and set map, is checked at
+every admissible plane, off-center ones included, against the same map
+applied to f extended by its minimum and restricted to f's grid; at center
+planes, where no mirror leaves the grid, the reflected two-point map is also
+reflection after polarization.  All on random 1D-3D grids.
 """
 
 import numpy as np
 import pytest
+from grid_strategies import admissible_planes, small_grid
 
 import symmkit as sk
 from symmkit.harness import random_blob_function, trial_rng
 
-two_point_reflected = sk.CANONICAL_MAPS["two_point_reflected"].function
+
+def two_point_reflected(f, plane):
+    return sk.CANONICAL_MAPS["two_point_reflected"].transformer(plane)(f)
+
 
 SEEDS = range(40)
 
@@ -122,38 +129,90 @@ class TestPerAxisRasters:
         random_blob_function(trial_rng(619, 0), grid)
 
 
-def axis_planes(rng, grid, count):
-    """Axis planes at random half-lattice offsets, edges included, either side positive."""
-    for _ in range(count):
-        k = int(rng.integers(0, grid.n))
-        j = int(rng.integers(0, 2 * grid.dims[k] + 1))
-        offset = grid.origin[k] + j * grid.spacing / 2.0
-        yield sk.axis_plane(k, grid.n, offset, int(rng.choice([1, -1])))
+def center_axis_planes(grid):
+    """Axis planes through the grid center, either side positive: every mirror stays on the grid."""
+    for k in range(grid.n):
+        for positive in (1, -1):
+            yield sk.axis_plane(k, grid.n, grid.center[k], positive)
 
 
-def diagonal_planes(rng, grid, count):
-    """Diagonal planes of a square 2D grid with equal origin coordinates, off-center ones included."""
-    o, h, m = grid.origin[0], grid.spacing, grid.dims[0]
-    for _ in range(count):
-        if rng.random() < 0.5:  # x - y = k h: maps (x, y) to (y + k h, x - k h)
-            normal, offset = (1.0, -1.0), int(rng.integers(-m, m + 1)) * h
-        else:  # x + y = 2 o + j h: maps (x, y) to (2 o + j h - y, 2 o + j h - x)
-            normal, offset = (1.0, 1.0), 2.0 * o + int(rng.integers(0, 2 * m + 1)) * h
-        sign = int(rng.choice([1, -1]))
-        yield sk.OrientedHyperplane(tuple(sign * c / np.sqrt(2.0) for c in normal), sign * offset / np.sqrt(2.0))
+def center_diagonal_planes(grid):
+    """The two diagonals through the center of a square 2D grid, either side positive."""
+    r = np.sqrt(0.5)
+    c = grid.center[0] + grid.center[1]
+    for positive in (1, -1):
+        yield sk.OrientedHyperplane((r, -r), r * (grid.origin[0] - grid.origin[1]), positive)
+        yield sk.OrientedHyperplane((r, r), r * c, positive)
 
 
 def random_values(rng, grid):
     return rng.integers(-3, 4, grid.dims).astype(float)  # ties, between mirror cells too
 
 
+def min_extension_images(f, plane):
+    """Each canonical map applied to f extended by its minimum, restricted to f's grid, by row label.
+
+    The extension lives on a grid three times as wide on every axis, which
+    holds the mirror image of every cell of f's grid; the reflected two-point
+    map is read literally, as the reflection of the polarization.
+    """
+    grid, h = f.grid, f.grid.spacing
+    wide = sk.Grid(tuple(3 * d for d in grid.dims), tuple(o - d * h for o, d in zip(grid.origin, grid.dims)), h)
+    inner = tuple(slice(d, 2 * d) for d in grid.dims)
+    values = np.full(wide.dims, f.essinf)
+    values[inner] = f.values
+    ext = sk.GridFunction(wide, values)
+    mirror = sk.reflect_grid_function(ext, plane)
+    # on-plane cells are their own mirror, so either side gives them their own value
+    plus = plane.signed(wide.centers()).reshape(wide.dims) > 0
+    polarized = ext.with_values(np.where(plus, np.maximum(values, mirror.values), np.minimum(values, mirror.values)))
+    images = {
+        "two_point": polarized,
+        "reflection": mirror,
+        "identity": ext,
+        "two_point_reflected": sk.reflect_grid_function(polarized, plane),
+    }
+    return {label: sk.GridFunction(grid, image.values[inner]) for label, image in images.items()}
+
+
+class TestCanonicalMapsAtEveryPlane:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_each_row_is_the_restriction_of_its_map_on_the_extension(self, seed):
+        rng = trial_rng(659, seed)
+        grid = small_grid(rng, square=seed % 2 == 0)
+        f = sk.GridFunction(grid, random_values(rng, grid))
+        a = sk.GridSet(grid, rng.random(grid.dims) < 0.4)
+        for plane in admissible_planes(grid):
+            expect = min_extension_images(f, plane)
+            for label, row in sk.CANONICAL_MAPS.items():
+                assert row.transformer(plane)(f) == expect[label], (label, grid, plane)
+            if np.count_nonzero(plane.normal) == 1:  # canonical set maps take axis planes only
+                expect = min_extension_images(a.indicator(), plane)
+                for label in sk.CANONICAL_MAPS:
+                    image = sk.canonical_set_map(label, plane)(a).indicator()
+                    assert image == expect[label], (label, grid, plane, a.mask)
+
+    def test_off_center_dagger_is_the_restriction(self):
+        # the plane x = 1 sends cells 2 and 3 off the grid; their mirrors
+        # read the minimum of f, as in f's extension by its minimum
+        grid = sk.Grid((4,), (0.0,), 1.0)
+        f = sk.GridFunction(grid, [5.0, 1.0, 2.0, 3.0])
+        plane = sk.axis_plane(0, 1, 1.0, -1)
+        out = two_point_reflected(f, plane)
+        assert np.array_equal(out.values, [1.0, 5.0, 2.0, 3.0])
+        assert out == min_extension_images(f, plane)["two_point_reflected"]
+        assert sk.distribution(out) == sk.distribution(f)
+
+
 class TestOnePlanComposites:
+    """At center planes the reflected two-point map is reflection after polarization."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_two_point_reflected_on_axis_planes(self, seed):
         rng = trial_rng(631, seed)
         grid = random_grid(rng)
         f = sk.GridFunction(grid, random_values(rng, grid))
-        for plane in axis_planes(rng, grid, 6):
+        for plane in center_axis_planes(grid):
             expect = sk.reflect_grid_function(sk.polarize(f, plane), plane)
             assert two_point_reflected(f, plane) == expect
 
@@ -164,7 +223,7 @@ class TestOnePlanComposites:
         o = float(rng.uniform(-2.0, 2.0))
         grid = sk.Grid((m, m), (o, o), float(rng.uniform(0.1, 1.0)))
         f = sk.GridFunction(grid, random_values(rng, grid))
-        for plane in diagonal_planes(rng, grid, 6):
+        for plane in center_diagonal_planes(grid):
             expect = sk.reflect_grid_function(sk.polarize(f, plane), plane)
             assert two_point_reflected(f, plane) == expect
 
@@ -173,19 +232,9 @@ class TestOnePlanComposites:
         rng = trial_rng(643, seed)
         grid = random_grid(rng)
         a = sk.GridSet(grid, rng.random(grid.dims) < 0.4)
-        for plane in axis_planes(rng, grid, 6):
+        for plane in center_axis_planes(grid):
             expect = sk.reflect_grid_set(sk.polarize_set(a, plane), plane)
             assert sk.canonical_set_map("two_point_reflected", plane)(a) == expect
-
-    def test_off_center_fill_reads_the_polarized_minimum(self):
-        # the plane x = 1 sends cells 3 and up off the grid; the reflection
-        # after polarizing fills them with the minimum value
-        grid = sk.Grid((4,), (0.0,), 1.0)
-        f = sk.GridFunction(grid, [5.0, 1.0, 2.0, 3.0])
-        plane = sk.axis_plane(0, 1, 1.0, -1)
-        out = two_point_reflected(f, plane)
-        assert out == sk.reflect_grid_function(sk.polarize(f, plane), plane)
-        assert np.array_equal(out.values, [1.0, 5.0, 1.0, 1.0])
 
     def test_one_plan_per_call(self, monkeypatch):
         built = []

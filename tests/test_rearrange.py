@@ -263,6 +263,35 @@ class TestPointwiseMaps:
             f = rand_fn(i)
             assert T(f) == sk.reflect_grid_function(f, PLANE)
 
+    @pytest.mark.parametrize("label", ["identity", "reflection"])
+    def test_projection_rows_keep_negative_zeros(self, label):
+        # the projections select values: a -0.0 cell is read back as -0.0
+        rng = trial_rng(43, 0)
+        f = sk.GridFunction(GRID, np.where(rng.random(GRID.dims) < 0.5, -0.0, 2.0))
+        expect = f if label == "identity" else sk.reflect_grid_function(f, PLANE)
+        out = sk.CANONICAL_MAPS[label].transformer(PLANE)(f)
+        assert np.signbit(expect.values).any()
+        assert np.array_equal(np.signbit(out.values), np.signbit(expect.values))
+
+    def test_one_plan_for_the_last_grid_read(self, monkeypatch):
+        # equal dims, different origins: x = 2 is the first grid's center
+        # plane and sends two cells of the second grid off it
+        built = []
+        init = sk.Reflection.__init__
+
+        def counted(self, grid, plane):
+            built.append(grid)
+            init(self, grid, plane)
+
+        monkeypatch.setattr(sk.Reflection, "__init__", counted)
+        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["max_min"], sk.axis_plane(0, 1, 2.0, 1))
+        fa = sk.GridFunction(sk.Grid((4,), (0.0,), 1.0), [5.0, 1.0, 2.0, 3.0])
+        fb = sk.GridFunction(sk.Grid((4,), (1.0,), 1.0), [5.0, 1.0, 2.0, 3.0])
+        expect = {fa.grid: [3.0, 1.0, 2.0, 5.0], fb.grid: [1.0, 5.0, 2.0, 3.0]}
+        for f, builds in ((fa, 1), (fa, 1), (fb, 2), (fa, 3)):
+            assert np.array_equal(T(f).values, expect[f.grid])
+            assert len(built) == builds
+
     def test_diagonal_coincidence(self):
         for pair in ASSOCIATED_PAIRS.values():
             for s in (-2.0, 0.0, 0.5, 3.0):
@@ -295,6 +324,13 @@ class TestFvalues:
     def test_first_projection_passes(self):
         ok, _ = sk.check_fvalues(ASSOCIATED_PAIRS["first"], [(1.0, 0.0), (0.0, 1.0), (2.0, 3.0)])
         assert ok
+
+    @pytest.mark.parametrize("label", list(sk.CANONICAL_MAPS))
+    def test_every_canonical_row_passes(self, label):
+        rng = trial_rng(41, 0)
+        samples = list(zip(*rng.integers(-3, 4, (2, 60)).astype(float)))  # ties included
+        ok, violation = sk.check_fvalues(sk.CANONICAL_MAPS[label].pair, samples)
+        assert ok and violation is None
 
     def test_mean_pair_fails_with_witness(self):
         ok, violation = sk.check_fvalues(ASSOCIATED_PAIRS["mean"], [(0.0, 2.0)])

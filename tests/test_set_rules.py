@@ -9,33 +9,12 @@ every set rule a caller can reach.
 
 import numpy as np
 import pytest
+from grid_strategies import admissible_planes, small_grid
 
 import symmkit as sk
 from symmkit.harness import trial_rng
 
 SEEDS = range(24)
-
-
-def random_grid(rng, square):
-    n = int(rng.integers(1, 4))
-    dims = (int(rng.integers(1, 6)),) * n if square else tuple(int(d) for d in rng.integers(1, 6, n))
-    return sk.Grid(dims, tuple(rng.uniform(-3.0, 3.0, n)), float(rng.uniform(0.05, 2.0)))
-
-
-def admissible_planes(grid):
-    """Every admissible plane of the grid, both orientations."""
-    o, h, n = grid.origin, grid.spacing, grid.n
-    e, r = np.eye(n), np.sqrt(0.5)
-    planes = [(e[k], o[k] + p * h / 2) for k in range(n) for p in range(2 * grid.dims[k] + 1)]
-    if n > 1 and len(set(grid.dims)) == 1:
-        m = grid.dims[0]
-        for a in range(n):
-            for b in range(a + 1, n):
-                planes += [(r * (e[a] - e[b]), r * ((o[a] - o[b]) + d * h)) for d in range(-m, m + 1)]
-                planes += [(r * (e[a] + e[b]), r * ((o[a] + o[b]) + t * h)) for t in range(2 * m + 1)]
-    for normal, offset in planes:
-        for positive in (1, -1):
-            yield sk.OrientedHyperplane(tuple(normal), offset, positive)
 
 
 def set_rules(plane):
@@ -46,7 +25,7 @@ def set_rules(plane):
     ]
     if np.count_nonzero(plane.normal) == 1:  # canonical set maps take axis planes only
         for label, row in sk.CANONICAL_MAPS.items():
-            rules.append((label, sk.canonical_set_map(label, plane), lambda f, fn=row.function: fn(f, plane)))
+            rules.append((label, sk.canonical_set_map(label, plane), row.transformer(plane)))
     return rules
 
 
@@ -59,7 +38,7 @@ def sample_sets(rng, grid):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_set_rule_is_its_function_rule_on_the_indicator(seed):
     rng = trial_rng(653, seed)
-    grid = random_grid(rng, square=seed % 2 == 0)
+    grid = small_grid(rng, square=seed % 2 == 0)
     sets = sample_sets(rng, grid)
     for plane in admissible_planes(grid):
         for name, set_rule, function_rule in set_rules(plane):
