@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -247,33 +246,51 @@ def axis_plane(axis, n, offset=0.0, positive=1):
 
 
 class Reflection:
-    """Mirror read of one grid across one hyperplane, built from one ``centers()`` pass.
+    """Mirror read of one grid across one hyperplane, built axis by axis from ``open_centers()``.
 
     Holds its grid, the clipped flat gather of the reflected cell centers, the mask of
-    cells whose mirror lies in the grid, and the H+ mask.  Raises ValueError
-    when the plane's dimension is not the grid's, and MisalignedHyperplane
-    when the reflection does not map the cell-center lattice to itself.
+    cells whose mirror lies in the grid, and the H+ mask.  The projection onto the
+    normal sums the per-axis terms in axis order; each axis then gets its mirror
+    index and its lattice test, so no ``(num_cells, n)`` centers array is built.
+    Raises ValueError when the plane's dimension is not the grid's, and
+    MisalignedHyperplane when the reflection does not map the cell-center lattice
+    to itself, or sends a center so far that the lattice test cannot check it.
     """
 
     def __init__(self, grid, plane):
         grid.require_plane(plane)
-        centers = grid.centers()
-        frac = (plane.reflect(centers) - np.asarray(grid.origin)) / grid.spacing - 0.5
-        idx = np.rint(frac)
-        if np.abs(frac - idx).max() > LATTICE_TOL:
-            raise MisalignedHyperplane(
-                "reflection in the hyperplane does not preserve the cell-center lattice"
-            )
-        idx = idx.astype(np.int64)
-        dims = np.asarray(grid.dims)
+        h, dims = grid.spacing, grid.dims
+        idx, inside = [], True
+        # a plane far off the grid may overflow to inf or NaN; the magnitude test catches both
+        with np.errstate(over="ignore", invalid="ignore"):
+            axes = grid.open_centers()
+            p = 0.0
+            for x, c in zip(axes, plane.normal):
+                p = p + x * c
+            p = p - plane.offset
+            two_p = 2.0 * p
+            for x, c, o, d in zip(axes, plane.normal, grid.origin, dims):
+                frac = (x - two_p * c - o) / h - 0.5
+                # from 2**52 on every float is an integer, so the lattice test cannot fail
+                if not np.abs(frac).max() < 2.0**52:
+                    raise MisalignedHyperplane(
+                        "reflection in the hyperplane sends cell centers past the range of the lattice test"
+                    )
+                i = np.rint(frac)
+                if np.abs(frac - i).max() > LATTICE_TOL:
+                    raise MisalignedHyperplane(
+                        "reflection in the hyperplane does not preserve the cell-center lattice"
+                    )
+                i = i.astype(np.int64)
+                inside = inside & (i >= 0) & (i < d)
+                idx.append(i)
         self.grid = grid
-        # AND the n <= 3 columns: np.all over an axis that short costs several times more
-        self.inside = functools.reduce(operator.and_, ((idx >= 0) & (idx < dims)).T)
+        self.inside = inside.ravel()
         # off-grid mirrors clip to an edge cell, which `inside` masks in every read
-        self.flat = np.ravel_multi_index(tuple(idx.T), grid.dims, mode="clip")
+        self.flat = np.ravel_multi_index(idx, dims, mode="clip").ravel()
         # every off-plane cell lies at least h/(2*sqrt(2)) from an admissible
         # plane, so the slack only keeps on-plane cells, rounded to -1 ulp, in H+
-        self.hplus = (plane.signed(centers) >= -LATTICE_TOL * grid.spacing).reshape(grid.dims)
+        self.hplus = p * plane.positive >= -LATTICE_TOL * h
 
     def mirror(self, values, fill):
         """``values`` read at each cell's mirror image; ``fill`` where it leaves the grid."""

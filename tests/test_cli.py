@@ -139,6 +139,16 @@ def test_malformed_grd1_exit_2(tmp_path, capsys, header):
     assert "GRD1 header" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offset", ["1e300", "1e308"])
+def test_polarize_far_plane_exit_2(tmp_path, capsys, offset):
+    path, out = tmp_path / "f.grd", tmp_path / "o.grd"
+    gridio.write_grid_function(path, sk.GridFunction(sk.centered_grid((4,), 0.25), np.array([5.0, 1.0, 2.0, 3.0])))
+    argv = ["polarize", "--in", str(path), "--normal", "1", "--offset", offset, "--out", str(out)]
+    assert cli_dispatch(argv) == 2
+    assert "range of the lattice test" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, dims, spacing",
     [

@@ -247,17 +247,22 @@ def plan_oracle(grid, plane):
     return inside, flat, hplus
 
 
+def oracle_grid(rng):
+    """A random 1D-3D grid, square half of the time so that it gets diagonal planes."""
+    n = int(rng.integers(1, 4))
+    m = rng.integers(1, {1: 12, 2: 9, 3: 6}[n], n)
+    dims = (int(m[0]),) * n if rng.random() < 0.5 else tuple(int(d) for d in m)
+    return sk.Grid(dims, tuple(rng.uniform(-3.0, 3.0, n)), float(rng.uniform(0.05, 2.0)))
+
+
 class TestReflectionPlanOracle:
     @pytest.mark.parametrize("seed", range(30))
     def test_plan_and_its_reads_equal_the_oracle(self, seed):
-        # random 1D-3D grids, half of them square so that they get diagonal
-        # planes; every axis plane, the edge ones included, whose mirrors all
-        # leave the grid, and off-center ones, whose mirrors leave it in part
+        # every axis plane, the edge ones included, whose mirrors all leave
+        # the grid, and off-center ones, whose mirrors leave it in part
         rng = np.random.default_rng([53, seed])
-        n = int(rng.integers(1, 4))
-        m = rng.integers(1, {1: 12, 2: 9, 3: 6}[n], n)
-        dims = (int(m[0]),) * n if rng.random() < 0.5 else tuple(int(d) for d in m)
-        grid = sk.Grid(dims, tuple(rng.uniform(-3.0, 3.0, n)), float(rng.uniform(0.05, 2.0)))
+        grid = oracle_grid(rng)
+        dims = grid.dims
         values = rng.integers(-3, 4, dims).astype(float)  # ties, between mirror cells too
         fill = float(values.min())
         for plane, _ in lattice_planes(grid):
@@ -271,6 +276,21 @@ class TestReflectionPlanOracle:
             for fplus, fminus in ((np.maximum, np.minimum), (np.minimum, np.maximum)):
                 expect = np.where(hplus, fplus(values, mirrored), fminus(values, mirrored))
                 assert np.array_equal(plan.two_point(values, fill, fplus, fminus), expect), (grid, plane)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_misaligned_planes_raise(self, seed):
+        # the lattice test runs axis by axis, so each axis gets a plane a
+        # quarter cell off the half-lattice; the oblique plane through the
+        # grid's corner moves the center of cell 0 by 0.84 and 1.12 cells
+        grid = oracle_grid(np.random.default_rng([53, seed]))
+        o, h, n = grid.origin, grid.spacing, grid.n
+        planes = [sk.axis_plane(k, n, o[k] + (grid.dims[k] // 2 + 0.25) * h, s) for k in range(n) for s in (1, -1)]
+        if n > 1:
+            normal = (0.6, 0.8, 0.0)[:n]
+            planes += [sk.OrientedHyperplane(normal, 0.6 * o[0] + 0.8 * o[1], s) for s in (1, -1)]
+        for plane in planes:
+            with pytest.raises(MisalignedHyperplane, match="does not preserve"):
+                sk.Reflection(grid, plane)
 
 
 class TestReflectGridFunction:
@@ -298,6 +318,16 @@ class TestReflectGridFunction:
         f = sk.GridFunction(g, np.arange(8.0))
         with pytest.raises(MisalignedHyperplane):
             sk.reflect_grid_function(f, sk.axis_plane(0, 1, 0.1, 1))
+
+    @pytest.mark.parametrize("offset", [1e300, 1e308])
+    @pytest.mark.parametrize("dims", [(4,), (4, 3)])
+    def test_far_plane_raises_without_a_warning(self, dims, offset):
+        # from 1e300 on the mirror index is a float past 2**52, an integer
+        # whatever it is, or at 1e308 inf and, times a zero normal entry, NaN
+        g = sk.centered_grid(dims, 0.25)
+        f = sk.GridFunction(g, np.arange(float(g.num_cells)).reshape(dims))
+        with pytest.raises(MisalignedHyperplane, match="range of the lattice test"):
+            sk.reflect_grid_function(f, sk.axis_plane(0, len(dims), offset, 1))
 
     @pytest.mark.parametrize("grid_n, plane_n", [(g, p) for g in (1, 2, 3) for p in (1, 2, 3) if g != p])
     def test_plane_of_another_dimension_raises(self, grid_n, plane_n):

@@ -127,6 +127,9 @@ class TestPerAxisRasters:
         sk.disk_raster(grid, grid.center, 0.5)
         sk.box_raster(grid, (-0.5,) * 3, (0.5,) * 3)
         random_blob_function(trial_rng(619, 0), grid)
+        sk.Reflection(grid, sk.axis_plane(2, 3, grid.center[2]))
+        square = sk.centered_grid((6, 6), 0.25)
+        sk.Reflection(square, next(center_diagonal_planes(square)))
 
 
 def center_axis_planes(grid):
