@@ -70,9 +70,17 @@ class PLContraction:
 CANONICAL_NAMES = ("id", "neg", "abs", "negabs")
 
 
+def _positive(name, value):
+    """``value`` as a float; ValueError naming ``name`` unless it is finite and positive."""
+    x = float(value)
+    if not (np.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return x
+
+
 def canonical_contraction(name, half_width=8.0):
     """One of the four maps t, -t, |t|, -|t| on [-half_width, half_width]."""
-    T = float(half_width)
+    T = _positive("half_width", half_width)
     tables = {
         "id": [(-T, -T), (0.0, 0.0), (T, T)],
         "neg": [(-T, T), (0.0, 0.0), (T, -T)],
@@ -86,9 +94,8 @@ def canonical_contraction(name, half_width=8.0):
 
 def sawtooth_contraction(period=1.0, half_width=8.0):
     """Distance to the nearest multiple of ``period``; all slopes are +-1."""
-    p = float(period)
-    if p <= 0:
-        raise ValueError("period must be positive")
+    p = _positive("period", period)
+    half_width = _positive("half_width", half_width)
     k_lo = int(np.floor(-half_width / (p / 2.0))) - 1
     k_hi = int(np.ceil(half_width / (p / 2.0))) + 1
     ts = np.arange(k_lo, k_hi + 1) * (p / 2.0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,11 +197,16 @@ class OrientedHyperplane:
     ``positive=+1`` selects H+ = {x : x.normal >= offset}; ``positive=-1``
     selects the opposite closed half-space.  Both half-spaces contain the
     hyperplane itself.
+
+    Every mirror read across the plane goes through :meth:`reflection`, which
+    keeps the :class:`Reflection` of the last grid read, so all the maps that
+    share one plane object on one grid share one plan.
     """
 
     normal: tuple
     offset: float = 0.0
     positive: int = 1
+    _reflection: Reflection = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normal = tuple(float(c) for c in self.normal)
@@ -238,6 +243,14 @@ class OrientedHyperplane:
         proj = pts @ nrm - self.offset
         return pts - 2.0 * np.multiply.outer(proj, nrm)
 
+    def reflection(self, grid):
+        """The :class:`Reflection` of ``grid`` in this plane; built only when the last grid read differs."""
+        plan = self._reflection
+        if plan is None or plan.grid != grid:
+            plan = Reflection(grid, self)
+            object.__setattr__(self, "_reflection", plan)
+        return plan
+
 
 def axis_plane(axis, n, offset=0.0, positive=1):
     """Hyperplane orthogonal to coordinate ``axis`` in dimension ``n``."""
@@ -249,7 +262,9 @@ class Reflection:
     """Mirror read of one grid across one hyperplane, built axis by axis from ``open_centers()``.
 
     Holds its grid, the clipped flat gather of the reflected cell centers, the mask of
-    cells whose mirror lies in the grid, and the H+ mask.  The projection onto the
+    cells whose mirror lies in the grid, and the H+ mask.  The three arrays are
+    read-only, because every map across the plane shares them through
+    :meth:`OrientedHyperplane.reflection`, the one place a plan is built.  The projection onto the
     normal sums the per-axis terms in axis order; each axis then gets its mirror
     index and its lattice test, so no ``(num_cells, n)`` centers array is built.
     Raises ValueError when the plane's dimension is not the grid's, and
@@ -291,6 +306,8 @@ class Reflection:
         # every off-plane cell lies at least h/(2*sqrt(2)) from an admissible
         # plane, so the slack only keeps on-plane cells, rounded to -1 ulp, in H+
         self.hplus = p * plane.positive >= -LATTICE_TOL * h
+        for arr in (self.inside, self.flat, self.hplus):
+            arr.setflags(write=False)
 
     def mirror(self, values, fill):
         """``values`` read at each cell's mirror image; ``fill`` where it leaves the grid."""
@@ -303,8 +320,11 @@ class Reflection:
 
 
 def reflect_grid_function(f, plane):
-    """Function x -> f(reflection of x); out-of-grid reads give the minimum value."""
-    return GridFunction(f.grid, Reflection(f.grid, plane).mirror(f.values, f.essinf))
+    """Function x -> f(reflection of x); out-of-grid reads give the minimum value.
+
+    Reads through the plane's kept plan, :meth:`OrientedHyperplane.reflection`.
+    """
+    return GridFunction(f.grid, plane.reflection(f.grid).mirror(f.values, f.essinf))
 
 
 def reflect_grid_set(a, plane):

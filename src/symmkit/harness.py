@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,6 +286,17 @@ def two_disk_symmetric_set(grid, plane, offset, radius):
 # ---------------------------------------------------------------------------
 # Function-transformer checks
 # ---------------------------------------------------------------------------
+
+
+def _trial_count(trials):
+    """``trials`` as an int of at least 1; ValueError otherwise, before any law runs."""
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trial count must be an integer, got {trials!r}") from None
+    if trials < 1:
+        raise ValueError(f"trial count must be at least 1, got {trials}")
+    return trials
 
 
 def _run_trials(caps, seed, score):
@@ -549,6 +561,7 @@ def check_transformers(transformers, trials=200, seed=0, grid=DEFAULT_GRID):
     failing trial, so its reports equal those of :func:`check_transformer`
     on it alone.  The modulus law runs at most MODULUS_MAX_TRIALS trials.
     """
+    trials = _trial_count(trials)
     laws = TRANSFORMER_LAWS.items()
     caps = {(t, name): min(trials, law.max_trials or trials) for t in transformers for name, law in laws}
 
@@ -658,6 +671,7 @@ def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=No
 
     ``plane`` is the reference hyperplane for maps not tied to one (the identity, say).
     """
+    trials = _trial_count(trials)
     if name not in SETMAP_LAWS:
         raise UnknownName(f"unknown set-map law {name!r}; expected one of {tuple(SETMAP_LAWS)}")
     law = SETMAP_LAWS[name]
@@ -779,8 +793,6 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
 
     Everything here is expected to hold; returns (report dict, all_hold).
     """
-    if trials < 1:
-        raise ValueError("trial count must be at least 1")
     plane = axis_plane(1, grid.n, 0.0, 1)
     transformers = {name: row.transformer(plane) for name, row in CANONICAL_MAPS.items()}
     report = {"transformers": {}, "set_maps": {}}
@@ -884,8 +896,7 @@ def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID):
     Returns a summary dict with one row per fixture; a mismatch raises
     GalleryMismatch (the summary rides on the exception).
     """
-    if trials < 1:
-        raise ValueError("trial count must be at least 1")
+    trials = _trial_count(trials)
     plane = axis_plane(1, grid.n, 0.0, 1)
     results = []
     for example, set_map, expected, check in GALLERY_ROWS:

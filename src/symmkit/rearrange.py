@@ -11,7 +11,7 @@ sort fibers; layer-cake reconstruction rebuilds a transformer from level sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .geometry import (
     GridFunction,
     GridSet,
     OrientedHyperplane,
-    Reflection,
     induced_set_map,
 )
 
@@ -62,17 +61,15 @@ ASSOCIATED_PAIRS = {
 
 @dataclass(frozen=True)
 class PointwiseTransformer:
-    """Grid transformer acting cellwise through an associated pair; keeps the
-    reflection plan of the last grid it read, and builds one only for another grid."""
+    """Grid transformer acting cellwise through an associated pair; reads
+    through the plane's kept plan, :meth:`OrientedHyperplane.reflection`."""
 
     pair: AssociatedFunctionPair
     plane: OrientedHyperplane
-    _plan: Reflection = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, f):
-        if self._plan is None or self._plan.grid != f.grid:
-            object.__setattr__(self, "_plan", Reflection(f.grid, self.plane))
-        return GridFunction(f.grid, self._plan.two_point(f.values, f.essinf, self.pair.fplus, self.pair.fminus))
+        plan = self.plane.reflection(f.grid)
+        return GridFunction(f.grid, plan.two_point(f.values, f.essinf, self.pair.fplus, self.pair.fminus))
 
 
 def polarize(f, plane):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import symmkit as sk
+from symmkit.contractions import CANONICAL_NAMES
 from symmkit.errors import UnknownName
 
 
@@ -74,3 +75,13 @@ def test_breakpoint_roundtrip():
     again = sk.PLContraction.from_breakpoints(phi.breakpoint_pairs())
     ts = np.linspace(-6, 6, 101)
     assert np.array_equal(phi(ts), again(ts))
+
+
+@pytest.mark.parametrize("half_width", [0.0, -8.0, float("inf"), float("nan")])
+def test_half_width_must_be_finite_and_positive(half_width):
+    # -8 used to mirror the map: "abs" read -|t| and "negabs" read |t|
+    for name in CANONICAL_NAMES:
+        with pytest.raises(ValueError, match="half_width"):
+            sk.canonical_contraction(name, half_width)
+    with pytest.raises(ValueError, match="half_width"):
+        sk.sawtooth_contraction(1.0, half_width=half_width)

@@ -9,7 +9,18 @@ import pytest
 import symmkit as sk
 from symmkit.errors import GalleryMismatch
 from symmkit.experiments import draw_polarization_plane, run_convergence
-from symmkit.harness import random_blob_function, run_gallery, run_verify, trial_rng
+from symmkit.chordmaps import canonical_set_map, cog_reflection_set_map
+from symmkit.harness import (
+    check_setmap_law,
+    check_setmap_properties,
+    check_transformer,
+    check_transformers,
+    random_blob_function,
+    run_gallery,
+    run_verify,
+    trial_rng,
+)
+from symmkit.rearrange import ASSOCIATED_PAIRS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,10 +74,36 @@ def test_profile_guard_catches_a_step_that_changes_a_value(monkeypatch, step, br
         assert len(run_convergence(f, 1, 3).rows) == 3
 
 
-@pytest.mark.parametrize("run", [run_verify, run_gallery])
-def test_zero_trials_rejected(run):
-    with pytest.raises(ValueError):
-        run(trials=0)
+PLANE = sk.axis_plane(1, 2, 0.0, 1)
+
+
+def _check_transformers(trials):
+    return check_transformers({"mean": sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)}, trials)
+
+
+def _check_transformer(trials):
+    return check_transformer(sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE), trials)
+
+
+def _check_setmap_law(trials):
+    # no plane: the count is checked before the law is skipped for want of one
+    return check_setmap_law("symmetric_invariant", cog_reflection_set_map(u_axis=1), trials)
+
+
+def _check_setmap_properties(trials):
+    return check_setmap_properties(canonical_set_map("identity", PLANE), trials)
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5])
+@pytest.mark.parametrize(
+    "run",
+    [run_verify, run_gallery, _check_transformers, _check_transformer, _check_setmap_law, _check_setmap_properties],
+)
+def test_zero_trials_rejected(run, trials):
+    # a count below 1 used to report every law as "holds" on no trials, and
+    # 2.5 raised TypeError from range
+    with pytest.raises(ValueError, match="trial count"):
+        run(trials=trials)
 
 
 def test_symmetric_input_all_distances_zero():
@@ -174,8 +211,8 @@ def calls_made(watched, run):
 
 def test_converge_work_per_step():
     # one reflection plan and one polarize per step, and no distribution
-    # profile: the per-step guard compares sorted values. A plan cache
-    # would re-pin the plan count.
+    # profile: the per-step guard compares sorted values. Each step's new
+    # plane builds its own plan.
     from symmkit import geometry, rearrange
 
     watched = {
@@ -195,11 +232,11 @@ def test_verify_work_per_trial(seed):
     # distribution(f) and one modulus_profile(f); each Tf adds a
     # distribution and, but for the identity's (Tf equals f), a
     # modulus_profile; the set-map laws take 8 draws and 14 trial_rng calls.
-    # Every canonical map is one pointwise transformer that keeps the plan of
-    # the grid it last read: the four rows read f, the bumped f and the
-    # partner (12 kernel calls, 4 plans), the two set maps make 7 images each
-    # (14 kernel calls, 2 plans), and the symmetric sets of the set-map laws
-    # take 2 mirror reads
+    # Every mirror read goes through the plane's kept plan, and verify reads
+    # one plane on one grid: the four rows read f, the bumped f and the
+    # partner (12 kernel calls), the two set maps make 7 images each (14
+    # kernel calls), and the symmetric sets of the set-map laws take 2 mirror
+    # reads, all on 1 plan
     from symmkit import geometry, harness, rearrange
 
     watched = {
@@ -212,12 +249,21 @@ def test_verify_work_per_trial(seed):
     }
     assert calls_made(watched, lambda: run_verify(trials=1, seed=seed)) == {
         "random_blob_function": 11,
-        "Reflection": 8,
+        "Reflection": 1,
         "kernel": 26,
         "trial_rng": 15,
         "modulus_profile": 4,
         "distribution": 5,
     }
+
+
+def test_gallery_builds_one_plan():
+    # every row reads the one gallery plane on the one grid: the composite's
+    # polarization, the near swap, the symmetric rasters and the classifier
+    from symmkit import geometry
+
+    watched = {geometry.Reflection.__init__.__code__: "Reflection"}
+    assert calls_made(watched, lambda: run_gallery(seed=7, trials=15)) == {"Reflection": 1}
 
 
 def test_gallery_matches_expected_matrix():

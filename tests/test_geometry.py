@@ -293,6 +293,46 @@ class TestReflectionPlanOracle:
                 sk.Reflection(grid, plane)
 
 
+class TestPlaneKeepsItsPlan:
+    def test_plan_arrays_are_read_only(self):
+        # every map across a plane shares its plan, so no reader may write it
+        plan = sk.axis_plane(0, 2, 0.25, -1).reflection(sk.centered_grid((6, 4), 0.25))
+        for arr in (plan.inside, plan.flat, plan.hplus):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+    def test_a_plan_per_grid_switch(self, monkeypatch):
+        # the plane keeps the last grid's plan: reading A, B, then A again
+        # builds three, and a plan already handed out stays that of its grid
+        built = []
+        init = sk.Reflection.__init__
+
+        def counted(self, grid, plane):
+            built.append(grid)
+            init(self, grid, plane)
+
+        grid_a = sk.centered_grid((6, 6), 0.25)
+        grid_b = sk.Grid((6, 6), (-0.75, -0.5), 0.25)
+        plane = sk.axis_plane(0, 2, 0.0, 1)
+        fresh = {g: sk.Reflection(g, plane) for g in (grid_a, grid_b)}
+        monkeypatch.setattr(sk.Reflection, "__init__", counted)
+        plans = []
+        for grid, builds in ((grid_a, 1), (grid_a, 1), (grid_b, 2), (grid_a, 3)):
+            plans.append(plane.reflection(grid))
+            assert len(built) == builds
+        for plan, grid in zip(plans, (grid_a, grid_a, grid_b, grid_a)):
+            assert plan.grid == grid
+            for name in ("inside", "flat", "hplus"):
+                assert np.array_equal(getattr(plan, name), getattr(fresh[grid], name)), (grid, name)
+
+    def test_plan_is_not_part_of_the_plane_value(self):
+        plane = sk.axis_plane(1, 2, 0.0, 1)
+        plane.reflection(sk.centered_grid((4, 4), 0.5))
+        assert plane == sk.axis_plane(1, 2, 0.0, 1)
+        assert hash(plane) == hash(sk.axis_plane(1, 2, 0.0, 1))
+        assert repr(plane) == repr(sk.axis_plane(1, 2, 0.0, 1))
+
+
 class TestReflectGridFunction:
     def test_symmetric_fixed_point(self):
         g = sk.centered_grid((8,), 0.25)
