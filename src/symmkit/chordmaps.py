@@ -17,7 +17,7 @@ import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
 from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
-from .geometry import GridSet, induced_set_map, reflect_grid_set
+from .geometry import UNIT_TOL, GridSet, induced_set_map, reflect_grid_set
 from .polygons import chords_at, perp
 from .rearrange import CANONICAL_MAPS, polarize_set
 
@@ -25,6 +25,7 @@ BREAK_TOL = 1e-12
 ORACLE_STATIONS = 64  # interior stations sampled by union_of_translates
 CONVEX_TOL = 1e-9  # slack on the second differences of region_is_convex
 NEAR_SWAP_WIDTH = 1.0  # near_swap swaps the cells this close to the hyperplane
+SET_MAP_DOMAINS = ("all", "convex", "core")
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,14 @@ def _vertex_stations(poly, w):
     return x[np.concatenate([[True], x[1:] != x[:-1]])]
 
 
+def _chord_direction(u):
+    """``u`` as a float array; ValueError unless it is a finite unit 2-vector."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (2,) or not np.all(np.isfinite(u)) or abs(float(np.linalg.norm(u)) - 1.0) > UNIT_TOL:
+        raise ValueError(f"chord direction u must be a finite unit 2-vector, got {u.tolist()}")
+    return u
+
+
 def chord_move_polygon(poly, phi, u):
     """Move every chord of the polygon orthogonal to u_perp by phi on midpoints.
 
@@ -139,7 +148,7 @@ def chord_move_polygon(poly, phi, u):
     """
     if poly.area() <= 0.0:
         raise DegenerateBody("cannot move chords of a degenerate polygon")
-    u = np.asarray(u, dtype=float)
+    u = _chord_direction(u)
     w = perp(u)
     stations = _vertex_stations(poly, w)
     lo, hi, ok = chords_at(poly.vertices, u, stations)
@@ -175,7 +184,7 @@ def union_of_translates(poly, phi, u, samples):
     """
     if samples < 2:
         raise ValueError("need at least two midpoint samples")
-    u = np.asarray(u, dtype=float)
+    u = _chord_direction(u)
     w = perp(u)
     vstations = _vertex_stations(poly, w)
     edges = np.linspace(vstations[0], vstations[-1], ORACLE_STATIONS + 1)
@@ -342,10 +351,10 @@ class SetMap:
 
     ``domain`` declares which inputs the map accepts, and so which sets the
     harness draws: "all", "convex" (contiguous columns) or "core" (sets in
-    the central box, an eighth of the grid's extent from its center).  When the
-    map's action on convex bodies is that of a contraction-driven chord
-    movement, ``contraction`` carries the contraction for polygon-exact
-    perimeter checks.
+    the central box, an eighth of the grid's extent from its center); any
+    other domain is a ValueError.  When the map's action on convex bodies is
+    that of a contraction-driven chord movement, ``contraction`` carries the
+    contraction for polygon-exact perimeter checks.
     """
 
     name: str
@@ -354,6 +363,10 @@ class SetMap:
     axis: int = None
     contraction: PLContraction = None
     domain: str = "all"
+
+    def __post_init__(self):
+        if self.domain not in SET_MAP_DOMAINS:
+            raise ValueError(f"set-map domain must be one of {SET_MAP_DOMAINS}, got {self.domain!r}")
 
     def __call__(self, a):
         return self.apply(a)

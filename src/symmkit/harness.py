@@ -6,23 +6,23 @@ trial is replayable from the (seed, trial) pair alone.  Verdicts are exact:
 grids have no null sets, so no measure-zero slack is granted anywhere.
 
 Each law catalog has one entry point: :func:`check_transformers` scores every
-law of :data:`TRANSFORMER_LAWS` on a dict of transformers (callers index the
-law they want), and :func:`check_setmap_law` one law of :data:`SETMAP_LAWS`.
-Laws are keyed by (subject, law), the subject being a transformer's or a set
-map's name.  The transformers of a run share one draw per trial: f, its
-partners, ``distribution(f)`` and ``modulus_profile(f)`` are computed once
-for all of them, and a transformer whose Tf equals f reuses f's modulus
-profile.  Each (transformer, law) pair still keeps its own first failing
-trial, so every report equals that of the law run on its transformer alone.
+law of :data:`TRANSFORMER_LAWS` on a dict of transformers, and
+:func:`check_setmaps` the named laws of :data:`SETMAP_LAWS` on a list of set
+maps.  Reports are keyed by (subject, law), the subject being a transformer's
+or a set map's name.  Every key scored on a trial reads one :class:`_Draw`,
+which makes each input on first read and keeps it: f, its partners and
+``distribution(f)`` once for all transformers, and each set-map input once
+for all maps of one domain and plane.  Each key keeps its own first failing
+trial, so every report equals that of its law run on its subject alone.
 
 The two batteries of the CLI run here too: :func:`run_verify` (``symmkit
-verify``) and :func:`run_gallery` over :data:`GALLERY_ROWS` (``symmkit
-gallery``).
+verify``, both set maps in one :func:`check_setmaps` call) and
+:func:`run_gallery` over :data:`GALLERY_ROWS` (``symmkit gallery``, one call
+per row).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -399,91 +399,56 @@ def modulus_profile(f):
 MODULUS_MAX_TRIALS = 20  # two modulus profiles per trial make it the dearest law
 
 
-class _TrialDraw:
-    """One trial's inputs, drawn once and shared by every transformer scored on it.
+class _Draw:
+    """One trial's inputs, shared by every (subject, law) scored on it.
 
-    f is drawn first.  The monotone bump and the L^p partner g are each
-    drawn, on first read, from the rng state saved just after f, so each is
-    the input a law drawing f and then its own partner gets, and a partner
-    no live law reads is never drawn.  ``distribution(f)`` and
-    ``modulus_profile(f)`` are likewise computed once, on first read.
+    ``draw(key, make)`` runs ``make(rng)`` on the first read of ``key`` and
+    keeps the result.  It runs from the trial's fresh rng state or, with
+    ``after``, from the state just after that earlier input, so each input
+    is the one a law drawing it alone gets; an input no live law reads is
+    never made.  Values derived from inputs, like Tf, are kept the same way.
     """
 
     def __init__(self, rng, grid):
-        self.grid = grid
         self.rng = rng
-        self.f = random_blob_function(rng, grid)
-        self._after_f = rng.bit_generator.state
+        self.grid = grid
+        self._fresh = rng.bit_generator.state
+        self._kept = {}
 
-    def _draw_after_f(self, **kwargs):
-        self.rng.bit_generator.state = self._after_f
-        return random_blob_function(self.rng, self.grid, **kwargs)
-
-    @functools.cached_property
-    def bump(self):
-        """A random nonnegative bump; f + bump is the monotone partner."""
-        return self._draw_after_f(max_blobs=2)
-
-    @functools.cached_property
-    def g(self):
-        """The independent L^p partner."""
-        return self._draw_after_f()
-
-    @functools.cached_property
-    def distribution(self):
-        return distribution(self.f)
-
-    @functools.cached_property
-    def profile(self):
-        return modulus_profile(self.f)
+    def __call__(self, key, make, after=None):
+        if key not in self._kept:
+            self.rng.bit_generator.state = self._fresh if after is None else self._kept[after][1]
+            value = make(self.rng)
+            self._kept[key] = value, self.rng.bit_generator.state
+        return self._kept[key][0]
 
 
-class _TransformerTrial:
-    """A transformer T's view of a shared draw: Tf, T(f + bump) and Tg, each
-    computed on first read."""
-
-    def __init__(self, transformer, draw):
-        self.transformer = transformer
-        self.draw = draw
-        self.grid = draw.grid
-        self.f = draw.f
-
-    @functools.cached_property
-    def tf(self):
-        return self.transformer(self.f)
-
-    @functools.cached_property
-    def image_above(self):
-        """Tg for g = f + the draw's bump."""
-        return self.transformer(GridFunction(self.grid, self.f.values + self.draw.bump.values))
-
-    @functools.cached_property
-    def lp_diffs(self):
-        """(Tf - Tg, f - g) for the draw's partner g."""
-        g = self.draw.g
-        return self.tf.values - self.transformer(g).values, self.f.values - g.values
-
-    @functools.cached_property
-    def tf_profile(self):
-        """modulus_profile(Tf); f's own profile when Tf equals f (the profile
-        is a function of the values alone, so the reuse is exact)."""
-        if np.array_equal(self.tf.values, self.f.values):
-            return self.draw.profile
-        return modulus_profile(self.tf)
+def _f(draw):
+    """The trial's blob function, drawn first."""
+    return draw("f", lambda rng: random_blob_function(rng, draw.grid))
 
 
-def _keeps_distribution(trial):
+def _tf(transformer, draw):
+    """Tf, computed once per transformer; keyed by ``id`` so an unhashable transformer works."""
+    f = _f(draw)
+    return draw(("tf", id(transformer)), lambda rng: transformer(f))
+
+
+def _keeps_distribution(transformer, draw):
     """Exact (value, cell-count) profile comparison."""
-    before = trial.draw.distribution
-    after = distribution(trial.tf)
+    f = _f(draw)
+    before = draw("distribution", lambda rng: distribution(f))
+    after = distribution(_tf(transformer, draw))
     if before != after:
         return {"before": before.pairs()[:8], "after": after.pairs()[:8]}
     return None
 
 
-def _keeps_order(trial):
-    """f <= g pointwise must imply Tf <= Tg pointwise, exactly."""
-    tf, tg = trial.tf.values, trial.image_above.values
+def _keeps_order(transformer, draw):
+    """f <= g pointwise must imply Tf <= Tg pointwise, exactly; g is f plus a random nonnegative bump."""
+    f = _f(draw)
+    bump = draw("bump", lambda rng: random_blob_function(rng, draw.grid, max_blobs=2), after="f")
+    tf, tg = _tf(transformer, draw).values, transformer(GridFunction(draw.grid, f.values + bump.values)).values
     bad = tf > tg
     if bad.any():
         cell = tuple(int(c) for c in np.argwhere(bad)[0])
@@ -501,23 +466,32 @@ def _lp_norm(values, p, cell_volume):
     return float(total if p == np.inf else (total * cell_volume) ** (1.0 / p))
 
 
+def _lp_diffs(transformer, draw):
+    """(Tf - Tg, f - g) for the trial's independent partner g, once per transformer."""
+    f, tf = _f(draw), _tf(transformer, draw)
+    g = draw("g", lambda rng: random_blob_function(rng, draw.grid), after="f")
+    return draw(("lp", id(transformer)), lambda rng: (tf.values - transformer(g).values, f.values - g.values))
+
+
 def _contracts_lp(p):
     """||Tf - Tg||_p <= ||f - g||_p, exactly."""
 
-    def score(trial):
-        image_diff, diff = trial.lp_diffs
+    def score(transformer, draw):
+        image_diff, diff = _lp_diffs(transformer, draw)
         if _lp_sum(image_diff, p) <= _lp_sum(diff, p):
             return None
-        lhs, rhs = (_lp_norm(d, p, trial.grid.cell_volume) for d in (image_diff, diff))
+        lhs, rhs = (_lp_norm(d, p, draw.grid.cell_volume) for d in (image_diff, diff))
         return {"p": str(p), "lhs": lhs, "rhs": rhs}
 
     return score
 
 
-def _reduces_modulus(trial):
+def _reduces_modulus(transformer, draw):
     """omega_d(Tf) <= omega_d(f) for every grid distance d, exactly."""
-    ds, before = trial.draw.profile
-    _, after = trial.tf_profile
+    f, tf = _f(draw), _tf(transformer, draw)
+    ds, before = draw("profile", lambda rng: modulus_profile(f))
+    # a profile is a function of the values alone: f's is Tf's when Tf equals f
+    _, after = (ds, before) if np.array_equal(tf.values, f.values) else modulus_profile(tf)
     bad = after > before
     if bad.any():
         j = int(np.argmax(bad))
@@ -529,6 +503,8 @@ def _reduces_modulus(trial):
 class Law:
     """One law of a catalog: ``trial`` scores one trial and returns None or a counterexample.
 
+    A transformer law's trial takes (transformer, draw) and a set-map law's
+    (dmap, plane, draw), the draw being the trial's :class:`_Draw`.
     ``max_trials`` caps the trial count.  A set-map law that ``needs`` the
     reference "plane" or the map's "contraction" is skipped without it.
     """
@@ -540,9 +516,9 @@ class Law:
 
 _LP_NAMES = {p: f"lp_contracting[p={p}]" for p in LP_EXPONENTS}
 
-# every law a transformer is checked against, in report order; each scores
-# a _TransformerTrial, and ``verify`` scores them all, for all four canonical
-# transformers, on one shared draw per trial
+# every law a transformer is checked against, in report order; ``verify``
+# scores them all, for all four canonical transformers, on one shared draw
+# per trial
 TRANSFORMER_LAWS = {
     "equimeasurable": Law(_keeps_distribution),
     "monotonic": Law(_keeps_order),
@@ -555,20 +531,18 @@ def check_transformers(transformers, trials=200, seed=0, grid=DEFAULT_GRID):
     """Every law of :data:`TRANSFORMER_LAWS` on each of a dict of transformers,
     as {transformer name: {law name: report}}.
 
-    Each trial makes one :class:`_TrialDraw`, shared by every live
-    (transformer, law) pair, and one :class:`_TransformerTrial` per
-    transformer with a live law.  Each transformer keeps its own first
-    failing trial, so its reports equal those of :func:`check_transformer`
-    on it alone.  The modulus law runs at most MODULUS_MAX_TRIALS trials.
+    Each trial makes one :class:`_Draw`, shared by every live (transformer,
+    law) pair.  Each transformer keeps its own first failing trial, so its
+    reports equal those of :func:`check_transformer` on it alone.  The
+    modulus law runs at most MODULUS_MAX_TRIALS trials.
     """
     trials = _trial_count(trials)
     laws = TRANSFORMER_LAWS.items()
     caps = {(t, name): min(trials, law.max_trials or trials) for t in transformers for name, law in laws}
 
     def score(rng, live):
-        draw = _TrialDraw(rng, grid)
-        views = {t: _TransformerTrial(transformers[t], draw) for t in dict.fromkeys(t for t, _ in live)}
-        return {(t, name): TRANSFORMER_LAWS[name].trial(views[t]) for t, name in live}
+        draw = _Draw(rng, grid)
+        return {(t, name): TRANSFORMER_LAWS[name].trial(transformers[t], draw) for t, name in live}
 
     reports = _run_trials(caps, seed, score)
     return {t: {name: reports[t, name] for name in TRANSFORMER_LAWS} for t in transformers}
@@ -585,16 +559,21 @@ def check_transformer(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
 # ---------------------------------------------------------------------------
 
 
-def _monotonic(dmap, plane, grid, rng):
-    small, big = _nested_pair(dmap.domain, rng, grid)
+def _monotonic(dmap, plane, draw):
+    small, big = draw(("nested", dmap.domain), lambda rng: _nested_pair(dmap.domain, rng, draw.grid))
     isub = dmap(small).mask & ~dmap(big).mask
     if isub.any():
         return {"cell": tuple(int(c) for c in np.argwhere(isub)[0])}
     return None
 
 
-def _measure_preserving(dmap, plane, grid, rng):
-    a = _sample(dmap.domain, rng, grid)
+def _sampled(dmap, draw):
+    """One set from the map's domain, read by two laws."""
+    return draw(("sample", dmap.domain), lambda rng: _sample(dmap.domain, rng, draw.grid))
+
+
+def _measure_preserving(dmap, plane, draw):
+    a = _sampled(dmap, draw)
     image = dmap(a)
     if image.cell_count != a.cell_count:
         return {"cells_before": a.cell_count, "cells_after": image.cell_count}
@@ -605,19 +584,20 @@ def _unless_fixed(dmap, a):
     return None if dmap(a) == a else {"cells": a.cell_count}
 
 
-def _symmetric_invariant(dmap, plane, grid, rng):
-    return _unless_fixed(dmap, symmetric_raster(rng, plane, grid, dmap.domain))
+def _symmetric_invariant(dmap, plane, draw):
+    key = ("symmetric", dmap.domain, plane)
+    return _unless_fixed(dmap, draw(key, lambda rng: symmetric_raster(rng, plane, draw.grid, dmap.domain)))
 
 
-def _cylinder_invariant(dmap, plane, grid, rng):
-    return _unless_fixed(dmap, centered_cylinder_raster(rng, plane, grid))
+def _cylinder_invariant(dmap, plane, draw):
+    return _unless_fixed(dmap, draw(("cylinder", plane), lambda rng: centered_cylinder_raster(rng, plane, draw.grid)))
 
 
-def _maps_balls_to_balls(dmap, plane, grid, rng):
+def _maps_balls_to_balls(dmap, plane, draw):
+    grid = draw.grid
     h = grid.spacing
     u = np.asarray(plane.normal, dtype=float)
-    t = float(rng.integers(-6, 7)) * h
-    r = (4.0 + rng.random()) * h
+    t, r = draw("ball", lambda rng: (float(rng.integers(-6, 7)) * h, (4.0 + rng.random()) * h))
     a = disk_raster(grid, _nearest_plane_point(grid, plane) + t * u, r)
     image = dmap(a)
     if image.cell_count != a.cell_count:
@@ -632,18 +612,18 @@ def _maps_balls_to_balls(dmap, plane, grid, rng):
     return None
 
 
-def _respects_cylinders(dmap, plane, grid, rng):
+def _respects_cylinders(dmap, plane, draw):
     axis = dmap.axis if dmap.axis is not None else int(np.argmax(np.abs(plane.normal)))
-    a = _sample(dmap.domain, rng, grid)
+    a = _sampled(dmap, draw)
     extra = np.asarray(dmap(a).mask).any(axis=axis) & ~np.asarray(a.mask).any(axis=axis)
     if extra.any():
         return {"columns": int(extra.sum())}
     return None
 
 
-def _perimeter_convex(dmap, plane, grid, rng):
+def _perimeter_convex(dmap, plane, draw):
     # exact polygons, moved by the map's contraction backing
-    poly = random_convex_polygon(rng, box=2.0)
+    poly = draw("polygon", lambda rng: random_convex_polygon(rng, box=2.0))
     region = chord_move_polygon(poly, dmap.contraction, np.array([0.0, 1.0]))
     before = poly.perimeter()
     after = perimeter_region(region)
@@ -652,9 +632,8 @@ def _perimeter_convex(dmap, plane, grid, rng):
     return None
 
 
-# every law a set map is checked against, in report order; each takes
-# (dmap, plane, grid, rng), ``verify`` runs them all and each gallery row
-# the ones its expected verdicts name
+# every law a set map is checked against, in report order; ``verify`` runs
+# them all and each gallery row the ones its expected verdicts name
 SETMAP_LAWS = {
     "monotonic": Law(_monotonic),
     "measure_preserving": Law(_measure_preserving),
@@ -666,28 +645,52 @@ SETMAP_LAWS = {
 }
 
 
-def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
-    """One law of :data:`SETMAP_LAWS` on a set map, drawing from the map's domain.
+def check_setmaps(maps, laws, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
+    """The ``laws`` of :data:`SETMAP_LAWS` on each of a list of set maps with
+    distinct names, as {map name: {law name: report}}.
 
-    ``plane`` is the reference hyperplane for maps not tied to one (the identity, say).
+    ``plane`` is the reference hyperplane for maps not tied to one (the
+    identity, say).  Each trial makes one :class:`_Draw`, shared by every
+    live (map, law) pair: each input is keyed by what it depends on (a map's
+    domain, its plane), so maps and laws that read one input share it.  Each
+    map keeps its own first failing trial, so its reports equal those of the
+    map run alone.
     """
     trials = _trial_count(trials)
-    if name not in SETMAP_LAWS:
-        raise UnknownName(f"unknown set-map law {name!r}; expected one of {tuple(SETMAP_LAWS)}")
-    law = SETMAP_LAWS[name]
-    plane = dmap.plane if dmap.plane is not None else plane
-    if law.needs == "plane" and plane is None:
-        return PropertyReport(name, None, 0, seed, detail="no reference hyperplane")
-    if law.needs == "contraction" and dmap.contraction is None:
-        return PropertyReport(name, None, 0, seed, detail="no contraction backing")
-    key = (dmap.name, name)
-    trials = min(trials, law.max_trials or trials)
-    return _run_trials({key: trials}, seed, lambda rng, live: {key: law.trial(dmap, plane, grid, rng)})[key]
+    for name in laws:
+        if name not in SETMAP_LAWS:
+            raise UnknownName(f"unknown set-map law {name!r}; expected one of {tuple(SETMAP_LAWS)}")
+    by_name = {dmap.name: dmap for dmap in maps}
+    if len(by_name) < len(maps):
+        raise ValueError(f"set-map names must be distinct, got {[dmap.name for dmap in maps]}")
+    planes = {m: plane if dmap.plane is None else dmap.plane for m, dmap in by_name.items()}
+    reports, caps = {}, {}
+    for m, dmap in by_name.items():
+        missing = {"plane": planes[m] is None, "contraction": dmap.contraction is None}
+        for name in laws:
+            law = SETMAP_LAWS[name]
+            if missing.get(law.needs):
+                detail = "no reference hyperplane" if law.needs == "plane" else "no contraction backing"
+                reports[m, name] = PropertyReport(name, None, 0, seed, detail=detail)
+            else:
+                caps[m, name] = min(trials, law.max_trials or trials)
+
+    def score(rng, live):
+        draw = _Draw(rng, grid)
+        return {(m, name): SETMAP_LAWS[name].trial(by_name[m], planes[m], draw) for m, name in live}
+
+    reports.update(_run_trials(caps, seed, score))
+    return {m: {name: reports[m, name] for name in laws} for m in by_name}
+
+
+def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
+    """One law of :data:`SETMAP_LAWS` on a set map: a one-map, one-law case of :func:`check_setmaps`."""
+    return check_setmaps([dmap], [name], trials, seed, grid, plane)[dmap.name][name]
 
 
 def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
-    """Every law of :data:`SETMAP_LAWS` on a set map, keyed by law name."""
-    return {name: check_setmap_law(name, dmap, trials, seed, grid, plane) for name in SETMAP_LAWS}
+    """Every law of :data:`SETMAP_LAWS` on a set map, keyed by law name: the one-map case of :func:`check_setmaps`."""
+    return check_setmaps([dmap], SETMAP_LAWS, trials, seed, grid, plane)[dmap.name]
 
 
 # ---------------------------------------------------------------------------
@@ -795,19 +798,17 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
     """
     plane = axis_plane(1, grid.n, 0.0, 1)
     transformers = {name: row.transformer(plane) for name, row in CANONICAL_MAPS.items()}
-    report = {"transformers": {}, "set_maps": {}}
-    all_hold = True
-    for name, out in check_transformers(transformers, trials, seed, grid).items():
-        report["transformers"][name] = {k: r.as_dict() for k, r in out.items()}
-        all_hold &= all(r.holds is not False for r in out.values())
-
-    for dmap in (canonical_set_map("two_point", plane), canonical_set_map("identity", plane)):
-        bundle = check_setmap_properties(dmap, min(trials, 100), seed, grid, plane=plane)
-        report["set_maps"][dmap.name] = {k: r.as_dict() for k, r in bundle.items()}
-        all_hold &= all(r.holds is not False for r in bundle.values())
-
-    report["all_hold"] = bool(all_hold)
-    return report, bool(all_hold)
+    set_maps = [canonical_set_map("two_point", plane), canonical_set_map("identity", plane)]
+    suites = {
+        "transformers": check_transformers(transformers, trials, seed, grid),
+        "set_maps": check_setmaps(set_maps, SETMAP_LAWS, min(trials, 100), seed, grid, plane),
+    }
+    report, all_hold = {}, True
+    for kind, suite in suites.items():
+        report[kind] = {name: {k: r.as_dict() for k, r in out.items()} for name, out in suite.items()}
+        all_hold &= all(r.holds is not False for out in suite.values() for r in out.values())
+    report["all_hold"] = all_hold
+    return report, all_hold
 
 
 # ---------------------------------------------------------------------------
@@ -901,11 +902,9 @@ def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID):
     results = []
     for example, set_map, expected, check in GALLERY_ROWS:
         dmap = set_map(plane)
-        checks = {
-            law: check_setmap_law(law, dmap, trials, seed, grid, plane).verdict
-            for law in expected
-            if law in SETMAP_LAWS
-        }
+        laws = [law for law in expected if law in SETMAP_LAWS]
+        reports = check_setmaps([dmap], laws, trials, seed, grid, plane)[dmap.name]
+        checks = {law: r.verdict for law, r in reports.items()}
         checks.update(check(dmap, grid, plane, seed, trials))
         match = checks == expected
         results.append({"example": example, "checks": checks, "expected": dict(expected), "match": match})

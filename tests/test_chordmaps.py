@@ -102,6 +102,29 @@ class TestChordMovePolygon:
             assert np.abs((region.upper - region.lower) - (hi - lo)).max() < 1e-12
 
 
+# the triangle's area is 1.5; u = (0, 0.5) used to give a region of area
+# 0.75, and the others failed deep inside with unrelated messages
+TRIANGLE = sk.ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
+NOT_UNIT = [(0.0, 0.5), (0.0, 2.0), (0.0, 1.000000001), (np.nan, 1.0), (np.inf, 0.0), (0.0, 1.0, 0.0), (1.0,)]
+
+
+class TestChordDirection:
+    @pytest.mark.parametrize("u", NOT_UNIT, ids=str)
+    def test_chord_move_polygon_rejects_a_non_unit_direction(self, u):
+        with pytest.raises(ValueError, match="chord direction"):
+            sk.chord_move_polygon(TRIANGLE, sk.canonical_contraction("abs", 8.0), u)
+
+    @pytest.mark.parametrize("u", NOT_UNIT, ids=str)
+    def test_union_of_translates_rejects_a_non_unit_direction(self, u):
+        with pytest.raises(ValueError, match="chord direction"):
+            sk.union_of_translates(TRIANGLE, sk.canonical_contraction("abs", 8.0), u, samples=10)
+
+    @pytest.mark.parametrize("u", [(0.0, 1.0 + 1e-13), (np.sqrt(0.5), np.sqrt(0.5)), [-1, 0]], ids=str)
+    def test_unit_direction_within_tolerance_accepted(self, u):
+        region = sk.chord_move_polygon(TRIANGLE, sk.canonical_contraction("abs", 8.0), u)
+        assert abs(region.area() - TRIANGLE.area()) < 1e-12
+
+
 class TestCanonicalCorrespondence:
     def expected(self, poly, name, xs):
         lo, hi, _ = chords_at(poly.vertices, U, xs)

@@ -259,6 +259,21 @@ def test_chordmap_non_finite_vertex_exit_2(tmp_path, capsys, bad):
     assert not (tmp_path / "region.json").exists()
 
 
+@pytest.mark.parametrize("normal", ["0,0.5", "0,2", "0,1.000000001", "nan,1", "0,1,0", "1"])
+def test_chordmap_non_unit_normal_exit_2(tmp_path, capsys, normal):
+    # 0,0.5 used to exit 0 with a region of half the triangle's area, and 1
+    # ended in an IndexError traceback
+    ppath = tmp_path / "k.json"
+    gridio.write_polygon(ppath, sk.ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]]))
+    cpath = tmp_path / "phi.json"
+    gridio.write_contraction(cpath, sk.canonical_contraction("abs", 8.0))
+    argv = ["chordmap", "--in", str(ppath), "--contraction", str(cpath), "--normal", normal,
+            "--out", str(tmp_path / "region.json")]
+    assert cli_dispatch(argv) == 2
+    assert "chord direction u must be a finite unit 2-vector" in capsys.readouterr().err
+    assert not (tmp_path / "region.json").exists()
+
+
 def test_chordmap_grid_mode(tmp_path):
     g = sk.centered_grid((16, 16), 0.25)
     a = sk.disk_raster(g, (0.0, -1.0), 0.7)

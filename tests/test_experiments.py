@@ -227,16 +227,18 @@ def test_converge_work_per_step():
 
 @pytest.mark.parametrize("seed", [7, 311])
 def test_verify_work_per_trial(seed):
-    # one trial of every suite: f, the monotone bump and the L^p partner are
-    # drawn once for all four transformers (3 draws, one trial_rng), with one
-    # distribution(f) and one modulus_profile(f); each Tf adds a
-    # distribution and, but for the identity's (Tf equals f), a
-    # modulus_profile; the set-map laws take 8 draws and 14 trial_rng calls.
+    # one trial of every suite, each catalog on one trial_rng: f, the
+    # monotone bump and the L^p partner are drawn once for all four
+    # transformers (3 draws), with one distribution(f) and one
+    # modulus_profile(f); each Tf adds a distribution and, but for the
+    # identity's (Tf equals f), a modulus_profile. The two set maps share one
+    # domain and plane, so each input is drawn once for both: the nested
+    # pair, the sample (read by two laws) and the symmetric set take 3 draws.
     # Every mirror read goes through the plane's kept plan, and verify reads
     # one plane on one grid: the four rows read f, the bumped f and the
     # partner (12 kernel calls), the two set maps make 7 images each (14
-    # kernel calls), and the symmetric sets of the set-map laws take 2 mirror
-    # reads, all on 1 plan
+    # kernel calls), and the one symmetric set takes a mirror read, all on 1
+    # plan
     from symmkit import geometry, harness, rearrange
 
     watched = {
@@ -248,10 +250,10 @@ def test_verify_work_per_trial(seed):
         geometry.distribution.__code__: "distribution",
     }
     assert calls_made(watched, lambda: run_verify(trials=1, seed=seed)) == {
-        "random_blob_function": 11,
+        "random_blob_function": 6,
         "Reflection": 1,
         "kernel": 26,
-        "trial_rng": 15,
+        "trial_rng": 2,
         "modulus_profile": 4,
         "distribution": 5,
     }

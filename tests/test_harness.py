@@ -330,6 +330,28 @@ class TestSharedDraw:
             if name in ("double", "triple"):
                 assert {reports[name][law].counterexample["trial"] for law in harness._LP_NAMES.values()} == {0}
 
+    def test_unhashable_transformers_scored_apart(self):
+        # derived values are kept per transformer object, never by hashing
+        # it: these compare equal and cannot be hashed, yet each gets the
+        # reports of the reference loops
+        class Unhashable:
+            __hash__ = None
+
+            def __init__(self, transformer):
+                self.transformer = transformer
+
+            def __eq__(self, other):
+                return True
+
+            def __call__(self, f):
+                return self.transformer(f)
+
+        grid = sk.centered_grid((6, 6), 0.5)
+        for seed in range(3):
+            plain = {"polar": polar, "shift": shift, "scramble": scramble}
+            got = sk.check_transformers({n: Unhashable(T) for n, T in plain.items()}, trials=24, seed=seed, grid=grid)
+            assert got == {n: one_law_reports(T, 24, seed, grid) for n, T in plain.items()}
+
     def test_tf_equal_to_f_reuses_its_profile(self, monkeypatch):
         import symmkit.harness as harness
 
@@ -443,6 +465,12 @@ class TestSetMapBundle:
         assert len(seen) == 3 * 60
         assert all(a.cell_count > 0 and not np.any(a.mask & ~core) for a in seen)
 
+    @pytest.mark.parametrize("domain", ["convx", "All", "", None])
+    def test_unknown_domain_rejected(self, domain):
+        # a misspelt domain used to be scored on blob sets, as "all"
+        with pytest.raises(ValueError, match="'all', 'convex', 'core'"):
+            sk.SetMap("m", lambda a: a, domain=domain)
+
     def test_cog_reflection_keeps_measure_on_its_core_domain(self):
         dmap = sk.cog_reflection_set_map(u_axis=1)
         report = sk.check_setmap_law("measure_preserving", dmap, trials=50, seed=4, grid=GRID)
@@ -467,6 +495,70 @@ class TestSetMapBundle:
         dmap = sk.SetMap("shift", shifted, plane=PLANE, axis=1)
         bundle = sk.check_setmap_properties(dmap, trials=20, seed=6, grid=GRID)
         assert bundle["symmetric_invariant"].verdict == "fails"
+
+
+OTHER_PLANE = sk.axis_plane(0, 2, 0.25, -1)
+
+
+def mixed_maps():
+    """Maps of every domain, on two planes and none."""
+    return [
+        sk.canonical_set_map("two_point", PLANE),
+        sk.canonical_set_map("identity", PLANE),
+        sk.canonical_set_map("reflection", OTHER_PLANE),
+        chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=PLANE, name="sawtooth"),
+        sk.cog_reflection_set_map(u_axis=1),
+        sk.near_swap_set_map(PLANE),
+        sk.blaschke_composite_set_map(PLANE),
+    ]
+
+
+class TestSetMapDraw:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_equal_one_map_runs(self, seed):
+        maps = mixed_maps()
+        got = sk.check_setmaps(maps, sk.SETMAP_LAWS, trials=20, seed=seed, grid=GRID, plane=PLANE)
+        assert list(got) == [dmap.name for dmap in maps]
+        for dmap in maps:
+            alone = sk.check_setmap_properties(dmap, trials=20, seed=seed, grid=GRID, plane=PLANE)
+            # one law at a time draws every input afresh: no sharing at all
+            apart = {law: sk.check_setmap_law(law, dmap, 20, seed, GRID, PLANE) for law in sk.SETMAP_LAWS}
+            assert got[dmap.name] == alone == apart
+        # laws that hold beside laws that fail, at several trials, and laws skipped
+        verdicts = {r.verdict for reports in got.values() for r in reports.values()}
+        assert verdicts == {"holds", "fails", "skipped"}
+        failed = {r.counterexample["trial"] for reports in got.values() for r in reports.values() if r.holds is False}
+        assert len(failed) >= 2
+
+    def test_reports_follow_the_order_of_laws(self):
+        laws = ["perimeter_convex", "monotonic", "symmetric_invariant"]
+        got = sk.check_setmaps(mixed_maps()[:2], laws, trials=2, seed=0, grid=GRID, plane=PLANE)
+        assert [list(reports) for reports in got.values()] == [laws, laws]
+
+    def test_maps_of_one_domain_and_plane_draw_each_input_once(self, monkeypatch):
+        import symmkit.harness as harness
+
+        draws = []
+        draw = harness.random_blob_function
+
+        def counted(rng, grid=DEFAULT_GRID, max_blobs=5):
+            draws.append(rng)
+            return draw(rng, grid, max_blobs)
+
+        monkeypatch.setattr(harness, "random_blob_function", counted)
+        maps = [sk.canonical_set_map(label, PLANE) for label in ("two_point", "identity", "two_point_reflected")]
+        sk.check_setmaps(maps, sk.SETMAP_LAWS, trials=4, seed=0, grid=GRID)
+        # the nested pair, the sample and the symmetric set, per trial
+        assert len(draws) == 3 * 4
+
+    def test_names_must_be_distinct(self):
+        maps = [sk.canonical_set_map("identity", PLANE), sk.canonical_set_map("identity", OTHER_PLANE)]
+        with pytest.raises(ValueError, match="distinct"):
+            sk.check_setmaps(maps, ["monotonic"], trials=1)
+
+    def test_any_unknown_law_names_the_catalog(self):
+        with pytest.raises(UnknownName, match="measure_preserving"):
+            sk.check_setmaps(mixed_maps(), ["monotonic", "measure_preservng"], trials=1)
 
 
 class TestClassify:
