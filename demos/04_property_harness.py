@@ -44,8 +44,9 @@ print("\ntwo-point set map bundle:")
 for name, r in bundle.items():
     print(f"  {name:22s}: {r.verdict}")
 
-# classification: the four canonical maps are recognized; a sawtooth-driven
-# transformer is provably different (watch the displaced-ball witness)
+# classification: each canonical map moves every mirror pair {x, x'} by one
+# rule, read exactly from two set-map images; a sawtooth-driven transformer is
+# provably different (watch the pair witness: where x and x' went)
 print("\nclassification:")
 for label, T in canonical.items():
     got, _ = sk.classify_rearrangement(T, grid, plane, seed=0)
@@ -54,4 +55,6 @@ for label, T in canonical.items():
 saw_map = sk.chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=plane)
 saw_T = lambda f: layer_cake_rearrangement(saw_map, f)
 got, witness = sk.classify_rearrangement(saw_T, grid, plane, seed=0)
-print(f"  {'sawtooth':19s} -> {got}, witness: ball at +0.75 lands at {witness['image_center']}")
+x, xm = witness["pair"]
+print(f"  {'sawtooth':19s} -> {got}, witness: {witness['reason']}")
+print(f"  {'':19s}    x = {x} goes to {witness['x_went_to']}, x' = {xm} goes to {witness['mirror_went_to']}")

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chordmaps import (
+    SET_MAP_DOMAINS,
     blaschke_composite_set_map,
     canonical_set_map,
     chord_move_polygon,
@@ -39,7 +40,7 @@ from .chordmaps import (
     near_swap_set_map,
     perimeter_region,
 )
-from .contractions import canonical_contraction, sawtooth_contraction
+from .contractions import sawtooth_contraction
 from .errors import GalleryMismatch, NotARearrangement, SymmkitError, UnknownName
 from .geometry import (
     GridFunction,
@@ -170,11 +171,6 @@ def _shortest_side(grid):
     return min(up - o for o, up in zip(grid.origin, grid.upper))
 
 
-def _center_of_mass(grid, a):
-    """Mean of the cell centers of a nonempty set."""
-    return grid.centers()[a.mask.ravel()].mean(axis=0)
-
-
 def _redrawn_raster(grid, draw, min_cells):
     """(raster, polygon) of ``draw(box, min_area)``, redrawn until the raster
     has at least ``min_cells`` cells; the box keeps the polygon inside the grid."""
@@ -228,7 +224,10 @@ def _nested_pair(domain, rng, grid):
 
 def symmetric_raster(rng, plane, grid=DEFAULT_GRID, domain="all"):
     """Raster symmetric about the hyperplane: a symmetric polygon for the "convex"
-    domain, otherwise a set drawn from ``domain`` joined with its mirror image."""
+    domain, otherwise a set drawn from ``domain`` joined with its mirror image;
+    ValueError for a domain not in SET_MAP_DOMAINS."""
+    if domain not in SET_MAP_DOMAINS:
+        raise ValueError(f"set-map domain must be one of {SET_MAP_DOMAINS}, got {domain!r}")
     if domain == "convex":
         u = np.asarray(plane.normal)
 
@@ -604,7 +603,7 @@ def _maps_balls_to_balls(dmap, plane, draw):
         return {"t": t, "reason": "cell count changed"}
     if image.cell_count == 0:
         return None
-    com = _center_of_mass(grid, image)
+    com = grid.centers()[image.mask.ravel()].mean(axis=0)
     # admissible ball centers live on the half-cell lattice
     snapped = np.asarray(grid.origin) + np.rint((com - np.asarray(grid.origin)) / (h / 2.0)) * (h / 2.0)
     if image != disk_raster(grid, snapped, r):
@@ -698,90 +697,90 @@ def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=N
 # ---------------------------------------------------------------------------
 
 CONE_PROBES = 8  # concave-bump probe functions per classification
-PROBE_OFFSET = 0.75  # displacement of the ball probes from the hyperplane
-WITNESS_RADIUS_CELLS = 4.8  # ball probe radius in grid spacings
+CORE_PROBES = 4  # two-level probes from nested "core" pairs, asymmetric along the normal
+TWO_DISK = (0.75, 0.35)  # offset and radius of the two-disk union the classifier and the gallery read
+
+# where each canonical map sends a mirror pair (x in H+, x' its mirror), as the
+# bits (x in T(A), x' in T(A), x in T(B), x' in T(B)), A and B holding x and x'
+PAIR_RULES = {0b1001: "identity", 0b0110: "reflection", 0b1010: "two_point", 0b0101: "two_point_reflected"}
 
 
-def _cone_probes(grid, plane, seed):
+def _probes(grid, plane, seed):
+    """(cones, cores): concave bumps centered on the normal through the grid
+    center, and two-level functions 1_small + 1_big of nested "core" pairs."""
     rng = trial_rng(seed, 987)
     u = np.asarray(plane.normal, dtype=float)
     base = _nearest_plane_point(grid, plane)
     span = 0.5 * _shortest_side(grid)
-    probes = []
+    cones = []
     for _ in range(CONE_PROBES):
         t = float(rng.integers(-8, 9)) * grid.spacing
         radius = (0.3 + 0.5 * rng.random()) * span
         levels = int(rng.integers(2, 7))
-        probes.append(quantized_cone(grid, base + t * u, radius, levels))
-    return probes
+        cones.append(quantized_cone(grid, base + t * u, radius, levels))
+    rng = trial_rng(seed, 988)
+    pairs = (_nested_pair("core", rng, grid) for _ in range(CORE_PROBES))
+    return cones, [GridFunction(grid, small.mask.astype(float) + big.mask) for small, big in pairs]
+
+
+def _differs(apply, probe, expect):
+    """Whether ``apply(probe)`` differs from ``expect``; a probe it cannot take (a SymmkitError) is not decisive."""
+    try:
+        return apply(probe) != expect
+    except SymmkitError:
+        return False
 
 
 def classify_rearrangement(transformer, grid, plane, seed=0):
     """Match an equimeasurable monotone transformer against the four canonical maps.
 
-    Probes the induced set map with displaced ball rasters to read off the
-    midpoint contraction, checks the invariance on mirror-image two-disk
-    unions where the transformer admits them, and confirms a tentative match
-    exactly on a battery of concave-bump probes.  Returns (label, witness);
-    the witness is None for a canonical label and a payload describing the
-    separating probe otherwise.
+    A canonical map moves every mirror pair (x, x'), x in H+ and x' != x its
+    mirror in the grid, by one rule of :data:`PAIR_RULES`.  The pair read
+    decodes each pair's rule exactly from the set-map images T(A) and T(B),
+    A and B the x and the x' of every pair; unless all pairs read one rule
+    the label is "other", and the witness is the first pair that disagrees
+    (grid index tuples) with its cells in T(A) and in T(B).  The rule's map
+    is then confirmed exactly: T must fix the two-disk union cut to A and B,
+    so mirror-symmetric at every plane, and agree with the map on the cone
+    and "core" probes; a probe T cannot take is not decisive.
+
+    Returns (label, witness), the witness None for a canonical label.  Raises
+    ValueError when the plane pairs no cells, and NotARearrangement when T is
+    not equimeasurable and monotone on the cone probes.
     """
-    probes = _cone_probes(grid, plane, seed)
-    for f in probes:
+    plan = plane.reflection(grid)
+    cells = np.arange(grid.num_cells)
+    x = cells[plan.hplus.ravel() & plan.inside & (plan.flat != cells)]
+    if x.size == 0:
+        raise ValueError("the plane pairs no cells of the grid, so the canonical maps cannot be told apart")
+    xm = plan.flat[x]
+    cones, cores = _probes(grid, plane, seed)
+    for f in cones:
         if distribution(transformer(f)) != distribution(f):
             raise NotARearrangement("transformer is not equimeasurable on probe functions")
-    for f in probes[:4]:
+    for f in cones[:4]:
         g = GridFunction(grid, f.values + 1.0)
         if np.any(transformer(f).values > transformer(g).values):
             raise NotARearrangement("transformer is not monotonic on probe functions")
 
     dmap = induced_set_map(transformer)
-    u = np.asarray(plane.normal, dtype=float) * plane.positive
-    base = _nearest_plane_point(grid, plane)
-    radius = WITNESS_RADIUS_CELLS * grid.spacing
-
-    def displaced_center(t):
-        image = dmap(disk_raster(grid, base + t * u, radius))
-        if image.cell_count == 0:
-            return None
-        com = _center_of_mass(grid, image)
-        return float((com - base) @ u)
-
-    ts = [PROBE_OFFSET, PROBE_OFFSET * 2 / 3, -PROBE_OFFSET * 2 / 3, -PROBE_OFFSET]
-    phi_hat = {}
-    for t in ts:
-        phi_hat[t] = displaced_center(t)
-        if phi_hat[t] is None:
-            return "other", {"probe_center": t, "reason": "ball image vanished"}
-
-    slope_hi = (phi_hat[ts[0]] - phi_hat[ts[1]]) / (ts[0] - ts[1])
-    slope_lo = (phi_hat[ts[3]] - phi_hat[ts[2]]) / (ts[3] - ts[2])
-    eikonal_ok = abs(abs(slope_hi) - 1.0) <= 1e-6 and abs(abs(slope_lo) - 1.0) <= 1e-6
-
-    two_disk = None
-    try:
-        union = two_disk_symmetric_set(grid, plane, PROBE_OFFSET, radius)
-        two_disk = dmap(union) == union
-    except SymmkitError:
-        two_disk = None  # outside the transformer's domain; not decisive
-
-    def matches(row):
-        phi = canonical_contraction(row.contraction)
-        return all(abs(phi_hat[t] - phi(t)) <= 1e-9 for t in (ts[0], ts[3]))
-
-    label = next((label for label, row in CANONICAL_MAPS.items() if matches(row)), None)
-    witness = {
-        "probe_center": PROBE_OFFSET,
-        "image_center": phi_hat[ts[0]],
-        "phi_estimates": {str(t): phi_hat[t] for t in ts},
-    }
-    if label is None or not eikonal_ok:
-        return "other", witness
-    if two_disk is False:
+    a, b = (np.isin(cells, c).reshape(grid.dims) for c in (x, xm))
+    ta, tb = (dmap(GridSet(grid, m)).mask.ravel() for m in (a, b))
+    codes = 8 * ta[x] + 4 * ta[xm] + 2 * tb[x] + tb[xm]
+    label = PAIR_RULES.get(int(codes[0]))
+    off = (codes != codes[0]) | (label is None)
+    if off.any():
+        j = int(np.argmax(off))
+        pair = {c: tuple(int(i) for i in np.unravel_index(c, grid.dims)) for c in (x[j], xm[j])}
+        reason = "mirror pairs move by different rules" if label else "mirror pair moves by no canonical rule"
+        went = {key: [pair[c] for c in pair if image[c]] for key, image in (("x_went_to", ta), ("mirror_went_to", tb))}
+        return "other", {"reason": reason, "pair": tuple(pair.values()), **went}
+    union = GridSet(grid, two_disk_symmetric_set(grid, plane, *TWO_DISK).mask & (a | b))
+    if _differs(dmap, union, union):
         return "other", {"reason": "not invariant on mirror-image two-disk unions"}
     candidate = CANONICAL_MAPS[label].transformer(plane)
-    for f in probes:
-        if transformer(f) != candidate(f):
+    for f in cones + cores:
+        if _differs(transformer, f, candidate(f)):
             return "other", {"reason": f"probe disagrees with {label}"}
     return label, None
 
@@ -828,7 +827,7 @@ def _canonical_four_match(dmap, grid, plane, seed, trials):
 def _shake_vs_two_point(dmap, grid, plane, seed, trials):
     two_point = canonical_set_map("two_point", plane)
     rasters = (random_convex_raster(trial_rng(seed, i), grid)[0] for i in range(trials))
-    union = two_disk_symmetric_set(grid, plane, 0.75, 0.35)
+    union = two_disk_symmetric_set(grid, plane, *TWO_DISK)
     return {
         "matches_two_point_on_convex": _verdict(all(dmap(r) == two_point(r) for r in rasters)),
         "two_disk_union_invariant": _verdict(dmap(union) == union),
@@ -845,7 +844,7 @@ def _cone_pair(dmap, grid, plane, seed, trials):
 
 def _straddling_square(dmap, grid, plane, seed, trials):
     square = box_raster(grid, (0.0, 0.5), (1.0, 1.5))
-    changed = abs(grid_perimeter(dmap(square)) - grid_perimeter(square)) > 1e-12
+    changed = grid_perimeter(dmap(square)) != grid_perimeter(square)
     return {"perimeter_on_straddling_square": _verdict(not changed)}
 
 

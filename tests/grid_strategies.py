@@ -36,18 +36,24 @@ def small_grid(rng, square):
 
 
 def admissible_planes(grid):
-    """Every admissible plane of the grid, both orientations: axis planes at
-    every half-lattice offset, edges included, and on square grids the
-    diagonals x_a -+ x_b = const through the cell-center lattice."""
-    o, h, n = grid.origin, grid.spacing, grid.n
+    """Every admissible plane of a grid, both orientations, each with the
+    mask of the cells on it worked out in integer index arithmetic: the axis
+    planes at every half-lattice offset, edges included, and on a square
+    grid the diagonals x_a -+ x_b = const through the cell-center lattice,
+    those that touch the grid at a corner only included."""
+    idx = np.indices(grid.dims)
+    o, h, n, m = grid.origin, grid.spacing, grid.n, grid.dims[0]
     e, r = np.eye(n), np.sqrt(0.5)
-    planes = [(e[k], o[k] + p * h / 2) for k in range(n) for p in range(2 * grid.dims[k] + 1)]
-    if n > 1 and len(set(grid.dims)) == 1:
-        m = grid.dims[0]
-        for a in range(n):
-            for b in range(a + 1, n):
-                planes += [(r * (e[a] - e[b]), r * ((o[a] - o[b]) + d * h)) for d in range(-m, m + 1)]
-                planes += [(r * (e[a] + e[b]), r * ((o[a] + o[b]) + t * h)) for t in range(2 * m + 1)]
-    for normal, offset in planes:
+    planes = []
+    for k in range(n):
+        for p in range(2 * grid.dims[k] + 1):  # x_k = o_k + p h / 2 on the cells 2 i_k + 1 = p
+            planes.append((e[k], o[k] + p * h / 2, 2 * idx[k] + 1 == p))
+    for a in range(n) if grid.dims == (m,) * n else ():  # diagonals on square grids only
+        for b in range(a + 1, n):
+            for d in range(-m, m + 1):  # x_a - x_b = (o_a - o_b) + d h on the cells i_a - i_b = d
+                planes.append((r * (e[a] - e[b]), r * ((o[a] - o[b]) + d * h), idx[a] - idx[b] == d))
+            for t in range(2 * m + 1):  # x_a + x_b = (o_a + o_b) + t h on the cells i_a + i_b + 1 = t
+                planes.append((r * (e[a] + e[b]), r * ((o[a] + o[b]) + t * h), idx[a] + idx[b] + 1 == t))
+    for normal, offset, on_plane in planes:
         for positive in (1, -1):
-            yield sk.OrientedHyperplane(tuple(normal), offset, positive)
+            yield sk.OrientedHyperplane(tuple(normal), offset, positive), on_plane

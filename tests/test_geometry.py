@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from grid_strategies import admissible_planes
 
 import symmkit as sk
 from symmkit.errors import MisalignedHyperplane, NonMonotoneMap
@@ -184,29 +185,6 @@ class TestReflectPoint:
         assert plane.positive == sign and type(plane.positive) is int
 
 
-def lattice_planes(grid):
-    """Every admissible plane of a grid, both orientations, each with the
-    mask of the cells on it worked out in integer index arithmetic: the axis
-    planes at every half-lattice position, edges included, and on a square
-    grid the diagonals x_a -+ x_b = const through cell centers."""
-    idx = np.indices(grid.dims)
-    o, h, n, m = grid.origin, grid.spacing, grid.n, grid.dims[0]
-    e, r = np.eye(n), np.sqrt(0.5)
-    planes = []
-    for k in range(n):
-        for p in range(2 * grid.dims[k] + 1):  # x_k = o_k + p h / 2 on the cells 2 i_k + 1 = p
-            planes.append((e[k], o[k] + p * h / 2, 2 * idx[k] + 1 == p))
-    for a in range(n) if grid.dims == (m,) * n else ():  # diagonals on square grids only
-        for b in range(a + 1, n):
-            for d in range(1 - m, m):  # x_a - x_b = (o_a - o_b) + d h on the cells i_a - i_b = d
-                planes.append((r * (e[a] - e[b]), r * ((o[a] - o[b]) + d * h), idx[a] - idx[b] == d))
-            for t in range(1, 2 * m):  # x_a + x_b = (o_a + o_b) + t h on the cells i_a + i_b + 1 = t
-                planes.append((r * (e[a] + e[b]), r * ((o[a] + o[b]) + t * h), idx[a] + idx[b] + 1 == t))
-    for normal, offset, on_plane in planes:
-        for positive in (1, -1):
-            yield sk.OrientedHyperplane(normal, offset, positive), on_plane
-
-
 class TestHalfSpaces:
     def test_half_spaces_cover_and_meet_on_plane(self):
         g = sk.centered_grid((8, 8), 0.5)
@@ -228,7 +206,7 @@ class TestHalfSpaces:
             dims = (int(rng.integers(2, {2: 13, 3: 7}[n])),) * n
             grids.append(sk.Grid(dims, rng.uniform(-2.0, 2.0, n), float(rng.choice([0.1, 0.125, 0.3, 0.5, 1.0]))))
         for g in grids:
-            for plane, on_plane in lattice_planes(g):
+            for plane, on_plane in admissible_planes(g):
                 expect = (plane.signed(g.centers()) > 0.0).reshape(g.dims) | on_plane
                 assert np.array_equal(sk.Reflection(g, plane).hplus, expect), (g, plane)
 
@@ -265,7 +243,7 @@ class TestReflectionPlanOracle:
         dims = grid.dims
         values = rng.integers(-3, 4, dims).astype(float)  # ties, between mirror cells too
         fill = float(values.min())
-        for plane, _ in lattice_planes(grid):
+        for plane, _ in admissible_planes(grid):
             plan = sk.Reflection(grid, plane)
             inside, flat, hplus = plan_oracle(grid, plane)
             assert np.array_equal(plan.inside, inside), (grid, plane)

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from grid_strategies import admissible_planes
 
 import symmkit as sk
 from symmkit.chordmaps import chord_movement_set_map
@@ -10,6 +13,7 @@ from symmkit.harness import (
     _lp_norm,
     random_blob_function,
     random_blob_set,
+    symmetric_raster,
     trial_rng,
 )
 from symmkit.rearrange import ASSOCIATED_PAIRS, layer_cake_rearrangement
@@ -471,6 +475,12 @@ class TestSetMapBundle:
         with pytest.raises(ValueError, match="'all', 'convex', 'core'"):
             sk.SetMap("m", lambda a: a, domain=domain)
 
+    @pytest.mark.parametrize("domain", ["convx", "All", "", None])
+    def test_symmetric_raster_rejects_an_unknown_domain(self, domain):
+        # a misspelt domain used to draw a blob set joined with its mirror, as "all"
+        with pytest.raises(ValueError, match="'all', 'convex', 'core'"):
+            symmetric_raster(trial_rng(0, 0), PLANE, GRID, domain)
+
     def test_cog_reflection_keeps_measure_on_its_core_domain(self):
         dmap = sk.cog_reflection_set_map(u_axis=1)
         report = sk.check_setmap_law("measure_preserving", dmap, trials=50, seed=4, grid=GRID)
@@ -561,6 +571,10 @@ class TestSetMapDraw:
             sk.check_setmaps(mixed_maps(), ["monotonic", "measure_preservng"], trials=1)
 
 
+def layer_cake(dmap):
+    return lambda f: layer_cake_rearrangement(dmap, f)
+
+
 class TestClassify:
     def test_four_canonicals(self):
         cases = {
@@ -578,20 +592,123 @@ class TestClassify:
         dmap = chord_movement_set_map(
             sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=PLANE, name="sawtooth"
         )
-        T = lambda f: layer_cake_rearrangement(dmap, f)
-        label, witness = sk.classify_rearrangement(T, GRID, PLANE, seed=0)
+        label, witness = sk.classify_rearrangement(layer_cake(dmap), GRID, PLANE, seed=0)
         assert label == "other"
-        assert witness["image_center"] == 0.25  # displaced ball raster witness
+        # the first pair already reads no rule: each half of the grid covers both of its cells
+        assert witness == {
+            "reason": "mirror pair moves by no canonical rule",
+            "pair": ((0, 16), (0, 15)),
+            "x_went_to": [(0, 16), (0, 15)],
+            "mirror_went_to": [(0, 16), (0, 15)],
+        }
+
+    def test_near_swap_layer_cake_is_other_by_its_pairs(self):
+        # pairs near the plane swap and the rest stay: pair-local, not uniform
+        label, witness = sk.classify_rearrangement(layer_cake(sk.near_swap_set_map(PLANE)), GRID, PLANE, seed=0)
+        assert label == "other"
+        assert witness == {
+            "reason": "mirror pairs move by different rules",
+            "pair": ((0, 24), (0, 7)),
+            "x_went_to": [(0, 24)],
+            "mirror_went_to": [(0, 7)],
+        }
 
     def test_shake_composite_is_other_by_two_disk_test(self):
         comp = sk.blaschke_composite_set_map(PLANE)
-        T = lambda f: layer_cake_rearrangement(comp, f)
-        label, witness = sk.classify_rearrangement(T, GRID, PLANE, seed=0)
+        label, witness = sk.classify_rearrangement(layer_cake(comp), GRID, PLANE, seed=0)
         assert label == "other"
         assert "two-disk" in witness["reason"]
+
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_cog_reflection_layer_cake_is_other(self, seed):
+        # every mirror pair reads the identity and the cone probes are
+        # symmetric along u, so only the "core" probes tell it apart
+        T = layer_cake(sk.cog_reflection_set_map(u_axis=1))
+        assert sk.classify_rearrangement(T, GRID, PLANE, seed=seed) == (
+            "other",
+            {"reason": "probe disagrees with identity"},
+        )
 
     def test_non_rearrangement_rejected(self):
         with pytest.raises(NotARearrangement):
             sk.classify_rearrangement(
                 lambda f: f.with_values(f.values + 1.0), GRID, PLANE, seed=0
             )
+
+    @pytest.mark.parametrize("dims", [(9,), (6, 6), (5, 7), (4, 4, 4)], ids=str)
+    def test_each_row_reads_its_own_label_or_raises_at_every_plane(self, dims):
+        grid = sk.centered_grid(dims, 0.25)
+        for plane, on_plane in admissible_planes(grid):
+            mirrors = plane.reflect(grid.centers())
+            inside = np.all((mirrors > grid.origin) & (mirrors < grid.upper), axis=1)
+            paired = np.any(inside & ~on_plane.ravel())  # some cell off the plane has its mirror in the grid
+            for label, row in sk.CANONICAL_MAPS.items():
+                if not paired:  # some rows coincide there: identity and two-point at an edge plane
+                    with pytest.raises(ValueError, match="pairs no cells"):
+                        sk.classify_rearrangement(row.transformer(plane), grid, plane, seed=0)
+                    continue
+                try:
+                    got = sk.classify_rearrangement(row.transformer(plane), grid, plane, seed=0)
+                except NotARearrangement:
+                    assert label != "identity", plane  # the identity is a rearrangement at every plane
+                    continue
+                assert got == (label, None), (label, plane)
+
+
+# the images of {x} and {x'} under each rule, x in H+ and x' its mirror
+RULE_IMAGES = {
+    "identity": lambda sx, sm: (sx, sm),
+    "reflection": lambda sx, sm: (sm, sx),
+    "two_point": lambda sx, sm: (sx | sm, sx & sm),
+    "two_point_reflected": lambda sx, sm: (sx & sm, sx | sm),
+}
+
+
+def center_plane_pairs(dims):
+    """(x, x') flat indices of the mirror pairs across the center plane of the last axis, x in
+    the upper half, in scan order of x; worked out in index arithmetic, i' = m - 1 - i."""
+    idx = np.indices(dims).reshape(len(dims), -1)
+    m = dims[-1]
+    upper = idx[-1] >= m // 2
+    mirror = idx.copy()
+    mirror[-1] = m - 1 - idx[-1]
+    return np.flatnonzero(upper), np.ravel_multi_index(mirror[:, upper], dims)
+
+
+def pair_local_map(rules, x, xm):
+    """The set map moving the pair (x[k], xm[k]) by the rule ``rules[k]``."""
+
+    def apply(a):
+        flat = a.mask.ravel()
+        out = flat.copy()
+        for rule, cx, cm in zip(rules, x, xm):
+            out[cx], out[cm] = RULE_IMAGES[rule](flat[cx], flat[cm])
+        return sk.GridSet(a.grid, out.reshape(a.grid.dims))
+
+    return apply
+
+
+class TestPairReadDecodesEveryPairLocalMap:
+    """ROADMAP item 6: the 4^p pair-local maps, each rule a canonical one."""
+
+    @pytest.mark.parametrize("dims", [(1, 6), (2, 4)], ids=str)
+    def test_all_assignments(self, dims):
+        grid = sk.centered_grid(dims, 0.25)
+        plane = sk.axis_plane(1, 2, 0.0, 1)
+        x, xm = center_plane_pairs(dims)
+        index = lambda c: tuple(int(i) for i in np.unravel_index(c, dims))
+        for rules in itertools.product(sk.CANONICAL_MAPS, repeat=len(x)):
+            T = layer_cake(pair_local_map(rules, x, xm))
+            label, witness = sk.classify_rearrangement(T, grid, plane, seed=0)
+            if len(set(rules)) == 1:
+                assert (label, witness) == (rules[0], None), rules
+                continue
+            k = next(k for k, rule in enumerate(rules) if rule != rules[0])
+            went_x, went_m = RULE_IMAGES[rules[k]](True, False), RULE_IMAGES[rules[k]](False, True)
+            assert label == "other", rules
+            assert witness == {
+                "reason": "mirror pairs move by different rules",
+                "pair": (index(x[k]), index(xm[k])),
+                "x_went_to": [index(c) for c, hit in zip((x[k], xm[k]), went_x) if hit],
+                "mirror_went_to": [index(c) for c, hit in zip((x[k], xm[k]), went_m) if hit],
+            }, rules

@@ -185,7 +185,7 @@ class TestCanonicalMapsAtEveryPlane:
         grid = small_grid(rng, square=seed % 2 == 0)
         f = sk.GridFunction(grid, random_values(rng, grid))
         a = sk.GridSet(grid, rng.random(grid.dims) < 0.4)
-        for plane in admissible_planes(grid):
+        for plane, _ in admissible_planes(grid):
             expect = min_extension_images(f, plane)
             for label, row in sk.CANONICAL_MAPS.items():
                 assert row.transformer(plane)(f) == expect[label], (label, grid, plane)

@@ -40,7 +40,7 @@ def test_every_set_rule_is_its_function_rule_on_the_indicator(seed):
     rng = trial_rng(653, seed)
     grid = small_grid(rng, square=seed % 2 == 0)
     sets = sample_sets(rng, grid)
-    for plane in admissible_planes(grid):
+    for plane, _ in admissible_planes(grid):
         for name, set_rule, function_rule in set_rules(plane):
             for a in sets:
                 assert set_rule(a).indicator() == function_rule(a.indicator()), (name, grid, plane, a.mask)
