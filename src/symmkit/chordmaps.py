@@ -360,7 +360,6 @@ class SetMap:
     name: str
     apply: callable
     plane: object = None
-    axis: int = None
     contraction: PLContraction = None
     domain: str = "all"
 
@@ -378,9 +377,9 @@ def canonical_set_map(label, plane):
     if label not in CANONICAL_MAPS:
         raise UnknownName(f"unknown canonical map {label!r}; expected one of {tuple(CANONICAL_MAPS)}")
     row = CANONICAL_MAPS[label]
-    axis, _ = _require_axis_plane(plane)
+    _require_axis_plane(plane)
     apply = induced_set_map(row.transformer(plane))
-    return SetMap(row.set_name, apply, plane=plane, axis=axis, contraction=canonical_contraction(row.contraction))
+    return SetMap(row.set_name, apply, plane=plane, contraction=canonical_contraction(row.contraction))
 
 
 def chord_movement_set_map(phi, axis, plane, name=None):
@@ -389,7 +388,6 @@ def chord_movement_set_map(phi, axis, plane, name=None):
         name or "chord_movement",
         lambda a: chord_move_gridset(a, phi, axis),
         plane=plane,
-        axis=axis,
         contraction=phi,
         domain="convex",
     )
@@ -401,12 +399,11 @@ def blaschke_composite_set_map(plane):
     The comparison on convex rasters justifies the two-point contraction backing;
     on unions of mirror-image pairs of disjoint blobs the two maps differ.
     """
-    axis, _ = _require_axis_plane(plane)
+    _require_axis_plane(plane)
     return SetMap(
         "shake_after_polarization",
         lambda a: shake_set(polarize_set(a, plane), plane),
         plane=plane,
-        axis=axis,
         contraction=canonical_contraction(CANONICAL_MAPS["two_point"].contraction),
         domain="convex",
     )
@@ -414,14 +411,9 @@ def blaschke_composite_set_map(plane):
 
 def cog_reflection_set_map(u_axis):
     """Reflection through the center of gravity; sets in the central box stay in the grid."""
-    return SetMap("cog_reflection", lambda a: cog_reflect(a, u_axis), axis=u_axis, domain="core")
+    return SetMap("cog_reflection", lambda a: cog_reflect(a, u_axis), domain="core")
 
 
 def near_swap_set_map(plane):
-    axis, _ = _require_axis_plane(plane)
-    return SetMap(
-        "near_swap",
-        lambda a: near_swap(a, plane),
-        plane=plane,
-        axis=axis,
-    )
+    _require_axis_plane(plane)
+    return SetMap("near_swap", lambda a: near_swap(a, plane), plane=plane)

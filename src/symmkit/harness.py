@@ -612,7 +612,7 @@ def _maps_balls_to_balls(dmap, plane, draw):
 
 
 def _respects_cylinders(dmap, plane, draw):
-    axis = dmap.axis if dmap.axis is not None else int(np.argmax(np.abs(plane.normal)))
+    axis = int(np.argmax(np.abs(plane.normal)))
     a = _sampled(dmap, draw)
     extra = np.asarray(dmap(a).mask).any(axis=axis) & ~np.asarray(a.mask).any(axis=axis)
     if extra.any():
@@ -723,12 +723,12 @@ def _probes(grid, plane, seed):
     return cones, [GridFunction(grid, small.mask.astype(float) + big.mask) for small, big in pairs]
 
 
-def _differs(apply, probe, expect):
-    """Whether ``apply(probe)`` differs from ``expect``; a probe it cannot take (a SymmkitError) is not decisive."""
+def _image(apply, probe):
+    """``apply(probe)``, or None for a probe it cannot take (a SymmkitError): such a probe is not decisive."""
     try:
-        return apply(probe) != expect
+        return apply(probe)
     except SymmkitError:
-        return False
+        return None
 
 
 def classify_rearrangement(transformer, grid, plane, seed=0):
@@ -742,11 +742,13 @@ def classify_rearrangement(transformer, grid, plane, seed=0):
     (grid index tuples) with its cells in T(A) and in T(B).  The rule's map
     is then confirmed exactly: T must fix the two-disk union cut to A and B,
     so mirror-symmetric at every plane, and agree with the map on the cone
-    and "core" probes; a probe T cannot take is not decisive.
+    and "core" probes, each cone probe read once for the gates and the
+    confirmation.  A probe T cannot take (a SymmkitError) is not decisive,
+    here and in the gates.
 
     Returns (label, witness), the witness None for a canonical label.  Raises
     ValueError when the plane pairs no cells, and NotARearrangement when T is
-    not equimeasurable and monotone on the cone probes.
+    not equimeasurable and monotone on the cone probes it can take.
     """
     plan = plane.reflection(grid)
     cells = np.arange(grid.num_cells)
@@ -755,12 +757,13 @@ def classify_rearrangement(transformer, grid, plane, seed=0):
         raise ValueError("the plane pairs no cells of the grid, so the canonical maps cannot be told apart")
     xm = plan.flat[x]
     cones, cores = _probes(grid, plane, seed)
-    for f in cones:
-        if distribution(transformer(f)) != distribution(f):
+    images = [_image(transformer, f) for f in cones]
+    for f, tf in zip(cones, images):
+        if tf is not None and distribution(tf) != distribution(f):
             raise NotARearrangement("transformer is not equimeasurable on probe functions")
-    for f in cones[:4]:
-        g = GridFunction(grid, f.values + 1.0)
-        if np.any(transformer(f).values > transformer(g).values):
+    for f, tf in zip(cones[:4], images):
+        tg = _image(transformer, GridFunction(grid, f.values + 1.0))
+        if tf is not None and tg is not None and np.any(tf.values > tg.values):
             raise NotARearrangement("transformer is not monotonic on probe functions")
 
     dmap = induced_set_map(transformer)
@@ -776,11 +779,13 @@ def classify_rearrangement(transformer, grid, plane, seed=0):
         went = {key: [pair[c] for c in pair if image[c]] for key, image in (("x_went_to", ta), ("mirror_went_to", tb))}
         return "other", {"reason": reason, "pair": tuple(pair.values()), **went}
     union = GridSet(grid, two_disk_symmetric_set(grid, plane, *TWO_DISK).mask & (a | b))
-    if _differs(dmap, union, union):
+    image = _image(dmap, union)
+    if image is not None and image != union:
         return "other", {"reason": "not invariant on mirror-image two-disk unions"}
     candidate = CANONICAL_MAPS[label].transformer(plane)
-    for f in cones + cores:
-        if _differs(transformer, f, candidate(f)):
+    images += [_image(transformer, f) for f in cores]
+    for f, tf in zip(cones + cores, images):
+        if tf is not None and tf != candidate(f):
             return "other", {"reason": f"probe disagrees with {label}"}
     return label, None
 

@@ -106,20 +106,22 @@ CANONICAL_MAPS = {
 }
 
 
-def _symmetrize_fibers(f, axes, order):
-    """Sort each fiber over ``axes`` descending into ``order``: the flat (scan-order) cell of each rank."""
+def _fill_order(shape):
+    """Flat (scan-order) cells of a fiber by squared distance from its center,
+    ties to the later cell: on each axis the upper side first.  Distances are
+    taken in half-cell units, integers, so every tie is exact."""
+    d2 = sum((2 * i + 1 - m) ** 2 for i, m in zip(np.indices(shape), shape)).ravel()
+    return np.lexsort((-np.arange(d2.size), d2))
+
+
+def _symmetrize_fibers(f, axes):
+    """Sort each fiber over ``axes`` descending into its :func:`_fill_order`."""
     fiber = tuple(range(-len(axes), 0))
     moved = np.moveaxis(np.asarray(f.values), axes, fiber)
     flat = moved.reshape(*moved.shape[: -len(axes)], -1)
     out = np.empty_like(flat)
-    out[..., order] = np.sort(flat, axis=-1)[..., ::-1]
+    out[..., _fill_order(moved.shape[-len(axes) :])] = np.sort(flat, axis=-1)[..., ::-1]
     return GridFunction(f.grid, np.moveaxis(out.reshape(moved.shape), fiber, axes))
-
-
-def _center_out_order(m):
-    """Cell order by distance from the column center, upper side first on ties."""
-    mid = (m - 1) / 2.0
-    return sorted(range(m), key=lambda p: (abs(p - mid), -p))
 
 
 def steiner_symmetrize_function(f, axis):
@@ -129,7 +131,7 @@ def steiner_symmetrize_function(f, axis):
     (positive axis) side first on ties; every column keeps its value multiset.
     """
     f.grid.require_axis(axis)
-    return _symmetrize_fibers(f, (axis,), _center_out_order(f.grid.dims[axis]))
+    return _symmetrize_fibers(f, (axis,))
 
 
 def steiner_symmetrize_set(a, axis):
@@ -137,25 +139,17 @@ def steiner_symmetrize_set(a, axis):
     return induced_set_map(lambda f: steiner_symmetrize_function(f, axis))(a)
 
 
-def _fiber_fill_order(shape):
-    """Cells of a 2D fiber ordered by distance from its center, then scan order."""
-    m1, m2 = shape
-    ii, jj = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
-    d2 = (ii + 0.5 - m1 / 2.0) ** 2 + (jj + 0.5 - m2 / 2.0) ** 2
-    return np.argsort(d2.ravel(), kind="stable")
-
-
 def schwarz_symmetrize_function(f, axis):
     """Per-fiber rearrangement of the planes orthogonal to ``axis``, 3D grids only.
 
     Fiber values are sorted descending and placed by distance from the fiber
-    center, ties in scan order; every fiber keeps its value multiset.
+    center, the upper side of each axis first on ties; every fiber keeps its
+    value multiset.
     """
     if f.grid.n != 3:
         raise ValueError("planar-fiber symmetrization needs a 3D grid")
     f.grid.require_axis(axis)
-    axes = tuple(k for k in range(3) if k != axis)
-    return _symmetrize_fibers(f, axes, _fiber_fill_order([f.grid.dims[k] for k in axes]))
+    return _symmetrize_fibers(f, tuple(k for k in range(3) if k != axis))
 
 
 def schwarz_symmetrize_set(a, axis):

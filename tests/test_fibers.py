@@ -1,11 +1,14 @@
 """Steiner and Schwarz symmetrization through one fiber kernel.
 
 ``steiner_reference`` and ``schwarz_set_reference`` are the per-column
-function rule and the per-slice set loop that the fiber kernel replaced,
-kept here as oracles: both tie orders must stay exactly as they were.  The
-Schwarz function rule has no older form; its oracle is the layer-cake
-reconstruction from the per-slice set loop.  Both symmetrizations are then
-scored against the transformer law catalog.
+function rule and a per-slice set loop, kept here as oracles.  Steiner's
+tie order is the one its per-column rule always had: the upper side of an
+even column first.  Schwarz once broke distance ties in scan order; it now
+takes Steiner's rule, the later cell in scan order first, so the upper side
+of each fiber axis comes first, and the per-slice oracle breaks ties that
+way too.  The Schwarz function rule has no older form; its oracle is the
+layer-cake reconstruction from the per-slice set loop.  Both symmetrizations
+are then scored against the transformer law catalog.
 """
 
 import numpy as np
@@ -32,8 +35,8 @@ def schwarz_set_reference(a, axis):
     moved = np.moveaxis(np.asarray(a.mask), axis, 0)
     fiber_shape = m1, m2 = moved.shape[1:]
     ii, jj = np.meshgrid(np.arange(m1), np.arange(m2), indexing="ij")
-    d2 = (ii + 0.5 - m1 / 2.0) ** 2 + (jj + 0.5 - m2 / 2.0) ** 2
-    order = np.argsort(d2.ravel(), kind="stable")
+    d2 = ((ii + 0.5 - m1 / 2.0) ** 2 + (jj + 0.5 - m2 / 2.0) ** 2).ravel()
+    order = np.array(sorted(range(m1 * m2), key=lambda c: (d2[c], -c)), dtype=np.int64)
     rank = np.empty(order.shape, dtype=np.int64)
     rank[order] = np.arange(len(order))
     out = np.empty_like(moved)

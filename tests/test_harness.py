@@ -8,6 +8,8 @@ import symmkit as sk
 from symmkit.chordmaps import chord_movement_set_map
 from symmkit.errors import NotARearrangement, UnknownName
 from symmkit.harness import (
+    CONE_PROBES,
+    CORE_PROBES,
     DEFAULT_GRID,
     PropertyReport,
     _lp_norm,
@@ -409,7 +411,7 @@ class TestSetMapBundle:
             rng = trial_rng(17, i)
             grid, plane = random_grid_and_center_plane(rng)
             dmap = sk.canonical_set_map(label, plane)
-            assert (dmap.name, dmap.plane, dmap.axis) == (row.set_name, plane, int(np.argmax(plane.normal)))
+            assert (dmap.name, dmap.plane) == (row.set_name, plane)
             induced = sk.induced_set_map(row.transformer(plane))
             for _ in range(3):
                 a = sk.GridSet(grid, rng.random(grid.dims) < 0.4)
@@ -502,7 +504,7 @@ class TestSetMapBundle:
             rolled = np.roll(np.asarray(a.mask), 2, axis=1)
             return sk.GridSet(a.grid, rolled)
 
-        dmap = sk.SetMap("shift", shifted, plane=PLANE, axis=1)
+        dmap = sk.SetMap("shift", shifted, plane=PLANE)
         bundle = sk.check_setmap_properties(dmap, trials=20, seed=6, grid=GRID)
         assert bundle["symmetric_invariant"].verdict == "fails"
 
@@ -619,15 +621,30 @@ class TestClassify:
         assert label == "other"
         assert "two-disk" in witness["reason"]
 
-    @pytest.mark.parametrize("seed", [0, 2, 5])
+    @pytest.mark.parametrize("seed", range(40))
     def test_cog_reflection_layer_cake_is_other(self, seed):
         # every mirror pair reads the identity and the cone probes are
-        # symmetric along u, so only the "core" probes tell it apart
+        # symmetric along u, so only the "core" probes tell it apart; at 12
+        # of these seeds a cone probe's level sets leave the grid under cog
+        # reflection, and the gates pass over that probe instead of raising
         T = layer_cake(sk.cog_reflection_set_map(u_axis=1))
         assert sk.classify_rearrangement(T, GRID, PLANE, seed=seed) == (
             "other",
             {"reason": "probe disagrees with identity"},
         )
+
+    def test_a_canonical_label_reads_each_probe_once(self):
+        # each cone, each raised copy of the first four, the two pair-read
+        # images, the two-disk union and each "core" probe: one call apiece
+        row = sk.CANONICAL_MAPS["two_point"].transformer(PLANE)
+        calls = []
+
+        def T(f):
+            calls.append(f)
+            return row(f)
+
+        assert sk.classify_rearrangement(T, GRID, PLANE, seed=0) == ("two_point", None)
+        assert len(calls) == CONE_PROBES + 4 + 2 + 1 + CORE_PROBES == 19
 
     def test_non_rearrangement_rejected(self):
         with pytest.raises(NotARearrangement):
