@@ -29,8 +29,7 @@ _EXPORTS = {
     ),
     "harness": (
         "LP_EXPONENTS", "MODULUS_MAX_TRIALS", "SETMAP_LAWS", "TRANSFORMER_LAWS", "PropertyReport",
-        "check_setmap_law", "check_setmap_properties", "check_setmaps", "check_transformer",
-        "check_transformers", "classify_rearrangement", "modulus_profile", "run_gallery", "run_verify",
+        "check_laws", "classify_rearrangement", "modulus_profile", "run_gallery", "run_verify",
     ),
     "polygons": ("ConvexPolygon", "chord", "convex_hull", "polygon_raster"),
     "rearrange": (

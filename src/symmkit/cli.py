@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import gridio
-from .errors import GalleryMismatch, SymmkitError
+from .errors import GalleryMismatch, OffGrid, SymmkitError
 from .experiments import run_convergence
 from .geometry import OrientedHyperplane
 from .rearrange import polarize, schwarz_symmetrize_function, steiner_symmetrize_function
@@ -24,6 +24,17 @@ def _parse_vector(text):
     if not 1 <= len(parts) <= 3:
         raise ValueError("normal must have 1, 2 or 3 components")
     return tuple(parts)
+
+
+def _parse_seed(text):
+    """A ``--seed`` value: numpy seeds only from a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _build_parser():
@@ -56,20 +67,20 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run the property battery on the canonical maps")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_parse_seed, default=7)
     p.add_argument("--report", default=None)
 
     p = sub.add_parser("converge", help="iterated two-point convergence experiment")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--axis", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--final", default=None, help="optional GRD1 path for the last iterate")
 
     p = sub.add_parser("gallery", help="counterexample fixtures vs expected verdicts")
     p.add_argument("--report", default=None)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_parse_seed, default=7)
     p.add_argument("--trials", type=int, default=20)
 
     return parser
@@ -84,6 +95,10 @@ def _write_json(path, payload):
 def _cmd_polarize(args):
     f = gridio.read_grid_function(args.inp)
     plane = OrientedHyperplane(_parse_vector(args.normal), args.offset, args.positive)
+    plan = plane.reflection(f.grid)
+    # an H- cell whose mirror leaves the grid would be filled from outside it, and f would lose mass
+    if not plan.inside[~plan.hplus.ravel()].all():
+        raise OffGrid("the mirror of some H- cell leaves the grid; polarize across a plane toward the grid's center")
     gridio.write_grid_function(args.out, polarize(f, plane))
     return 0
 

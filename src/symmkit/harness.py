@@ -5,20 +5,21 @@ with seed ``s`` draws from ``numpy.random.default_rng((s, i))``, so a failed
 trial is replayable from the (seed, trial) pair alone.  Verdicts are exact:
 grids have no null sets, so no measure-zero slack is granted anywhere.
 
-Each law catalog has one entry point: :func:`check_transformers` scores every
-law of :data:`TRANSFORMER_LAWS` on a dict of transformers, and
-:func:`check_setmaps` the named laws of :data:`SETMAP_LAWS` on a list of set
-maps.  Reports are keyed by (subject, law), the subject being a transformer's
-or a set map's name.  Every key scored on a trial reads one :class:`_Draw`,
+One runner scores both law catalogs: :func:`check_laws` scores the laws of
+:data:`TRANSFORMER_LAWS` or :data:`SETMAP_LAWS`, optionally cut to named
+laws, on a dict of named transformers or set maps.  Reports are keyed by
+(subject, law).  Every key scored on a trial reads one :class:`_Draw`,
 which makes each input on first read and keeps it: f, its partners and
 ``distribution(f)`` once for all transformers, and each set-map input once
 for all maps of one domain and plane.  Each key keeps its own first failing
 trial, so every report equals that of its law run on its subject alone.
 
+:func:`classify_rearrangement` names the canonical map a transformer is, or
+returns a witness that it is none of them.
+
 The two batteries of the CLI run here too: :func:`run_verify` (``symmkit
-verify``, both set maps in one :func:`check_setmaps` call) and
-:func:`run_gallery` over :data:`GALLERY_ROWS` (``symmkit gallery``, one call
-per row).
+verify``, one :func:`check_laws` call per catalog) and :func:`run_gallery`
+over :data:`GALLERY_ROWS` (``symmkit gallery``, one call per row).
 """
 
 from __future__ import annotations
@@ -433,7 +434,7 @@ def _tf(transformer, draw):
     return draw(("tf", id(transformer)), lambda rng: transformer(f))
 
 
-def _keeps_distribution(transformer, draw):
+def _keeps_distribution(transformer, plane, draw):
     """Exact (value, cell-count) profile comparison."""
     f = _f(draw)
     before = draw("distribution", lambda rng: distribution(f))
@@ -443,7 +444,7 @@ def _keeps_distribution(transformer, draw):
     return None
 
 
-def _keeps_order(transformer, draw):
+def _keeps_order(transformer, plane, draw):
     """f <= g pointwise must imply Tf <= Tg pointwise, exactly; g is f plus a random nonnegative bump."""
     f = _f(draw)
     bump = draw("bump", lambda rng: random_blob_function(rng, draw.grid, max_blobs=2), after="f")
@@ -475,7 +476,7 @@ def _lp_diffs(transformer, draw):
 def _contracts_lp(p):
     """||Tf - Tg||_p <= ||f - g||_p, exactly."""
 
-    def score(transformer, draw):
+    def score(transformer, plane, draw):
         image_diff, diff = _lp_diffs(transformer, draw)
         if _lp_sum(image_diff, p) <= _lp_sum(diff, p):
             return None
@@ -485,7 +486,7 @@ def _contracts_lp(p):
     return score
 
 
-def _reduces_modulus(transformer, draw):
+def _reduces_modulus(transformer, plane, draw):
     """omega_d(Tf) <= omega_d(f) for every grid distance d, exactly."""
     f, tf = _f(draw), _tf(transformer, draw)
     ds, before = draw("profile", lambda rng: modulus_profile(f))
@@ -502,10 +503,11 @@ def _reduces_modulus(transformer, draw):
 class Law:
     """One law of a catalog: ``trial`` scores one trial and returns None or a counterexample.
 
-    A transformer law's trial takes (transformer, draw) and a set-map law's
-    (dmap, plane, draw), the draw being the trial's :class:`_Draw`.
-    ``max_trials`` caps the trial count.  A set-map law that ``needs`` the
-    reference "plane" or the map's "contraction" is skipped without it.
+    ``trial`` takes (subject, plane, draw): the transformer or set map, its
+    own plane or else the reference plane (transformer laws ignore it), and
+    the trial's :class:`_Draw`.  ``max_trials`` caps the trial count.  A law
+    that ``needs`` the "plane" or the subject's "contraction" is skipped
+    without it.
     """
 
     trial: callable
@@ -524,33 +526,6 @@ TRANSFORMER_LAWS = {
     **{name: Law(_contracts_lp(p)) for p, name in _LP_NAMES.items()},
     "modulus_reducing": Law(_reduces_modulus, max_trials=MODULUS_MAX_TRIALS),
 }
-
-
-def check_transformers(transformers, trials=200, seed=0, grid=DEFAULT_GRID):
-    """Every law of :data:`TRANSFORMER_LAWS` on each of a dict of transformers,
-    as {transformer name: {law name: report}}.
-
-    Each trial makes one :class:`_Draw`, shared by every live (transformer,
-    law) pair.  Each transformer keeps its own first failing trial, so its
-    reports equal those of :func:`check_transformer` on it alone.  The
-    modulus law runs at most MODULUS_MAX_TRIALS trials.
-    """
-    trials = _trial_count(trials)
-    laws = TRANSFORMER_LAWS.items()
-    caps = {(t, name): min(trials, law.max_trials or trials) for t in transformers for name, law in laws}
-
-    def score(rng, live):
-        draw = _Draw(rng, grid)
-        return {(t, name): TRANSFORMER_LAWS[name].trial(transformers[t], draw) for t, name in live}
-
-    reports = _run_trials(caps, seed, score)
-    return {t: {name: reports[t, name] for name in TRANSFORMER_LAWS} for t in transformers}
-
-
-def check_transformer(transformer, trials=200, seed=0, grid=DEFAULT_GRID):
-    """Every law of :data:`TRANSFORMER_LAWS` on one transformer, keyed by law name:
-    the one-transformer case of :func:`check_transformers`."""
-    return check_transformers({None: transformer}, trials, seed, grid)[None]
 
 
 # ---------------------------------------------------------------------------
@@ -644,52 +619,53 @@ SETMAP_LAWS = {
 }
 
 
-def check_setmaps(maps, laws, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
-    """The ``laws`` of :data:`SETMAP_LAWS` on each of a list of set maps with
-    distinct names, as {map name: {law name: report}}.
+# ---------------------------------------------------------------------------
+# Law runner
+# ---------------------------------------------------------------------------
 
-    ``plane`` is the reference hyperplane for maps not tied to one (the
-    identity, say).  Each trial makes one :class:`_Draw`, shared by every
-    live (map, law) pair: each input is keyed by what it depends on (a map's
-    domain, its plane), so maps and laws that read one input share it.  Each
-    map keeps its own first failing trial, so its reports equal those of the
-    map run alone.
+
+def check_laws(catalog, subjects, trials, seed=0, grid=DEFAULT_GRID, plane=None, laws=None):
+    """The laws of ``catalog`` on each of a dict of subjects, as {subject name: {law name: report}}.
+
+    ``catalog`` is :data:`TRANSFORMER_LAWS` or :data:`SETMAP_LAWS`, and
+    ``subjects`` maps each name to a transformer or a set map.  ``laws``
+    names the laws to score, in report order; by default, every law of the
+    catalog.  ``plane`` is the reference hyperplane for subjects not tied to
+    one (the identity, say).  A law runs at most its ``max_trials`` trials,
+    and is skipped on a subject that lacks what it ``needs``.
+
+    Each trial makes one :class:`_Draw`, shared by every live (subject, law)
+    pair: each input is keyed by what it depends on (f for the transformers;
+    a map's domain and plane for the set maps), so subjects and laws that
+    read one input share it.  Each subject keeps its own first failing
+    trial, so its reports equal those of each law run on it alone.  A trial
+    count below 1 raises ValueError and a law not in the catalog
+    UnknownName, before any law runs.
     """
     trials = _trial_count(trials)
+    laws = list(catalog if laws is None else laws)
     for name in laws:
-        if name not in SETMAP_LAWS:
-            raise UnknownName(f"unknown set-map law {name!r}; expected one of {tuple(SETMAP_LAWS)}")
-    by_name = {dmap.name: dmap for dmap in maps}
-    if len(by_name) < len(maps):
-        raise ValueError(f"set-map names must be distinct, got {[dmap.name for dmap in maps]}")
-    planes = {m: plane if dmap.plane is None else dmap.plane for m, dmap in by_name.items()}
-    reports, caps = {}, {}
-    for m, dmap in by_name.items():
-        missing = {"plane": planes[m] is None, "contraction": dmap.contraction is None}
+        if name not in catalog:
+            raise UnknownName(f"unknown law {name!r}; expected one of {tuple(catalog)}")
+    reports, caps, planes = {}, {}, {}
+    for s, subject in subjects.items():
+        own = getattr(subject, "plane", None)
+        planes[s] = plane if own is None else own
+        missing = {"plane": planes[s] is None, "contraction": getattr(subject, "contraction", None) is None}
         for name in laws:
-            law = SETMAP_LAWS[name]
+            law = catalog[name]
             if missing.get(law.needs):
                 detail = "no reference hyperplane" if law.needs == "plane" else "no contraction backing"
-                reports[m, name] = PropertyReport(name, None, 0, seed, detail=detail)
+                reports[s, name] = PropertyReport(name, None, 0, seed, detail=detail)
             else:
-                caps[m, name] = min(trials, law.max_trials or trials)
+                caps[s, name] = min(trials, law.max_trials or trials)
 
     def score(rng, live):
         draw = _Draw(rng, grid)
-        return {(m, name): SETMAP_LAWS[name].trial(by_name[m], planes[m], draw) for m, name in live}
+        return {(s, name): catalog[name].trial(subjects[s], planes[s], draw) for s, name in live}
 
     reports.update(_run_trials(caps, seed, score))
-    return {m: {name: reports[m, name] for name in laws} for m in by_name}
-
-
-def check_setmap_law(name, dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
-    """One law of :data:`SETMAP_LAWS` on a set map: a one-map, one-law case of :func:`check_setmaps`."""
-    return check_setmaps([dmap], [name], trials, seed, grid, plane)[dmap.name][name]
-
-
-def check_setmap_properties(dmap, trials=100, seed=0, grid=DEFAULT_GRID, plane=None):
-    """Every law of :data:`SETMAP_LAWS` on a set map, keyed by law name: the one-map case of :func:`check_setmaps`."""
-    return check_setmaps([dmap], SETMAP_LAWS, trials, seed, grid, plane)[dmap.name]
+    return {s: {name: reports[s, name] for name in laws} for s in subjects}
 
 
 # ---------------------------------------------------------------------------
@@ -802,10 +778,10 @@ def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
     """
     plane = axis_plane(1, grid.n, 0.0, 1)
     transformers = {name: row.transformer(plane) for name, row in CANONICAL_MAPS.items()}
-    set_maps = [canonical_set_map("two_point", plane), canonical_set_map("identity", plane)]
+    set_maps = {m.name: m for m in (canonical_set_map("two_point", plane), canonical_set_map("identity", plane))}
     suites = {
-        "transformers": check_transformers(transformers, trials, seed, grid),
-        "set_maps": check_setmaps(set_maps, SETMAP_LAWS, min(trials, 100), seed, grid, plane),
+        "transformers": check_laws(TRANSFORMER_LAWS, transformers, trials, seed, grid),
+        "set_maps": check_laws(SETMAP_LAWS, set_maps, min(trials, 100), seed, grid, plane),
     }
     report, all_hold = {}, True
     for kind, suite in suites.items():
@@ -907,7 +883,7 @@ def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID):
     for example, set_map, expected, check in GALLERY_ROWS:
         dmap = set_map(plane)
         laws = [law for law in expected if law in SETMAP_LAWS]
-        reports = check_setmaps([dmap], laws, trials, seed, grid, plane)[dmap.name]
+        reports = check_laws(SETMAP_LAWS, {example: dmap}, trials, seed, grid, plane, laws)[example]
         checks = {law: r.verdict for law, r in reports.items()}
         checks.update(check(dmap, grid, plane, seed, trials))
         match = checks == expected

@@ -149,6 +149,36 @@ def test_polarize_far_plane_exit_2(tmp_path, capsys, offset):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("offset, positive, status", [("-0.5", "-", 2), ("0.5", "-", 2), ("0.5", "+", 0)])
+def test_polarize_refuses_a_plane_away_from_center(tmp_path, capsys, offset, positive, status):
+    # f = (2, 1, 0): the two refused planes used to write (0, 0, 0) and (2, 0, 0)
+    path, out = tmp_path / "f.grd", tmp_path / "o.grd"
+    f = sk.GridFunction(sk.Grid((3,), (0.0,), 1.0), np.array([2.0, 1.0, 0.0]))
+    gridio.write_grid_function(path, f)
+    argv = ["polarize", "--in", str(path), "--normal", "1", "--offset", offset, "--positive", positive,
+            "--out", str(out)]
+    assert cli_dispatch(argv) == status
+    if status == 2:
+        assert "mirror of some H- cell leaves the grid" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert gridio.read_grid_function(out) == f
+
+
+@pytest.mark.parametrize("command", ["verify", "gallery", "converge"])
+def test_negative_seed_is_rejected_by_name(tmp_path, sample_grd, capsys, command):
+    path, _ = sample_grd
+    out = tmp_path / "out"
+    argv = {
+        "verify": ["verify", "--trials", "1", "--report", str(out)],
+        "gallery": ["gallery", "--trials", "1", "--report", str(out)],
+        "converge": ["converge", "--in", str(path), "--axis", "1", "--iters", "3", "--out", str(out)],
+    }[command]
+    assert cli_dispatch([*argv, "--seed", "-3"]) == 2
+    assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, dims, spacing",
     [

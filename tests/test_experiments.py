@@ -11,10 +11,9 @@ from symmkit.errors import GalleryMismatch
 from symmkit.experiments import draw_polarization_plane, run_convergence
 from symmkit.chordmaps import canonical_set_map, cog_reflection_set_map
 from symmkit.harness import (
-    check_setmap_law,
-    check_setmap_properties,
-    check_transformer,
-    check_transformers,
+    SETMAP_LAWS,
+    TRANSFORMER_LAWS,
+    check_laws,
     random_blob_function,
     run_gallery,
     run_verify,
@@ -77,27 +76,27 @@ def test_profile_guard_catches_a_step_that_changes_a_value(monkeypatch, step, br
 PLANE = sk.axis_plane(1, 2, 0.0, 1)
 
 
-def _check_transformers(trials):
-    return check_transformers({"mean": sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)}, trials)
+def _transformer_laws(trials):
+    return check_laws(TRANSFORMER_LAWS, {"mean": sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)}, trials)
 
 
-def _check_transformer(trials):
-    return check_transformer(sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE), trials)
+def _capped_transformer_law(trials):
+    # the modulus law's cap is applied after the count is checked
+    return check_laws(TRANSFORMER_LAWS, {"identity": lambda f: f}, trials, laws=["modulus_reducing"])
 
 
-def _check_setmap_law(trials):
+def _skipped_setmap_law(trials):
     # no plane: the count is checked before the law is skipped for want of one
-    return check_setmap_law("symmetric_invariant", cog_reflection_set_map(u_axis=1), trials)
+    return check_laws(SETMAP_LAWS, {"cog": cog_reflection_set_map(u_axis=1)}, trials, laws=["symmetric_invariant"])
 
 
-def _check_setmap_properties(trials):
-    return check_setmap_properties(canonical_set_map("identity", PLANE), trials)
+def _setmap_laws(trials):
+    return check_laws(SETMAP_LAWS, {"identity": canonical_set_map("identity", PLANE)}, trials)
 
 
 @pytest.mark.parametrize("trials", [0, -3, 2.5])
 @pytest.mark.parametrize(
-    "run",
-    [run_verify, run_gallery, _check_transformers, _check_transformer, _check_setmap_law, _check_setmap_properties],
+    "run", [run_verify, run_gallery, _transformer_laws, _capped_transformer_law, _skipped_setmap_law, _setmap_laws]
 )
 def test_zero_trials_rejected(run, trials):
     # a count below 1 used to report every law as "holds" on no trials, and

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import symmkit as sk
-from symmkit.harness import DEFAULT_GRID, TRANSFORMER_LAWS, check_transformer, trial_rng
+from symmkit.harness import DEFAULT_GRID, TRANSFORMER_LAWS, check_laws, trial_rng
 
 SEEDS = range(40)
 ODD_SHAPES = [(1,), (1, 1), (1, 6), (5, 1), (1, 1, 1), (1, 4, 7), (5, 1, 2), (2, 3, 1), (6, 2, 5)]
@@ -133,7 +133,7 @@ CASES += [(rule, GRID3, axis, 50) for rule in RULES for axis in range(3)]
 @pytest.mark.parametrize(("rule", "grid", "axis", "trials"), CASES)
 def test_symmetrization_is_a_rearrangement(rule, grid, axis, trials):
     assert len(HOLDING) == 5
-    reports = check_transformer(lambda f: RULES[rule](f, axis), trials=trials, seed=7, grid=grid)
+    reports = check_laws(TRANSFORMER_LAWS, {rule: lambda f: RULES[rule](f, axis)}, trials, 7, grid, laws=HOLDING)[rule]
     for name in HOLDING:
         report = reports[name]
         assert report.holds and report.trials == trials, (name, report.counterexample)

@@ -108,6 +108,7 @@ def test_matches_pairwise_on_random_small_grids(f):
 @given(grid_and_plane(), st.integers(0, 2**16))
 def test_polarization_reduces_modulus_on_random_grids(grid_plane, seed):
     grid, plane = grid_plane
-    reports = sk.check_transformer(lambda f: sk.polarize(f, plane), trials=4, seed=seed, grid=grid)
-    report = reports["modulus_reducing"]
+    polar = lambda f: sk.polarize(f, plane)
+    reports = sk.check_laws(sk.TRANSFORMER_LAWS, {"polar": polar}, 4, seed, grid, laws=["modulus_reducing"])
+    report = reports["polar"]["modulus_reducing"]
     assert report.holds, report.counterexample

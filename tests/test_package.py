@@ -1,4 +1,4 @@
-"""The package surface: 90 public names, each loaded from its home module on first use."""
+"""The package surface: 86 public names, each loaded from its home module on first use."""
 
 import importlib
 import inspect
@@ -15,8 +15,7 @@ from symmkit import rearrange
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# symmkit.__all__: the 88 names of the package when it imported every module
-# eagerly, schwarz_symmetrize_function and check_setmaps
+# symmkit.__all__, with check_laws the one law runner
 PUBLIC = """
     ASSOCIATED_PAIRS AssociatedFunctionPair CANONICAL_MAPS CanonicalMap ChordMovedRegion
     ConvergenceTrace ConvexPolygon DegenerateBody DistributionProfile EmptySet GalleryMismatch Grid
@@ -24,8 +23,7 @@ PUBLIC = """
     MonotoneStep NonConvexColumn NonMonotoneMap NotARearrangement OffGrid OrientedHyperplane
     PLContraction PointwiseTransformer PropertyReport Reflection SETMAP_LAWS SetMap SymmkitError
     TRANSFORMER_LAWS UnknownName axis_plane blaschke_composite_set_map box_raster
-    canonical_contraction canonical_set_map centered_grid check_fvalues check_setmap_law
-    check_setmap_properties check_setmaps check_transformer check_transformers chord chord_move_gridset
+    canonical_contraction canonical_set_map centered_grid check_fvalues check_laws chord chord_move_gridset
     chord_move_polygon chord_movement_set_map chordmaps chordwise_distance classify_rearrangement
     cog_reflect cog_reflection_set_map compose_monotone contractions convex_hull disk_raster
     distribution errors experiments geometry graph_lengths grid_perimeter harness induced_set_map
@@ -96,7 +94,7 @@ def test_property_commands_load_only_their_modules(command):
 
 
 def test_all_is_the_public_surface():
-    assert len(PUBLIC) == 90
+    assert len(PUBLIC) == 86
     assert sk.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(sk))
 

@@ -82,7 +82,8 @@ class TestInducedMapsOfPointwiseTransformers:
         samples = [(float(r), float(s)) for r in range(-2, 3) for s in range(-2, 3)]
         assert sk.check_fvalues(pair, samples)[0] == (label is not None)
 
-        verdicts = {law: r.verdict for law, r in sk.check_transformer(T, trials=40, seed=11, grid=self.SMALL).items()}
+        reports = sk.check_laws(sk.TRANSFORMER_LAWS, {name: T}, 40, seed=11, grid=self.SMALL)[name]
+        verdicts = {law: r.verdict for law, r in reports.items()}
         holds = dict.fromkeys(sk.TRANSFORMER_LAWS, "holds")
         assert verdicts == (holds if label is not None else {**holds, "equimeasurable": "fails"})
 
