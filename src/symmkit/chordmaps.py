@@ -17,7 +17,7 @@ import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
 from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
-from .geometry import UNIT_TOL, GridSet, induced_set_map, reflect_grid_set
+from .geometry import UNIT_TOL, GridSet, _breakpoints, induced_set_map, reflect_grid_set
 from .polygons import chords_at, perp
 from .rearrange import CANONICAL_MAPS, polarize_set
 
@@ -43,20 +43,10 @@ class ChordMovedRegion:
     upper: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if not (xs.shape == lower.shape == upper.shape) or xs.ndim != 1 or len(xs) < 2:
-            raise ValueError("need matching 1D breakpoint arrays")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("region breakpoints must be finite")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("breakpoint stations must be strictly increasing")
+        xs, lower, upper = _breakpoints(ValueError, "region breakpoints", self.xs, self.lower, self.upper)
         span = max(1.0, float(np.abs(upper).max()), float(np.abs(lower).max()))
         if np.any(upper - lower < -1e-9 * span):
             raise ValueError("upper graph must dominate the lower graph")
-        for arr in (xs, lower, upper):
-            arr.setflags(write=False)
         object.__setattr__(self, "u", tuple(float(c) for c in self.u))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "lower", lower)
@@ -151,7 +141,7 @@ def chord_move_polygon(poly, phi, u):
     u = _chord_direction(u)
     w = perp(u)
     stations = _vertex_stations(poly, w)
-    lo, hi, ok = chords_at(poly.vertices, u, stations)
+    lo, hi, ok = chords_at(poly, u, stations)
     if not np.all(ok):
         raise DegenerateBody("vertex stations must carry nonempty chords")
     mids = (lo + hi) / 2.0
@@ -164,7 +154,7 @@ def chord_move_polygon(poly, phi, u):
         xs = xs[keep]
     else:
         xs = stations
-    lo, hi, ok = chords_at(poly.vertices, u, xs)
+    lo, hi, ok = chords_at(poly, u, xs)
     lo = np.where(ok, lo, 0.0)
     hi = np.where(ok, hi, 0.0)
     mids = (lo + hi) / 2.0
@@ -189,11 +179,11 @@ def union_of_translates(poly, phi, u, samples):
     vstations = _vertex_stations(poly, w)
     edges = np.linspace(vstations[0], vstations[-1], ORACLE_STATIONS + 1)
     xs = (edges[:-1] + edges[1:]) / 2.0
-    lo_v, hi_v, _ = chords_at(poly.vertices, u, vstations)
+    lo_v, hi_v, _ = chords_at(poly, u, vstations)
     mids = (lo_v + hi_v) / 2.0
     ts = np.linspace(float(mids.min()), float(mids.max()), samples)
-    lo, hi, ok = chords_at(poly.vertices, u, xs)
-    lo_r, hi_r, ok_r = chords_at(poly.reflect_across(u).vertices, u, xs)
+    lo, hi, ok = chords_at(poly, u, xs)
+    lo_r, hi_r, ok_r = chords_at(poly.reflect_across(u), u, xs)
     # (samples, stations): chord of (poly - t u) meets chord of (reflected + t u)
     t = ts[:, None]
     core_lo = np.maximum(lo - t, lo_r + t)

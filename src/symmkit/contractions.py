@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownName
+from .geometry import _breakpoints
 
 SLOPE_TOL = 1e-12
 
@@ -32,19 +33,10 @@ class PLContraction:
     ys: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if ts.ndim != 1 or ts.shape != ys.shape or len(ts) < 2:
-            raise ValueError("need at least two breakpoints of equal length")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ys))):
-            raise ValueError("breakpoints must be finite")
-        if np.any(np.diff(ts) <= 0):
-            raise ValueError("breakpoint abscissae must be strictly increasing")
+        ts, ys = _breakpoints(ValueError, "breakpoints", self.ts, self.ys)
         slopes = np.diff(ys) / np.diff(ts)
         if np.any(np.abs(slopes) > 1.0 + SLOPE_TOL):
             raise ValueError("every segment slope must satisfy |s| <= 1")
-        ts.setflags(write=False)
-        ys.setflags(write=False)
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "ys", ys)
 
@@ -59,9 +51,7 @@ class PLContraction:
     @classmethod
     def from_breakpoints(cls, pairs):
         pairs = sorted((float(t), float(y)) for t, y in pairs)
-        ts = [p[0] for p in pairs]
-        ys = [p[1] for p in pairs]
-        return cls(np.asarray(ts), np.asarray(ys))
+        return cls([t for t, _ in pairs], [y for _, y in pairs])
 
     def breakpoint_pairs(self):
         return [(float(t), float(y)) for t, y in zip(self.ts, self.ys)]

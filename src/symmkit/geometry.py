@@ -26,6 +26,27 @@ UNIT_TOL = 1e-12
 LATTICE_TOL = 1e-9  # relative to the spacing
 
 
+def _frozen(x, dtype=float):
+    """``x`` as an owned, read-only, C-ordered array of ``dtype``: the caller's array is never aliased or frozen."""
+    arr = np.array(x, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
+
+
+def _breakpoints(error, what, ts, *ys, least=2):
+    """:func:`_frozen` copies of ``ts, *ys``; ``error`` naming ``what`` unless they are
+    1-D of one length >= ``least``, all finite, and ``ts`` is strictly increasing."""
+    arrays = tuple(_frozen(a) for a in (ts, *ys))
+    ts = arrays[0]
+    if ts.ndim != 1 or len(ts) < least or any(a.shape != ts.shape for a in arrays):
+        raise error(f"{what} need matching 1-D arrays of length >= {least}")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise error(f"{what} must be finite")
+    if np.any(np.diff(ts) <= 0):
+        raise error(f"{what}: the abscissae must be strictly increasing")
+    return arrays
+
+
 @dataclass(frozen=True)
 class Grid:
     """Axis-aligned regular grid in dimension 1, 2 or 3."""
@@ -122,13 +143,11 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _frozen(self.values)
         if values.shape != self.grid.dims:
             raise ValueError(f"values have shape {values.shape}, grid has dims {self.grid.dims}")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid function values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -153,11 +172,9 @@ class GridSet:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = _frozen(self.mask, bool)
         if mask.shape != self.grid.dims:
             raise ValueError(f"mask has shape {mask.shape}, grid has dims {self.grid.dims}")
-        mask = mask.copy()
-        mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
     @property
@@ -346,12 +363,8 @@ class DistributionProfile:
     cell_volume: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        counts = np.asarray(self.counts_above, dtype=np.int64)
-        values.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "counts_above", counts)
+        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "counts_above", _frozen(self.counts_above, np.int64))
 
     def pairs(self):
         """List of (value, measure of {f > value})."""

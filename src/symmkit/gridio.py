@@ -139,7 +139,7 @@ def read_polygon(path):
     from .polygons import ConvexPolygon
 
     (vertices,) = _read_json_fields(path, "polygon", _POLYGON)
-    return ConvexPolygon(np.asarray(vertices, dtype=float))
+    return ConvexPolygon(vertices)
 
 
 def write_contraction(path, phi):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridSet
+from .geometry import GridSet, _frozen
 
 CROSS_TOL = 1e-12
 CLIP_EPS = 1e-12
@@ -34,7 +34,7 @@ class ConvexPolygon:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = _frozen(self.vertices)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise ValueError("need at least three planar vertices")
         if not np.all(np.isfinite(v)):
@@ -43,8 +43,6 @@ class ConvexPolygon:
         cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
         if np.any(cross <= CROSS_TOL):
             raise ValueError("vertices must be counter-clockwise and strictly convex")
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
     def area(self):
@@ -106,19 +104,16 @@ def convex_hull(points):
     return np.asarray(lower[:-1] + upper[:-1], dtype=float)
 
 
-def chords_at(vertices, u, xs):
-    """Extents along u of the intersections with the lines {x*perp(u) + t*u}.
+def chords_at(poly, u, xs):
+    """Extents along u of the intersections of ``poly`` with the lines {x*perp(u) + t*u}.
 
-    Works on a raw counter-clockwise vertex array; returns (lo, hi, nonempty)
-    with lo/hi meaningful only where ``nonempty`` is True.
+    Reads the polygon's half-planes from :meth:`ConvexPolygon.edge_constraints`;
+    returns (lo, hi, nonempty) with lo/hi meaningful only where ``nonempty`` is True.
     """
-    v = np.asarray(vertices, dtype=float)
     u = np.asarray(u, dtype=float)
     w = perp(u)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    e = np.roll(v, -1, axis=0) - v
-    normals = np.stack([-e[:, 1], e[:, 0]], axis=1)
-    rhs = np.sum(normals * v, axis=1)
+    normals, rhs = poly.edge_constraints()
     # constraint: (a.u) t >= b - (a.w) x  for each edge a.p >= b
     au = normals @ u
     aw = normals @ w
@@ -126,7 +121,7 @@ def chords_at(vertices, u, xs):
     lo = np.full(xs.shape, -np.inf)
     hi = np.full(xs.shape, np.inf)
     ok = np.ones(xs.shape, dtype=bool)
-    scale = max(1.0, float(np.abs(v).max()))
+    scale = max(1.0, float(np.abs(poly.vertices).max()))
     # free / au carries a rounding error of about eps * scale * |a| / |au|, so
     # an edge nearly parallel to u bounds its chords only loosely; the
     # emptiness test widens by that factor for the edges that bound a chord
@@ -134,7 +129,7 @@ def chords_at(vertices, u, xs):
     widen = np.maximum(1.0, norm / np.maximum(np.abs(au), CLIP_EPS))
     lo_widen = np.ones(xs.shape)
     hi_widen = np.ones(xs.shape)
-    for j in range(len(v)):
+    for j in range(len(rhs)):
         if au[j] > CLIP_EPS:
             t = free[j] / au[j]
             lo_widen = np.where(t > lo, widen[j], lo_widen)
@@ -154,7 +149,7 @@ def chord(poly, u, x):
 
     Returns (lo, hi); degenerate touching chords are kept with lo == hi.
     """
-    lo, hi, ok = chords_at(poly.vertices, u, [float(x)])
+    lo, hi, ok = chords_at(poly, u, [float(x)])
     if not ok[0]:
         return None
     lo_v, hi_v = float(lo[0]), float(hi[0])

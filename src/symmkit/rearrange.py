@@ -21,6 +21,7 @@ from .geometry import (
     GridFunction,
     GridSet,
     OrientedHyperplane,
+    _breakpoints,
     induced_set_map,
 )
 
@@ -204,18 +205,9 @@ class MonotonePL:
     ys: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if ts.ndim != 1 or ts.shape != ys.shape or len(ts) < 2:
-            raise NonMonotoneMap("need at least two breakpoints")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ys))):
-            raise NonMonotoneMap("breakpoints must be finite")
-        if np.any(np.diff(ts) <= 0):
-            raise NonMonotoneMap("breakpoint abscissae must be strictly increasing")
+        ts, ys = _breakpoints(NonMonotoneMap, "breakpoints", self.ts, self.ys)
         if np.any(np.diff(ys) < 0):
             raise NonMonotoneMap("breakpoint values must be non-decreasing")
-        ts.setflags(write=False)
-        ys.setflags(write=False)
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "ys", ys)
 
@@ -232,20 +224,15 @@ class MonotoneStep:
     below: float
 
     def __post_init__(self):
-        th = np.asarray(self.thresholds, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if th.ndim != 1 or th.shape != vals.shape or len(th) == 0:
-            raise NonMonotoneMap("need matching thresholds and values")
-        if np.any(np.diff(th) <= 0):
-            raise NonMonotoneMap("thresholds must be strictly increasing")
-        levels = np.concatenate([[float(self.below)], vals])
-        if np.any(np.diff(levels) < 0):
+        th, vals = _breakpoints(NonMonotoneMap, "thresholds and values", self.thresholds, self.values, least=1)
+        below = float(self.below)
+        if not np.isfinite(below):
+            raise NonMonotoneMap("the value below the first threshold must be finite")
+        if np.any(np.diff(vals, prepend=below) < 0):
             raise NonMonotoneMap("step values must be non-decreasing")
-        th.setflags(write=False)
-        vals.setflags(write=False)
         object.__setattr__(self, "thresholds", th)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "below", float(self.below))
+        object.__setattr__(self, "below", below)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -256,4 +243,4 @@ class MonotoneStep:
 
 def compose_monotone(f, phi):
     """Pointwise composition phi(f) for an increasing right-continuous phi."""
-    return GridFunction(f.grid, np.asarray(phi(f.values), dtype=float))
+    return GridFunction(f.grid, phi(f.values))

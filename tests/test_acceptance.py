@@ -139,7 +139,7 @@ def test_criterion_05_commutation():
 @criterion(6, "canonical correspondence")
 def test_criterion_06_canonical_correspondence():
     def expected(poly, name, xs):
-        lo, hi, _ = chords_at(poly.vertices, U, xs)
+        lo, hi, _ = chords_at(poly, U, xs)
         t = (lo + hi) / 2.0
         keep = t >= 0
         if name == "id":
@@ -195,7 +195,7 @@ def test_criterion_08_translate_law():
         poly = random_symmetric_polygon(rng, U)
         for t in np.linspace(-2.0, 2.0, 20):
             region = sk.chord_move_polygon(poly.translate(t * U), saw, U)
-            lo, hi, ok = chords_at(poly.vertices, U, region.xs)
+            lo, hi, ok = chords_at(poly, U, region.xs)
             assert ok.all()
             shift = saw(t)
             assert np.abs(region.lower - (lo + shift)).max() <= 1e-9
@@ -212,7 +212,7 @@ def test_criterion_09_union_oracle():
         region = sk.chord_move_polygon(poly, phi, U)
         approx = sk.union_of_translates(poly, phi, U, samples=samples)
         stations = np.unique(poly.vertices @ np.array([1.0, 0.0]))
-        lo, hi, _ = chords_at(poly.vertices, U, stations)
+        lo, hi, _ = chords_at(poly, U, stations)
         mids = (lo + hi) / 2.0
         bound = 2.0 * float(mids.max() - mids.min()) / samples
         assert sk.chordwise_distance(approx, region) <= bound

@@ -47,7 +47,7 @@ class TestChordMovePolygon:
         for _ in range(10):
             poly = random_convex_polygon(rng)
             region = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), U)
-            lo, hi, ok = chords_at(poly.vertices, U, region.xs)
+            lo, hi, ok = chords_at(poly, U, region.xs)
             assert ok.all()
             assert np.abs(region.lower - lo).max() < 1e-12
             assert np.abs(region.upper - hi).max() < 1e-12
@@ -59,7 +59,7 @@ class TestChordMovePolygon:
             poly = random_symmetric_polygon(rng, U)
             for t in np.linspace(-2.0, 2.0, 9):
                 region = sk.chord_move_polygon(poly.translate(t * U), phi, U)
-                lo, hi, ok = chords_at(poly.vertices, U, region.xs)
+                lo, hi, ok = chords_at(poly, U, region.xs)
                 shift = phi(t)
                 assert np.abs(region.lower - (lo + shift)).max() < 1e-9
                 assert np.abs(region.upper - (hi + shift)).max() < 1e-9
@@ -98,7 +98,7 @@ class TestChordMovePolygon:
             poly = random_convex_polygon(rng)
             phi = random_contraction(rng)
             region = sk.chord_move_polygon(poly, phi, U)
-            lo, hi, ok = chords_at(poly.vertices, U, region.xs)
+            lo, hi, ok = chords_at(poly, U, region.xs)
             assert np.abs((region.upper - region.lower) - (hi - lo)).max() < 1e-12
 
 
@@ -127,7 +127,7 @@ class TestChordDirection:
 
 class TestCanonicalCorrespondence:
     def expected(self, poly, name, xs):
-        lo, hi, _ = chords_at(poly.vertices, U, xs)
+        lo, hi, _ = chords_at(poly, U, xs)
         t = (lo + hi) / 2.0
         keep = t >= 0
         if name == "id":
@@ -242,7 +242,7 @@ class TestUnionOracle:
             poly = random_convex_polygon(rng, points=3, min_area=0.5)
             region = sk.chord_move_polygon(poly, phi, U)
             approx = sk.union_of_translates(poly, phi, U, samples=4000)
-            lo, hi, _ = chords_at(poly.vertices, U, np.unique(poly.vertices @ np.array([1.0, 0.0])))
+            lo, hi, _ = chords_at(poly, U, np.unique(poly.vertices @ np.array([1.0, 0.0])))
             mids = (lo + hi) / 2.0
             bound = 2.0 * float(mids.max() - mids.min()) / 4000
             assert sk.chordwise_distance(approx, region) <= bound
@@ -251,7 +251,7 @@ class TestUnionOracle:
         rng = trial_rng(103, 0)
         poly = random_convex_polygon(rng)
         approx = sk.union_of_translates(poly, sk.canonical_contraction("id", 8.0), U, samples=800)
-        lo, hi, ok = chords_at(poly.vertices, U, approx.xs)
+        lo, hi, ok = chords_at(poly, U, approx.xs)
         assert ok.all()
         assert np.all(approx.lower >= lo - 1e-9)
         assert np.all(approx.upper <= hi + 1e-9)

@@ -124,6 +124,32 @@ def test_rejects_nonfinite_inputs(name):
         build()
 
 
+SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+# each value type built from a caller's writable array, and the attribute that holds its copy
+OWNED_ARRAYS = {
+    "grid_function": (lambda a: sk.GridFunction(sk.Grid((3,), (0.0,), 1.0), a), [1.0, 2.0, 3.0], "values"),
+    "grid_set": (lambda a: sk.GridSet(sk.Grid((3,), (0.0,), 1.0), a), [True, False, True], "mask"),
+    "distribution_profile": (lambda a: sk.DistributionProfile(a, [2, 0], 3, 1.0), [1.0, 2.0], "values"),
+    "pl_contraction": (lambda a: sk.PLContraction(a, [0.0, 0.5]), [0.0, 1.0], "ts"),
+    "monotone_pl": (lambda a: sk.MonotonePL(a, [0.0, 2.0]), [0.0, 1.0], "ts"),
+    "monotone_step": (lambda a: sk.MonotoneStep(a, [1.0, 2.0], below=0.0), [0.0, 1.0], "thresholds"),
+    "chord_moved_region": (lambda a: sk.ChordMovedRegion((0.0, 1.0), a, [0.0, 0.0], [1.0, 1.0]), [0.0, 1.0], "xs"),
+    "convex_polygon": (sk.ConvexPolygon, SQUARE, "vertices"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWNED_ARRAYS))
+def test_value_types_hold_a_read_only_copy_of_the_callers_array(name):
+    build, data, attr = OWNED_ARRAYS[name]
+    caller = np.array(data)
+    value = build(caller)
+    held = getattr(value, attr)
+    assert caller.flags.writeable and not held.flags.writeable
+    before = held.copy()
+    caller[0] = caller[1]
+    assert np.array_equal(getattr(value, attr), before)
+
+
 class TestShapes:
     def test_grid_function_rejects_transposed_values(self):
         g = sk.Grid((2, 3), (0.0, 0.0), 1.0)

@@ -65,7 +65,7 @@ def test_chord_extents_lipschitz_in_station():
         xs_v = np.sort(poly.vertices @ w)
         # max slope of the boundary graphs over interior stations
         interior = np.linspace(xs_v[0], xs_v[-1], 101)[1:-1]
-        lo, hi, ok = chords_at(poly.vertices, U, interior)
+        lo, hi, ok = chords_at(poly, U, interior)
         assert ok.all()
         edges = np.roll(poly.vertices, -1, axis=0) - poly.vertices
         with np.errstate(divide="ignore"):
@@ -97,7 +97,7 @@ def test_vertex_station_beside_near_parallel_edge(seed, u):
     # the vertex, so it must not be rejected as empty
     poly = random_convex_polygon(trial_rng(seed, 0), box=2.0)
     u = np.asarray(u)
-    _, _, ok = chords_at(poly.vertices, u, np.unique(poly.vertices @ perp(u)))
+    _, _, ok = chords_at(poly, u, np.unique(poly.vertices @ perp(u)))
     assert ok.all()
     region = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), u)
     assert abs(region.area() - poly.area()) < 1e-9

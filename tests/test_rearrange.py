@@ -460,6 +460,14 @@ class TestComposeMonotone:
         with pytest.raises(NonMonotoneMap):
             sk.MonotoneStep([0.0, 1.0], [1.0, 0.5], below=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    @pytest.mark.parametrize("slot", ["thresholds", "values", "below"])
+    def test_step_rejects_nonfinite_inputs(self, slot, bad):
+        args = {"thresholds": [0.0, 1.0], "values": [1.0, 2.0], "below": 0.0}
+        args[slot] = bad if slot == "below" else [args[slot][0], bad]
+        with pytest.raises(NonMonotoneMap, match="finite"):
+            sk.MonotoneStep(**args)
+
     def test_commutation_with_polarization(self):
         rng = trial_rng(43, 0)
         for i in range(20):
