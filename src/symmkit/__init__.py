@@ -19,7 +19,7 @@ _EXPORTS = {
     ),
     "errors": (
         "DegenerateBody", "EmptySet", "GalleryMismatch", "MisalignedHyperplane", "NonConvexColumn",
-        "NonMonotoneMap", "NotARearrangement", "OffGrid", "SymmkitError", "UnknownName",
+        "NotARearrangement", "OffGrid", "SymmkitError", "UnknownName",
     ),
     "experiments": ("ConvergenceTrace", "run_convergence"),
     "geometry": (
@@ -33,8 +33,7 @@ _EXPORTS = {
     ),
     "polygons": ("ConvexPolygon", "chord", "convex_hull", "polygon_raster"),
     "rearrange": (
-        "ASSOCIATED_PAIRS", "CANONICAL_MAPS", "AssociatedFunctionPair", "CanonicalMap", "MonotonePL",
-        "MonotoneStep", "PointwiseTransformer", "check_fvalues", "compose_monotone",
+        "CANONICAL_MAPS", "AssociatedFunctionPair", "CanonicalMap", "PointwiseTransformer",
         "layer_cake_rearrangement", "polarize", "polarize_set", "schwarz_symmetrize_function",
         "schwarz_symmetrize_set", "steiner_symmetrize_function", "steiner_symmetrize_set",
     ),

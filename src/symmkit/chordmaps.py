@@ -17,8 +17,8 @@ import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
 from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
-from .geometry import UNIT_TOL, GridSet, _breakpoints, induced_set_map, reflect_grid_set
-from .polygons import chords_at, perp
+from .geometry import GridSet, _breakpoints, induced_set_map, reflect_grid_set
+from .polygons import _chord_direction, chords_at, perp
 from .rearrange import CANONICAL_MAPS, polarize_set
 
 BREAK_TOL = 1e-12
@@ -43,7 +43,7 @@ class ChordMovedRegion:
     upper: np.ndarray
 
     def __post_init__(self):
-        xs, lower, upper = _breakpoints(ValueError, "region breakpoints", self.xs, self.lower, self.upper)
+        xs, lower, upper = _breakpoints("region breakpoints", self.xs, self.lower, self.upper)
         span = max(1.0, float(np.abs(upper).max()), float(np.abs(lower).max()))
         if np.any(upper - lower < -1e-9 * span):
             raise ValueError("upper graph must dominate the lower graph")
@@ -119,14 +119,6 @@ def _vertex_stations(poly, w):
     """
     x = np.sort(poly.vertices @ w)
     return x[np.concatenate([[True], x[1:] != x[:-1]])]
-
-
-def _chord_direction(u):
-    """``u`` as a float array; ValueError unless it is a finite unit 2-vector."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (2,) or not np.all(np.isfinite(u)) or abs(float(np.linalg.norm(u)) - 1.0) > UNIT_TOL:
-        raise ValueError(f"chord direction u must be a finite unit 2-vector, got {u.tolist()}")
-    return u
 
 
 def chord_move_polygon(poly, phi, u):

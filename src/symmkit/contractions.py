@@ -12,14 +12,6 @@ from .geometry import _breakpoints
 SLOPE_TOL = 1e-12
 
 
-def terminal_slope_eval(ts, ys, t):
-    """Linear interpolation through ``(ts, ys)``, continued past both ends at the terminal slopes."""
-    t = np.asarray(t, dtype=float)
-    slopes = np.diff(ys) / np.diff(ts)
-    out = np.where(t < ts[0], ys[0] + slopes[0] * (t - ts[0]), np.interp(t, ts, ys))
-    return np.where(t > ts[-1], ys[-1] + slopes[-1] * (t - ts[-1]), out)
-
-
 @dataclass(frozen=True)
 class PLContraction:
     """Piecewise-linear real map with every slope in [-1, 1].
@@ -33,7 +25,7 @@ class PLContraction:
     ys: np.ndarray
 
     def __post_init__(self):
-        ts, ys = _breakpoints(ValueError, "breakpoints", self.ts, self.ys)
+        ts, ys = _breakpoints("breakpoints", self.ts, self.ys)
         slopes = np.diff(ys) / np.diff(ts)
         if np.any(np.abs(slopes) > 1.0 + SLOPE_TOL):
             raise ValueError("every segment slope must satisfy |s| <= 1")
@@ -45,7 +37,11 @@ class PLContraction:
         return np.diff(self.ys) / np.diff(self.ts)
 
     def __call__(self, t):
-        out = terminal_slope_eval(self.ts, self.ys, t)
+        """Linear interpolation through the breakpoints, continued past both ends at the terminal slopes."""
+        ts, ys, slopes = self.ts, self.ys, self.slopes
+        t = np.asarray(t, dtype=float)
+        out = np.where(t < ts[0], ys[0] + slopes[0] * (t - ts[0]), np.interp(t, ts, ys))
+        out = np.where(t > ts[-1], ys[-1] + slopes[-1] * (t - ts[-1]), out)
         return float(out) if out.ndim == 0 else out
 
     @classmethod

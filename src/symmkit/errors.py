@@ -9,10 +9,6 @@ class MisalignedHyperplane(SymmkitError):
     """The reflection in the hyperplane does not map the cell-center lattice to itself."""
 
 
-class NonMonotoneMap(SymmkitError):
-    """A map required to be increasing has a decreasing breakpoint."""
-
-
 class OffGrid(SymmkitError):
     """An operation would move cells past the edge of the grid."""
 

@@ -33,17 +33,17 @@ def _frozen(x, dtype=float):
     return arr
 
 
-def _breakpoints(error, what, ts, *ys, least=2):
-    """:func:`_frozen` copies of ``ts, *ys``; ``error`` naming ``what`` unless they are
-    1-D of one length >= ``least``, all finite, and ``ts`` is strictly increasing."""
+def _breakpoints(what, ts, *ys):
+    """:func:`_frozen` copies of ``ts, *ys``; ValueError naming ``what`` unless they are
+    1-D of one length >= 2, all finite, and ``ts`` is strictly increasing."""
     arrays = tuple(_frozen(a) for a in (ts, *ys))
     ts = arrays[0]
-    if ts.ndim != 1 or len(ts) < least or any(a.shape != ts.shape for a in arrays):
-        raise error(f"{what} need matching 1-D arrays of length >= {least}")
+    if ts.ndim != 1 or len(ts) < 2 or any(a.shape != ts.shape for a in arrays):
+        raise ValueError(f"{what} need matching 1-D arrays of length >= 2")
     if not all(np.isfinite(a).all() for a in arrays):
-        raise error(f"{what} must be finite")
+        raise ValueError(f"{what} must be finite")
     if np.any(np.diff(ts) <= 0):
-        raise error(f"{what}: the abscissae must be strictly increasing")
+        raise ValueError(f"{what}: the abscissae must be strictly increasing")
     return arrays
 
 
@@ -363,8 +363,16 @@ class DistributionProfile:
     cell_volume: float
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-        object.__setattr__(self, "counts_above", _frozen(self.counts_above, np.int64))
+        values, counts = _frozen(self.values), _frozen(self.counts_above, np.int64)
+        if values.ndim != 1 or counts.shape != values.shape:
+            raise ValueError("a profile needs 1-D values and one count per value")
+        if not (np.isfinite(values).all() and (np.diff(values) > 0).all()):
+            raise ValueError("profile values must be finite and strictly increasing")
+        # counts that never rise lie within 0..total_cells when their two ends do
+        if (np.diff(counts) > 0).any() or counts.size and not 0 <= counts[-1] <= counts[0] <= self.total_cells:
+            raise ValueError("profile counts must never rise and must lie within 0..total_cells")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counts_above", counts)
 
     def pairs(self):
         """List of (value, measure of {f > value})."""

@@ -175,6 +175,8 @@ def read_region(path):
     u, gplus, gminus = _read_json_fields(path, "region", _REGION)
     gplus = np.asarray(gplus, dtype=float).reshape(-1, 2)
     gminus = np.asarray(gminus, dtype=float).reshape(-1, 2)
+    if not (np.isfinite(gplus).all() and np.isfinite(gminus).all()):
+        raise ValueError("region breakpoints must be finite")
     if not np.array_equal(gplus[:, 0], gminus[:, 0]):
         raise ValueError("gplus and gminus must share their breakpoint stations")
     return ChordMovedRegion(tuple(u), gplus[:, 0], gminus[:, 1], gplus[:, 1])

@@ -677,8 +677,12 @@ CORE_PROBES = 4  # two-level probes from nested "core" pairs, asymmetric along t
 TWO_DISK = (0.75, 0.35)  # offset and radius of the two-disk union the classifier and the gallery read
 
 # where each canonical map sends a mirror pair (x in H+, x' its mirror), as the
-# bits (x in T(A), x' in T(A), x in T(B), x' in T(B)), A and B holding x and x'
-PAIR_RULES = {0b1001: "identity", 0b0110: "reflection", 0b1010: "two_point", 0b0101: "two_point_reflected"}
+# bits (x in T(A), x' in T(A), x in T(B), x' in T(B)), A and B holding x and x':
+# its pair (F+, F-) read on the indicators, 1_A = (1, 0) and 1_B = (0, 1) at (x, x')
+PAIR_RULES = {
+    int(8 * row.pair.fplus(1, 0) + 4 * row.pair.fminus(0, 1) + 2 * row.pair.fplus(0, 1) + row.pair.fminus(1, 0)): label
+    for label, row in CANONICAL_MAPS.items()
+}
 
 
 def _probes(grid, plane, seed):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridSet, _frozen
+from .geometry import UNIT_TOL, GridSet, _frozen
 
 CROSS_TOL = 1e-12
 CLIP_EPS = 1e-12
@@ -104,6 +104,14 @@ def convex_hull(points):
     return np.asarray(lower[:-1] + upper[:-1], dtype=float)
 
 
+def _chord_direction(u):
+    """``u`` as a float array; ValueError unless it is a finite unit 2-vector."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (2,) or not np.all(np.isfinite(u)) or abs(float(np.linalg.norm(u)) - 1.0) > UNIT_TOL:
+        raise ValueError(f"chord direction u must be a finite unit 2-vector, got {u.tolist()}")
+    return u
+
+
 def chords_at(poly, u, xs):
     """Extents along u of the intersections of ``poly`` with the lines {x*perp(u) + t*u}.
 
@@ -148,8 +156,9 @@ def chord(poly, u, x):
     """Single chord query on a ConvexPolygon; None when the line misses it.
 
     Returns (lo, hi); degenerate touching chords are kept with lo == hi.
+    ValueError unless ``u`` is a finite unit 2-vector.
     """
-    lo, hi, ok = chords_at(poly, u, [float(x)])
+    lo, hi, ok = chords_at(poly, _chord_direction(u), [float(x)])
     if not ok[0]:
         return None
     lo_v, hi_v = float(lo[0]), float(hi[0])

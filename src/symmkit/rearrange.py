@@ -15,15 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contractions import terminal_slope_eval
-from .errors import NonMonotoneMap
-from .geometry import (
-    GridFunction,
-    GridSet,
-    OrientedHyperplane,
-    _breakpoints,
-    induced_set_map,
-)
+from .geometry import GridFunction, GridSet, OrientedHyperplane, induced_set_map
 
 
 @dataclass(frozen=True)
@@ -47,19 +39,6 @@ def _proj_second(r, s):
     return s
 
 
-def _mean(r, s):
-    return (np.asarray(r, dtype=float) + np.asarray(s, dtype=float)) / 2.0
-
-
-ASSOCIATED_PAIRS = {
-    "max_min": AssociatedFunctionPair("max_min", np.maximum, np.minimum),
-    "min_max": AssociatedFunctionPair("min_max", np.minimum, np.maximum),
-    "first": AssociatedFunctionPair("first", _proj_first, _proj_first),
-    "second": AssociatedFunctionPair("second", _proj_second, _proj_second),
-    "mean": AssociatedFunctionPair("mean", _mean, _mean),
-}
-
-
 @dataclass(frozen=True)
 class PointwiseTransformer:
     """Grid transformer acting cellwise through an associated pair; reads
@@ -75,7 +54,7 @@ class PointwiseTransformer:
 
 def polarize(f, plane):
     """Two-point rearrangement of a grid function across an oriented hyperplane."""
-    return PointwiseTransformer(ASSOCIATED_PAIRS["max_min"], plane)(f)
+    return CANONICAL_MAPS["two_point"].transformer(plane)(f)
 
 
 def polarize_set(a, plane):
@@ -100,10 +79,12 @@ class CanonicalMap:
 
 
 CANONICAL_MAPS = {
-    "two_point": CanonicalMap(ASSOCIATED_PAIRS["max_min"], "abs", "polarization"),
-    "reflection": CanonicalMap(ASSOCIATED_PAIRS["second"], "neg", "reflection"),
-    "identity": CanonicalMap(ASSOCIATED_PAIRS["first"], "id", "identity"),
-    "two_point_reflected": CanonicalMap(ASSOCIATED_PAIRS["min_max"], "negabs", "polarization_dagger"),
+    "two_point": CanonicalMap(AssociatedFunctionPair("max_min", np.maximum, np.minimum), "abs", "polarization"),
+    "reflection": CanonicalMap(AssociatedFunctionPair("second", _proj_second, _proj_second), "neg", "reflection"),
+    "identity": CanonicalMap(AssociatedFunctionPair("first", _proj_first, _proj_first), "id", "identity"),
+    "two_point_reflected": CanonicalMap(
+        AssociatedFunctionPair("min_max", np.minimum, np.maximum), "negabs", "polarization_dagger"
+    ),
 }
 
 
@@ -158,89 +139,16 @@ def schwarz_symmetrize_set(a, axis):
     return induced_set_map(lambda f: schwarz_symmetrize_function(f, axis))(a)
 
 
-def check_fvalues(pair, samples):
-    """Whether {F+(r,s), F-(s,r)} equals {r,s} on every sampled pair.
-
-    Returns (ok, first_violation); the violation records the pair and the
-    two values actually produced.
-    """
-    for r, s in samples:
-        r = float(r)
-        s = float(s)
-        p = float(pair.fplus(r, s))
-        q = float(pair.fminus(s, r))
-        if not (min(p, q) == min(r, s) and max(p, q) == max(r, s)):
-            return False, {"pair": (r, s), "produced": (p, q)}
-    return True, None
-
-
-def layer_cake_rearrangement(set_map, f, strict=False):
+def layer_cake_rearrangement(set_map, f):
     """Rebuild a function transformer from a set map acting on super-level sets.
 
-    With ``strict=False`` cell x receives the largest value t of f with
-    x in set_map({f >= t}), defaulting to min f; grid functions take finitely
-    many values, so the supremum is a finite maximum.  ``strict=True`` uses
-    the sets {f > t} instead, which assigns the next level up; for set maps
-    induced by rearrangements both give the same answer.
+    Cell x receives the largest value t of f with x in set_map({f >= t}),
+    defaulting to min f; grid functions take finitely many values, so the
+    supremum is a finite maximum.  The sets {f > t} would give the same map:
+    each is {f >= t'}, t' the next level of f.
     """
     levels = np.unique(f.values)
-    bottom = float(levels[0])
-    out = np.full(f.grid.dims, bottom)
-    if strict:
-        for i in range(len(levels) - 1):
-            image = set_map(GridSet(f.grid, f.values > levels[i]))
-            out[image.mask] = levels[i + 1]
-    else:
-        for t in levels[1:]:
-            image = set_map(GridSet(f.grid, f.values >= t))
-            out[image.mask] = t
+    out = np.full(f.grid.dims, float(levels[0]))
+    for t in levels[1:]:
+        out[set_map(GridSet(f.grid, f.values >= t)).mask] = t
     return GridFunction(f.grid, out)
-
-
-@dataclass(frozen=True)
-class MonotonePL:
-    """Continuous piecewise-linear increasing map with terminal-slope extension."""
-
-    ts: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        ts, ys = _breakpoints(NonMonotoneMap, "breakpoints", self.ts, self.ys)
-        if np.any(np.diff(ys) < 0):
-            raise NonMonotoneMap("breakpoint values must be non-decreasing")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "ys", ys)
-
-    def __call__(self, t):
-        return terminal_slope_eval(self.ts, self.ys, t)
-
-
-@dataclass(frozen=True)
-class MonotoneStep:
-    """Right-continuous increasing step map: value jumps at each threshold."""
-
-    thresholds: np.ndarray
-    values: np.ndarray
-    below: float
-
-    def __post_init__(self):
-        th, vals = _breakpoints(NonMonotoneMap, "thresholds and values", self.thresholds, self.values, least=1)
-        below = float(self.below)
-        if not np.isfinite(below):
-            raise NonMonotoneMap("the value below the first threshold must be finite")
-        if np.any(np.diff(vals, prepend=below) < 0):
-            raise NonMonotoneMap("step values must be non-decreasing")
-        object.__setattr__(self, "thresholds", th)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "below", below)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.thresholds, t, side="right")
-        table = np.concatenate([[self.below], self.values])
-        return table[idx]
-
-
-def compose_monotone(f, phi):
-    """Pointwise composition phi(f) for an increasing right-continuous phi."""
-    return GridFunction(f.grid, phi(f.values))

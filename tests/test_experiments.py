@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from map_helpers import MEAN
 
 import symmkit as sk
 from symmkit.errors import GalleryMismatch
@@ -19,7 +20,6 @@ from symmkit.harness import (
     run_verify,
     trial_rng,
 )
-from symmkit.rearrange import ASSOCIATED_PAIRS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,7 +77,7 @@ PLANE = sk.axis_plane(1, 2, 0.0, 1)
 
 
 def _transformer_laws(trials):
-    return check_laws(TRANSFORMER_LAWS, {"mean": sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)}, trials)
+    return check_laws(TRANSFORMER_LAWS, {"mean": sk.PointwiseTransformer(MEAN, PLANE)}, trials)
 
 
 def _capped_transformer_law(trials):

@@ -3,7 +3,7 @@ import pytest
 from grid_strategies import admissible_planes
 
 import symmkit as sk
-from symmkit.errors import MisalignedHyperplane, NonMonotoneMap
+from symmkit.errors import MisalignedHyperplane
 from symmkit.geometry import LATTICE_TOL
 
 
@@ -112,8 +112,6 @@ NONFINITE_INPUTS = {
     "plane_offset_inf": (lambda: sk.OrientedHyperplane((0.0, 1.0), np.inf), ValueError),
     "contraction_t_nan": (lambda: sk.PLContraction([0.0, np.nan], [0.0, 0.0]), ValueError),
     "contraction_y_nan": (lambda: sk.PLContraction([0.0, 1.0], [0.0, np.nan]), ValueError),
-    "monotone_t_nan": (lambda: sk.MonotonePL([0.0, np.nan], [0.0, 0.0]), NonMonotoneMap),
-    "monotone_y_nan": (lambda: sk.MonotonePL([0.0, 1.0], [0.0, np.nan]), NonMonotoneMap),
 }
 
 
@@ -131,8 +129,6 @@ OWNED_ARRAYS = {
     "grid_set": (lambda a: sk.GridSet(sk.Grid((3,), (0.0,), 1.0), a), [True, False, True], "mask"),
     "distribution_profile": (lambda a: sk.DistributionProfile(a, [2, 0], 3, 1.0), [1.0, 2.0], "values"),
     "pl_contraction": (lambda a: sk.PLContraction(a, [0.0, 0.5]), [0.0, 1.0], "ts"),
-    "monotone_pl": (lambda a: sk.MonotonePL(a, [0.0, 2.0]), [0.0, 1.0], "ts"),
-    "monotone_step": (lambda a: sk.MonotoneStep(a, [1.0, 2.0], below=0.0), [0.0, 1.0], "thresholds"),
     "chord_moved_region": (lambda a: sk.ChordMovedRegion((0.0, 1.0), a, [0.0, 0.0], [1.0, 1.0]), [0.0, 1.0], "xs"),
     "convex_polygon": (sk.ConvexPolygon, SQUARE, "vertices"),
 }
@@ -148,6 +144,37 @@ def test_value_types_hold_a_read_only_copy_of_the_callers_array(name):
     before = held.copy()
     caller[0] = caller[1]
     assert np.array_equal(getattr(value, attr), before)
+
+
+# (values, counts_above, total_cells) that no grid function has as its profile
+BAD_PROFILES = {
+    "unsorted_and_nan": ([3.0, 1.0, np.nan], [0, 5, 2], 4),
+    "nan_value": ([1.0, np.nan], [1, 0], 2),
+    "inf_value": ([1.0, np.inf], [1, 0], 2),
+    "repeated_value": ([1.0, 1.0], [1, 0], 2),
+    "decreasing_values": ([2.0, 1.0], [1, 0], 2),
+    "two_dimensional": ([[1.0, 2.0]], [[1, 0]], 2),
+    "counts_too_short": ([1.0, 2.0], [1], 2),
+    "counts_rise": ([1.0, 2.0, 3.0], [0, 1, 0], 2),
+    "count_above_total": ([1.0, 2.0], [5, 0], 4),
+    "negative_count": ([1.0, 2.0], [0, -1], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PROFILES))
+def test_distribution_profile_rejects_what_no_function_has(name):
+    values, counts, total = BAD_PROFILES[name]
+    with pytest.raises(ValueError, match="profile"):
+        sk.DistributionProfile(values, counts, total, 1.0)
+
+
+def test_distribution_builds_a_valid_profile():
+    f = sk.GridFunction(sk.Grid((5,), (0.0,), 1.0), [2.0, -1.0, 2.0, 0.5, -1.0])
+    profile = sk.distribution(f)
+    again = sk.DistributionProfile(profile.values, profile.counts_above, profile.total_cells, profile.cell_volume)
+    assert again == profile
+    assert profile.pairs() == [(-1.0, 3.0), (0.5, 2.0), (2.0, 0.0)]
+    assert [profile.cells_above(t) for t in (-2.0, -1.0, 1.0, 2.0)] == [5, 3, 2, 0]
 
 
 class TestShapes:

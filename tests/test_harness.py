@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from grid_strategies import admissible_planes
+from map_helpers import MEAN
 
 import symmkit as sk
 from symmkit.chordmaps import chord_movement_set_map
@@ -11,6 +12,7 @@ from symmkit.harness import (
     CONE_PROBES,
     CORE_PROBES,
     DEFAULT_GRID,
+    PAIR_RULES,
     PropertyReport,
     _lp_norm,
     random_blob_function,
@@ -18,7 +20,7 @@ from symmkit.harness import (
     symmetric_raster,
     trial_rng,
 )
-from symmkit.rearrange import ASSOCIATED_PAIRS, layer_cake_rearrangement
+from symmkit.rearrange import layer_cake_rearrangement
 
 GRID = DEFAULT_GRID
 PLANE = sk.axis_plane(1, 2, 0.0, 1)
@@ -47,7 +49,7 @@ class TestEquimeasurable:
         assert report.counterexample["trial"] == 0
 
     def test_mean_pair_fails(self):
-        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)
+        T = sk.PointwiseTransformer(MEAN, PLANE)
         reports = sk.check_laws(sk.TRANSFORMER_LAWS, {"mean": T}, 50, seed=3, laws=["equimeasurable"])
         assert not reports["mean"]["equimeasurable"].holds
 
@@ -588,6 +590,11 @@ def layer_cake(dmap):
 
 
 class TestClassify:
+    def test_pair_rules_are_the_canonical_rows_read_on_indicators(self):
+        assert PAIR_RULES == {
+            0b1001: "identity", 0b0110: "reflection", 0b1010: "two_point", 0b0101: "two_point_reflected",
+        }
+
     def test_four_canonicals(self):
         cases = {
             "identity": lambda f: f,

@@ -107,8 +107,9 @@ def test_region_roundtrip(tmp_path):
         ("[[0.0, 1.0], [1.0, Infinity]]", "[[0.0, 0.0], [1.0, 0.0]]"),
         ("[[0.0, 1.0], [1.0, 1.0]]", "[[0.0, -Infinity], [1.0, 0.0]]"),
         ("[[0.0, 1.0], [Infinity, 1.0]]", "[[0.0, 0.0], [Infinity, 0.0]]"),
+        ("[[0.0, 1.0], [NaN, 1.0]]", "[[0.0, 0.0], [NaN, 0.0]]"),
     ],
-    ids=["nan_upper", "inf_upper", "minus_inf_lower", "inf_station"],
+    ids=["nan_upper", "inf_upper", "minus_inf_lower", "inf_station", "nan_station"],
 )
 def test_region_with_non_finite_breakpoints_is_refused(tmp_path, gplus, gminus):
     path = tmp_path / "r.json"

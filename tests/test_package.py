@@ -1,4 +1,4 @@
-"""The package surface: 86 public names, each loaded from its home module on first use."""
+"""The package surface: 80 public names, each loaded from its home module on first use."""
 
 import importlib
 import inspect
@@ -17,19 +17,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # symmkit.__all__, with check_laws the one law runner
 PUBLIC = """
-    ASSOCIATED_PAIRS AssociatedFunctionPair CANONICAL_MAPS CanonicalMap ChordMovedRegion
-    ConvergenceTrace ConvexPolygon DegenerateBody DistributionProfile EmptySet GalleryMismatch Grid
-    GridFunction GridSet LP_EXPONENTS MODULUS_MAX_TRIALS MisalignedHyperplane MonotonePL
-    MonotoneStep NonConvexColumn NonMonotoneMap NotARearrangement OffGrid OrientedHyperplane
-    PLContraction PointwiseTransformer PropertyReport Reflection SETMAP_LAWS SetMap SymmkitError
-    TRANSFORMER_LAWS UnknownName axis_plane blaschke_composite_set_map box_raster
-    canonical_contraction canonical_set_map centered_grid check_fvalues check_laws chord chord_move_gridset
-    chord_move_polygon chord_movement_set_map chordmaps chordwise_distance classify_rearrangement
-    cog_reflect cog_reflection_set_map compose_monotone contractions convex_hull disk_raster
-    distribution errors experiments geometry graph_lengths grid_perimeter harness induced_set_map
-    layer_cake_rearrangement modulus_profile near_swap near_swap_set_map perimeter_region polarize
-    polarize_set polygon_raster polygons rearrange reflect_grid_function reflect_grid_set
-    region_is_convex run_convergence run_gallery run_verify sawtooth_contraction
+    AssociatedFunctionPair CANONICAL_MAPS CanonicalMap ChordMovedRegion ConvergenceTrace
+    ConvexPolygon DegenerateBody DistributionProfile EmptySet GalleryMismatch Grid GridFunction
+    GridSet LP_EXPONENTS MODULUS_MAX_TRIALS MisalignedHyperplane NonConvexColumn NotARearrangement
+    OffGrid OrientedHyperplane PLContraction PointwiseTransformer PropertyReport Reflection
+    SETMAP_LAWS SetMap SymmkitError TRANSFORMER_LAWS UnknownName axis_plane
+    blaschke_composite_set_map box_raster canonical_contraction canonical_set_map centered_grid
+    check_laws chord chord_move_gridset chord_move_polygon chord_movement_set_map chordmaps
+    chordwise_distance classify_rearrangement cog_reflect cog_reflection_set_map contractions
+    convex_hull disk_raster distribution errors experiments geometry graph_lengths grid_perimeter
+    harness induced_set_map layer_cake_rearrangement modulus_profile near_swap near_swap_set_map
+    perimeter_region polarize polarize_set polygon_raster polygons rearrange reflect_grid_function
+    reflect_grid_set region_is_convex run_convergence run_gallery run_verify sawtooth_contraction
     schwarz_symmetrize_function schwarz_symmetrize_set set_from_indicator shake_set
     steiner_symmetrize_function steiner_symmetrize_set union_of_translates
 """.split()
@@ -94,7 +93,7 @@ def test_property_commands_load_only_their_modules(command):
 
 
 def test_all_is_the_public_surface():
-    assert len(PUBLIC) == 86
+    assert len(PUBLIC) == 80
     assert sk.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(sk))
 

@@ -50,6 +50,13 @@ def test_chord_triangle_clipping_oracle():
     assert abs(lo - seg[0]) < 2e-3 and abs(hi - seg[1]) < 2e-3
 
 
+@pytest.mark.parametrize("u", [(0.0, 0.0), (0.0, 2.0), (np.nan, 1.0)], ids=["zero", "not_unit", "nan"])
+def test_chord_rejects_a_direction_that_is_not_a_finite_unit_vector(u):
+    sq = sk.ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite unit 2-vector"):
+        sk.chord(sq, u, 0.5)
+
+
 def test_chord_arbitrary_direction():
     sq = sk.ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)

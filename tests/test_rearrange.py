@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from map_helpers import MEAN, check_fvalues, compose
 
 import symmkit as sk
-from symmkit.errors import NonMonotoneMap
 from symmkit.harness import random_blob_function, trial_rng
-from symmkit.rearrange import ASSOCIATED_PAIRS
 
 GRID = sk.centered_grid((16, 16), 0.25)
 PLANE = sk.axis_plane(1, 2, 0.0, 1)
+# the four canonical pairs by name, and one that is not a rearrangement
+PAIRS = {**{row.pair.name: row.pair for row in sk.CANONICAL_MAPS.values()}, "mean": MEAN}
 
 
 def rand_fn(i, grid=GRID):
@@ -246,19 +247,19 @@ class TestSchwarz:
 
 class TestPointwiseMaps:
     def test_max_min_is_polarization(self):
-        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["max_min"], PLANE)
+        T = sk.PointwiseTransformer(sk.CANONICAL_MAPS["two_point"].pair, PLANE)
         for i in range(20):
             f = rand_fn(i)
             assert T(f) == sk.polarize(f, PLANE)
 
     def test_first_projection_is_identity(self):
-        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["first"], PLANE)
+        T = sk.PointwiseTransformer(sk.CANONICAL_MAPS["identity"].pair, PLANE)
         for i in range(10):
             f = rand_fn(i)
             assert T(f) == f
 
     def test_second_projection_is_reflection(self):
-        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["second"], PLANE)
+        T = sk.PointwiseTransformer(sk.CANONICAL_MAPS["reflection"].pair, PLANE)
         for i in range(10):
             f = rand_fn(i)
             assert T(f) == sk.reflect_grid_function(f, PLANE)
@@ -284,7 +285,7 @@ class TestPointwiseMaps:
             init(self, grid, plane)
 
         monkeypatch.setattr(sk.Reflection, "__init__", counted)
-        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["max_min"], sk.axis_plane(0, 1, 2.0, 1))
+        T = sk.PointwiseTransformer(sk.CANONICAL_MAPS["two_point"].pair, sk.axis_plane(0, 1, 2.0, 1))
         fa = sk.GridFunction(sk.Grid((4,), (0.0,), 1.0), [5.0, 1.0, 2.0, 3.0])
         fb = sk.GridFunction(sk.Grid((4,), (1.0,), 1.0), [5.0, 1.0, 2.0, 3.0])
         expect = {fa.grid: [3.0, 1.0, 2.0, 5.0], fb.grid: [1.0, 5.0, 2.0, 3.0]}
@@ -293,7 +294,7 @@ class TestPointwiseMaps:
             assert len(built) == builds
 
     def test_diagonal_coincidence(self):
-        for pair in ASSOCIATED_PAIRS.values():
+        for pair in PAIRS.values():
             for s in (-2.0, 0.0, 0.5, 3.0):
                 assert float(pair.fplus(s, s)) == float(pair.fminus(s, s))
 
@@ -318,22 +319,22 @@ class TestFvalues:
     def test_max_min_passes(self):
         rng = trial_rng(31, 0)
         samples = list(zip(rng.normal(size=50), rng.normal(size=50)))
-        ok, violation = sk.check_fvalues(ASSOCIATED_PAIRS["max_min"], samples)
+        ok, violation = check_fvalues(sk.CANONICAL_MAPS["two_point"].pair, samples)
         assert ok and violation is None
 
     def test_first_projection_passes(self):
-        ok, _ = sk.check_fvalues(ASSOCIATED_PAIRS["first"], [(1.0, 0.0), (0.0, 1.0), (2.0, 3.0)])
+        ok, _ = check_fvalues(sk.CANONICAL_MAPS["identity"].pair, [(1.0, 0.0), (0.0, 1.0), (2.0, 3.0)])
         assert ok
 
     @pytest.mark.parametrize("label", list(sk.CANONICAL_MAPS))
     def test_every_canonical_row_passes(self, label):
         rng = trial_rng(41, 0)
         samples = list(zip(*rng.integers(-3, 4, (2, 60)).astype(float)))  # ties included
-        ok, violation = sk.check_fvalues(sk.CANONICAL_MAPS[label].pair, samples)
+        ok, violation = check_fvalues(sk.CANONICAL_MAPS[label].pair, samples)
         assert ok and violation is None
 
     def test_mean_pair_fails_with_witness(self):
-        ok, violation = sk.check_fvalues(ASSOCIATED_PAIRS["mean"], [(0.0, 2.0)])
+        ok, violation = check_fvalues(MEAN, [(0.0, 2.0)])
         assert not ok
         assert violation["pair"] == (0.0, 2.0)
         assert violation["produced"] == (1.0, 1.0)
@@ -341,7 +342,7 @@ class TestFvalues:
     def test_fvalues_iff_equimeasurable(self):
         # for every cataloged pair: the sampled value identity holds exactly
         # when the induced pointwise transformer preserves distributions
-        for name, pair in ASSOCIATED_PAIRS.items():
+        for name, pair in PAIRS.items():
             fns = [rand_fn(i) for i in range(50)]
             samples = []
             for f in fns:
@@ -349,7 +350,7 @@ class TestFvalues:
                 samples.extend(
                     zip(f.values.ravel()[::37], mirrored.values.ravel()[::37])
                 )
-            ok, _ = sk.check_fvalues(pair, samples)
+            ok, _ = check_fvalues(pair, samples)
             T = sk.PointwiseTransformer(pair, PLANE)
             equi = all(sk.distribution(T(f)) == sk.distribution(f) for f in fns)
             assert ok == equi, name
@@ -399,13 +400,6 @@ class TestLayerCake:
             for name, dmap in self.setmaps().items():
                 assert sk.layer_cake_rearrangement(dmap, f) == self.expected(name, f)
 
-    def test_strict_variant_identical(self):
-        for i in range(30):
-            f = rand_fn(i)
-            for name, dmap in self.setmaps().items():
-                strict = sk.layer_cake_rearrangement(dmap, f, strict=True)
-                assert strict == self.expected(name, f)
-
     def test_superlevel_identity(self):
         # {Tf >= t} equals the image of {f >= t} for every level
         for i in range(10):
@@ -431,42 +425,25 @@ class TestLayerCake:
 
 
 class TestComposeMonotone:
+    """``map_helpers.compose``, then the commutation law it serves."""
+
     def test_identity(self):
-        phi = sk.MonotonePL([0.0, 1.0], [0.0, 1.0])
         f = rand_fn(0)
-        assert sk.compose_monotone(f, phi) == f
+        assert compose(f, ("pl", [0.0, 1.0], [0.0, 1.0])) == f
 
     def test_affine(self):
-        phi = sk.MonotonePL([0.0, 1.0], [2.0, 3.5])  # 1.5 t + 2
         f = rand_fn(1)
-        out = sk.compose_monotone(f, phi)
+        out = compose(f, ("pl", [0.0, 1.0], [2.0, 3.5]))  # 1.5 t + 2
         assert np.allclose(out.values, 1.5 * f.values + 2.0, atol=0)
 
     def test_step(self):
-        phi = sk.MonotoneStep([0.5], [1.0], below=0.0)
-        g = sk.Grid((3,), (0.0,), 1.0)
-        f = sk.GridFunction(g, [0.0, 1.0, 2.0])
-        out = sk.compose_monotone(f, phi)
+        f = sk.GridFunction(sk.Grid((3,), (0.0,), 1.0), [0.0, 1.0, 2.0])
+        out = compose(f, ("step", [0.5], [1.0], 0.0))
         assert np.array_equal(out.values, [0.0, 1.0, 1.0])
 
     def test_right_continuity_at_threshold(self):
-        phi = sk.MonotoneStep([0.5], [1.0], below=0.0)
-        assert float(phi(np.array(0.5))) == 1.0
-        assert float(phi(np.array(0.4999999))) == 0.0
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(NonMonotoneMap):
-            sk.MonotonePL([0.0, 1.0, 2.0], [0.0, 1.0, 0.5])
-        with pytest.raises(NonMonotoneMap):
-            sk.MonotoneStep([0.0, 1.0], [1.0, 0.5], below=0.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
-    @pytest.mark.parametrize("slot", ["thresholds", "values", "below"])
-    def test_step_rejects_nonfinite_inputs(self, slot, bad):
-        args = {"thresholds": [0.0, 1.0], "values": [1.0, 2.0], "below": 0.0}
-        args[slot] = bad if slot == "below" else [args[slot][0], bad]
-        with pytest.raises(NonMonotoneMap, match="finite"):
-            sk.MonotoneStep(**args)
+        f = sk.GridFunction(sk.Grid((2,), (0.0,), 1.0), [0.5, 0.4999999])
+        assert np.array_equal(compose(f, ("step", [0.5], [1.0], 0.0)).values, [1.0, 0.0])
 
     def test_commutation_with_polarization(self):
         rng = trial_rng(43, 0)
@@ -476,12 +453,12 @@ class TestComposeMonotone:
                 ts = np.sort(rng.uniform(-1, 9, 4))
                 ts = ts[np.concatenate([[True], np.diff(ts) > 1e-9])]
                 ys = np.sort(rng.uniform(-2, 10, len(ts)))
-                phi = sk.MonotonePL(ts, ys)
+                phi = ("pl", ts, ys)
             else:
                 th = np.sort(rng.uniform(0, 8, 3))
                 th = th[np.concatenate([[True], np.diff(th) > 1e-9])]
                 vals = np.sort(rng.uniform(0, 5, len(th)))
-                phi = sk.MonotoneStep(th, vals, below=-1.0)
-            lhs = sk.compose_monotone(sk.polarize(f, PLANE), phi)
-            rhs = sk.polarize(sk.compose_monotone(f, phi), PLANE)
+                phi = ("step", th, vals, -1.0)
+            lhs = compose(sk.polarize(f, PLANE), phi)
+            rhs = sk.polarize(compose(f, phi), PLANE)
             assert lhs == rhs

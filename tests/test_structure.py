@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from map_helpers import MEAN, check_fvalues
 
 import symmkit as sk
 from symmkit.chordmaps import chord_movement_set_map
 from symmkit.errors import NotARearrangement
 from symmkit.harness import random_blob_function, trial_rng
-from symmkit.rearrange import ASSOCIATED_PAIRS
 
 GRID = sk.centered_grid((32, 32), 0.125)
 PLANE = sk.axis_plane(1, 2, 0.0, 1)
@@ -74,13 +74,13 @@ class TestInducedMapsOfPointwiseTransformers:
 
     SMALL = sk.centered_grid((12, 12), 1.0 / 3.0)
 
-    @pytest.mark.parametrize("name", list(ASSOCIATED_PAIRS))
+    @pytest.mark.parametrize("name", list(POINTWISE_LABELS))
     def test_characterization(self, name):
         label = POINTWISE_LABELS[name]
-        pair = ASSOCIATED_PAIRS[name]
+        pair = sk.CANONICAL_MAPS[label].pair if label else MEAN
         T = sk.PointwiseTransformer(pair, PLANE)
         samples = [(float(r), float(s)) for r in range(-2, 3) for s in range(-2, 3)]
-        assert sk.check_fvalues(pair, samples)[0] == (label is not None)
+        assert check_fvalues(pair, samples)[0] == (label is not None)
 
         reports = sk.check_laws(sk.TRANSFORMER_LAWS, {name: T}, 40, seed=11, grid=self.SMALL)[name]
         verdicts = {law: r.verdict for law, r in reports.items()}
@@ -100,7 +100,7 @@ class TestInducedMapsOfPointwiseTransformers:
             assert dmap(a) == expected(a)
 
     def test_mean_pair_breaks_indicators(self):
-        T = sk.PointwiseTransformer(ASSOCIATED_PAIRS["mean"], PLANE)
+        T = sk.PointwiseTransformer(MEAN, PLANE)
         a = sk.disk_raster(GRID, (0.0, -0.75), 0.5)
         image = T(a.indicator())
         assert not set(np.unique(image.values)) <= {0.0, 1.0}
