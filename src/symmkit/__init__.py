@@ -18,8 +18,8 @@ _EXPORTS = {
         "perimeter_region", "region_is_convex", "shake_set", "union_of_translates",
     ),
     "errors": (
-        "DegenerateBody", "EmptySet", "GalleryMismatch", "MisalignedHyperplane", "NonConvexColumn",
-        "NotARearrangement", "OffGrid", "SymmkitError", "UnknownName",
+        "EmptySet", "GalleryMismatch", "MisalignedHyperplane", "NonConvexColumn", "NotARearrangement",
+        "OffGrid", "SymmkitError", "UnknownName",
     ),
     "experiments": ("ConvergenceTrace", "run_convergence"),
     "geometry": (

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
-from .errors import DegenerateBody, EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
+from .errors import EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
 from .geometry import GridSet, _breakpoints, induced_set_map, reflect_grid_set
-from .polygons import _chord_direction, chords_at, perp
+from .polygons import _chord_direction, _graph_chord, boundary_graphs
 from .rearrange import CANONICAL_MAPS, polarize_set
 
 BREAK_TOL = 1e-12
@@ -57,11 +57,8 @@ class ChordMovedRegion:
         return float(self.xs[0]), float(self.xs[-1])
 
     def chord(self, x):
-        """Chord extents at an interior station (linear interpolation)."""
-        return (
-            float(np.interp(x, self.xs, self.lower)),
-            float(np.interp(x, self.xs, self.upper)),
-        )
+        """Chord extents (lo, hi) at station ``x``; None off :attr:`omega`."""
+        return _graph_chord(self.xs, self.lower, self.upper, x)
 
     def area(self):
         gaps = self.upper - self.lower
@@ -111,16 +108,6 @@ def _pullback_stations(xs, ts, phi):
     return extra
 
 
-def _vertex_stations(poly, w):
-    """Sorted distinct projections of the vertices on w.
-
-    The sort-and-mask that numpy's unique runs, without its lazy import of
-    numpy.ma.
-    """
-    x = np.sort(poly.vertices @ w)
-    return x[np.concatenate([[True], x[1:] != x[:-1]])]
-
-
 def chord_move_polygon(poly, phi, u):
     """Move every chord of the polygon orthogonal to u_perp by phi on midpoints.
 
@@ -128,27 +115,22 @@ def chord_move_polygon(poly, phi, u):
     vertex projections together with the contraction breakpoints pulled back
     through the (piecewise-linear) chord-midpoint function.
     """
-    if poly.area() <= 0.0:
-        raise DegenerateBody("cannot move chords of a degenerate polygon")
     u = _chord_direction(u)
-    w = perp(u)
-    stations = _vertex_stations(poly, w)
-    lo, hi, ok = chords_at(poly, u, stations)
-    if not np.all(ok):
-        raise DegenerateBody("vertex stations must carry nonempty chords")
-    mids = (lo + hi) / 2.0
-    extra = _pullback_stations(stations, mids, phi)
+    stations, lo, hi = boundary_graphs(poly, u)
+    extra = _pullback_stations(stations, (lo + hi) / 2.0, phi)
     if extra:
-        span = stations[-1] - stations[0]
-        # exact duplicates have a zero gap, so the gap filter drops them too
-        xs = np.sort(np.concatenate([stations, np.asarray(extra)]))
-        keep = np.concatenate([[True], np.diff(xs) > BREAK_TOL * max(span, 1.0)])
-        xs = xs[keep]
+        tol = BREAK_TOL * max(stations[-1] - stations[0], 1.0)
+        # a pulled-back station within tol of a vertex station or of the
+        # previous one is dropped; the vertex stations all stay, since off the
+        # axes two of them can be an ulp apart across an edge parallel to u
+        extra = np.sort(extra)
+        i = np.searchsorted(stations, extra).clip(1, len(stations) - 1)
+        gap = np.minimum(extra - stations[i - 1], stations[i] - extra)
+        extra = extra[(gap > tol) & np.concatenate([[True], np.diff(extra) > tol])]
+        xs = np.sort(np.concatenate([stations, extra]))
+        lo, hi = np.interp(xs, stations, lo), np.interp(xs, stations, hi)
     else:
         xs = stations
-    lo, hi, ok = chords_at(poly, u, xs)
-    lo = np.where(ok, lo, 0.0)
-    hi = np.where(ok, hi, 0.0)
     mids = (lo + hi) / 2.0
     shift = phi(mids) - mids
     return ChordMovedRegion(tuple(u), xs, lo + shift, hi + shift)
@@ -161,26 +143,24 @@ def union_of_translates(poly, phi, u, samples):
     (poly - t u) intersect (poly_reflected + t u) is translated by phi(t) u
     and accumulated chordwise at interior stations.  On each line orthogonal
     to H the core's chord is the intersection of the two translated chords,
-    so no polygon is clipped.  Serves as a sampling oracle for
+    and the mirror's chord over [lo, hi] is [-hi, -lo], so no polygon is
+    clipped or reflected.  Serves as a sampling oracle for
     :func:`chord_move_polygon`.
     """
     if samples < 2:
         raise ValueError("need at least two midpoint samples")
     u = _chord_direction(u)
-    w = perp(u)
-    vstations = _vertex_stations(poly, w)
-    edges = np.linspace(vstations[0], vstations[-1], ORACLE_STATIONS + 1)
+    stations, lo_v, hi_v = boundary_graphs(poly, u)
+    edges = np.linspace(stations[0], stations[-1], ORACLE_STATIONS + 1)
     xs = (edges[:-1] + edges[1:]) / 2.0
-    lo_v, hi_v, _ = chords_at(poly, u, vstations)
     mids = (lo_v + hi_v) / 2.0
     ts = np.linspace(float(mids.min()), float(mids.max()), samples)
-    lo, hi, ok = chords_at(poly, u, xs)
-    lo_r, hi_r, ok_r = chords_at(poly.reflect_across(u), u, xs)
+    lo, hi = np.interp(xs, stations, lo_v), np.interp(xs, stations, hi_v)
     # (samples, stations): chord of (poly - t u) meets chord of (reflected + t u)
     t = ts[:, None]
-    core_lo = np.maximum(lo - t, lo_r + t)
-    core_hi = np.minimum(hi - t, hi_r + t)
-    sel = ok & ok_r & (core_hi >= core_lo)
+    core_lo = np.maximum(lo - t, t - hi)
+    core_hi = np.minimum(hi - t, t - lo)
+    sel = core_hi >= core_lo
     offset = np.asarray(phi(ts), dtype=float)[:, None]
     lower = np.where(sel, core_lo + offset, np.inf).min(axis=0)
     upper = np.where(sel, core_hi + offset, -np.inf).max(axis=0)

@@ -17,10 +17,6 @@ class NonConvexColumn(SymmkitError):
     """A grid column that must be a contiguous run of cells is not."""
 
 
-class DegenerateBody(SymmkitError):
-    """A polygon with zero area where a full-dimensional body is required."""
-
-
 class EmptySet(SymmkitError):
     """An operation that needs positive measure received an empty set."""
 

@@ -775,11 +775,13 @@ def classify_rearrangement(transformer, grid, plane, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def run_verify(trials=200, seed=7, grid=DEFAULT_GRID):
-    """Property suites for the four canonical transformers and two set maps.
+def run_verify(trials=200, seed=7):
+    """Property suites for the four canonical transformers and two set maps on
+    :data:`DEFAULT_GRID`.
 
     Everything here is expected to hold; returns (report dict, all_hold).
     """
+    grid = DEFAULT_GRID
     plane = axis_plane(1, grid.n, 0.0, 1)
     transformers = {name: row.transformer(plane) for name, row in CANONICAL_MAPS.items()}
     set_maps = {m.name: m for m in (canonical_set_map("two_point", plane), canonical_set_map("identity", plane))}
@@ -875,13 +877,14 @@ GALLERY_ROWS = (
 )
 
 
-def run_gallery(seed=7, trials=20, grid=DEFAULT_GRID):
-    """Reproduce the counterexample fixtures and compare verdict matrices.
+def run_gallery(seed=7, trials=20):
+    """Reproduce the counterexample fixtures on :data:`DEFAULT_GRID` and compare verdict matrices.
 
     Returns a summary dict with one row per fixture; a mismatch raises
     GalleryMismatch (the summary rides on the exception).
     """
     trials = _trial_count(trials)
+    grid = DEFAULT_GRID
     plane = axis_plane(1, grid.n, 0.0, 1)
     results = []
     for example, set_map, expected, check in GALLERY_ROWS:

@@ -9,7 +9,6 @@ import numpy as np
 from .geometry import UNIT_TOL, GridSet, _frozen
 
 CROSS_TOL = 1e-12
-CLIP_EPS = 1e-12
 
 
 def perp(u):
@@ -54,12 +53,6 @@ class ConvexPolygon:
 
     def translate(self, vec):
         return ConvexPolygon(self.vertices + np.asarray(vec, dtype=float))
-
-    def reflect_across(self, u):
-        """Reflection in the line through the origin orthogonal to u."""
-        u = np.asarray(u, dtype=float)
-        v = self.vertices - 2.0 * np.outer(self.vertices @ u, u)
-        return ConvexPolygon(v[::-1])  # reflection reverses orientation
 
     def scale_about_centroid(self, factor):
         c = self.vertices.mean(axis=0)
@@ -112,59 +105,47 @@ def _chord_direction(u):
     return u
 
 
-def chords_at(poly, u, xs):
-    """Extents along u of the intersections of ``poly`` with the lines {x*perp(u) + t*u}.
+def boundary_graphs(poly, u):
+    """``poly`` read along the unit ``u`` as two graphs over H: (xs, lower, upper).
 
-    Reads the polygon's half-planes from :meth:`ConvexPolygon.edge_constraints`;
-    returns (lo, hi, nonempty) with lo/hi meaningful only where ``nonempty`` is True.
+    ``xs`` are the distinct vertex stations perp(u).v, increasing, and
+    ``lower``/``upper`` the boundary chains' heights u.p over them; every
+    chord is an interpolation on these graphs.  The frame (perp(u), u) is
+    right-handed, so in counter-clockwise order the lower chain runs from the
+    bottom-left vertex to the bottom-right one and the upper chain from the
+    top-right vertex to the top-left one.
     """
-    u = np.asarray(u, dtype=float)
-    w = perp(u)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    normals, rhs = poly.edge_constraints()
-    # constraint: (a.u) t >= b - (a.w) x  for each edge a.p >= b
-    au = normals @ u
-    aw = normals @ w
-    free = rhs[:, None] - np.outer(aw, xs)  # (edges, nx)
-    lo = np.full(xs.shape, -np.inf)
-    hi = np.full(xs.shape, np.inf)
-    ok = np.ones(xs.shape, dtype=bool)
-    scale = max(1.0, float(np.abs(poly.vertices).max()))
-    # free / au carries a rounding error of about eps * scale * |a| / |au|, so
-    # an edge nearly parallel to u bounds its chords only loosely; the
-    # emptiness test widens by that factor for the edges that bound a chord
-    norm = np.hypot(normals[:, 0], normals[:, 1]) * np.linalg.norm(u)
-    widen = np.maximum(1.0, norm / np.maximum(np.abs(au), CLIP_EPS))
-    lo_widen = np.ones(xs.shape)
-    hi_widen = np.ones(xs.shape)
-    for j in range(len(rhs)):
-        if au[j] > CLIP_EPS:
-            t = free[j] / au[j]
-            lo_widen = np.where(t > lo, widen[j], lo_widen)
-            lo = np.maximum(lo, t)
-        elif au[j] < -CLIP_EPS:
-            t = free[j] / au[j]
-            hi_widen = np.where(t < hi, widen[j], hi_widen)
-            hi = np.minimum(hi, t)
-        else:
-            ok &= free[j] <= CLIP_EPS * scale
-    ok &= lo <= hi + CLIP_EPS * scale * np.maximum(lo_widen, hi_widen)
-    return lo, hi, ok
+    x, t = poly.vertices @ perp(u), poly.vertices @ u
+    n = len(x)
+    # off the axes, the stations along an edge almost parallel to u can tie
+    # or swap by an ulp, so the corners come from the computed stations and
+    # each chain's stations are kept non-decreasing for np.interp
+    order = np.lexsort((t, x))
+    bottom_left, top_right = order[0], order[-1]
+    top_left, bottom_right = np.lexsort((-t, x))[[0, -1]]
+    lower = (bottom_left + np.arange((bottom_right - bottom_left) % n + 1)) % n
+    upper = (top_left - np.arange((top_left - top_right) % n + 1)) % n
+    # np.unique's sort-and-mask, without its lazy import of numpy.ma
+    xs = x[order]
+    xs = xs[np.concatenate([[True], xs[1:] != xs[:-1]])]
+    return (xs, *(np.interp(xs, np.maximum.accumulate(x[chain]), t[chain]) for chain in (lower, upper)))
+
+
+def _graph_chord(xs, lower, upper, x):
+    """(lo, hi) at station ``x`` of the region between two graphs over ``xs``;
+    None off [xs[0], xs[-1]]."""
+    if not xs[0] <= x <= xs[-1]:
+        return None
+    return float(np.interp(x, xs, lower)), float(np.interp(x, xs, upper))
 
 
 def chord(poly, u, x):
     """Single chord query on a ConvexPolygon; None when the line misses it.
 
-    Returns (lo, hi); degenerate touching chords are kept with lo == hi.
+    Returns (lo, hi); a chord through a lone extreme vertex has lo == hi.
     ValueError unless ``u`` is a finite unit 2-vector.
     """
-    lo, hi, ok = chords_at(poly, _chord_direction(u), [float(x)])
-    if not ok[0]:
-        return None
-    lo_v, hi_v = float(lo[0]), float(hi[0])
-    if hi_v < lo_v:  # touching within tolerance
-        lo_v = hi_v = (lo_v + hi_v) / 2.0
-    return lo_v, hi_v
+    return _graph_chord(*boundary_graphs(poly, _chord_direction(u)), float(x))
 
 
 def polygon_raster(grid, poly):

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from chord_oracle import chords_at
 from map_helpers import compose
 
 import symmkit as sk
@@ -21,7 +22,6 @@ from symmkit.harness import (
     run_gallery,
     trial_rng,
 )
-from symmkit.polygons import chords_at
 
 GRID64 = sk.centered_grid((64, 64), 1.0 / 16.0)
 GRID32 = sk.centered_grid((32, 32), 1.0 / 8.0)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from chord_oracle import chords_at
 
 import symmkit as sk
 from symmkit.errors import EmptySet, NonConvexColumn, OffGrid
@@ -10,7 +11,6 @@ from symmkit.harness import (
     trial_rng,
     two_disk_symmetric_set,
 )
-from symmkit.polygons import chords_at
 
 U = np.array([0.0, 1.0])
 GRID = sk.centered_grid((32, 32), 0.125)
@@ -100,6 +100,25 @@ class TestChordMovePolygon:
             region = sk.chord_move_polygon(poly, phi, U)
             lo, hi, ok = chords_at(poly, U, region.xs)
             assert np.abs((region.upper - region.lower) - (hi - lo)).max() < 1e-12
+
+
+class TestChordQuery:
+    @pytest.mark.parametrize(
+        "vertices, off",
+        [([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 5.0), ([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], 2.5)],
+        ids=["square", "triangle"],
+    )
+    def test_region_and_polygon_queries_share_one_contract(self, vertices, off):
+        # None off [xs[0], xs[-1]], for the moved region as for the polygon
+        poly = sk.ConvexPolygon(vertices)
+        region = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), U)
+        assert region.chord(off) is None
+        assert sk.chord(poly, U, off) is None
+        for x in [-off, *np.linspace(-0.5, 2.5, 13), np.nan]:
+            moved, read = region.chord(x), sk.chord(poly, U, x)
+            assert (moved is None) == (read is None) == (not region.omega[0] <= x <= region.omega[1])
+            if read is not None:
+                assert np.allclose(moved, read, rtol=0.0, atol=1e-12)
 
 
 # the triangle's area is 1.5; u = (0, 0.5) used to give a region of area

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from chord_oracle import amplification, chords_at
 
 import symmkit as sk
 from symmkit.harness import random_convex_polygon, trial_rng
-from symmkit.polygons import chords_at, perp
+from symmkit.polygons import perp
 
 U = np.array([0.0, 1.0])
 
@@ -111,6 +112,82 @@ def test_vertex_station_beside_near_parallel_edge(seed, u):
     assert abs(sk.perimeter_region(region) - poly.perimeter()) < 1e-9
 
 
+def random_direction(rng):
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    return np.array([np.cos(theta), np.sin(theta)])
+
+
+def turned_square(u, t0=0.0):
+    """The square [0, 1] x [t0, t0 + 1] of the frame (perp(u), u): the unit
+    square turned so that an edge is parallel to u at each end."""
+    turn = np.array([[u[1], u[0]], [-u[0], u[1]]])  # e1 -> perp(u), e2 -> u
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) + [0.0, t0]
+    return sk.ConvexPolygon(square @ turn.T)
+
+
+def vertex_and_interior_stations(poly, u):
+    xs = np.unique(poly.vertices @ perp(u))
+    return xs, (xs[:-1] + xs[1:]) / 2.0
+
+
+class TestRandomDirections:
+    def test_chords_match_the_oracle(self):
+        for i in range(200):
+            rng = trial_rng(107, i)
+            poly = random_convex_polygon(rng)
+            u = random_direction(rng)
+            xs = np.concatenate(vertex_and_interior_stations(poly, u))
+            lo, hi, ok = chords_at(poly, u, xs)
+            assert ok.all()
+            got = np.array([sk.chord(poly, u, x) for x in xs])
+            tol = 1e-12 * max(1.0, float(np.abs(poly.vertices).max())) * amplification(poly, u)
+            assert np.abs(got[:, 0] - lo).max() <= tol
+            assert np.abs(got[:, 1] - hi).max() <= tol
+
+    def test_identity_move_keeps_area_and_perimeter(self):
+        for i in range(200):
+            rng = trial_rng(109, i)
+            poly = random_convex_polygon(rng)
+            u = random_direction(rng)
+            region = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), u)
+            assert abs(region.area() - poly.area()) <= 1e-12 * poly.area()
+            assert abs(sk.perimeter_region(region) - poly.perimeter()) <= 1e-12 * poly.perimeter()
+
+    def test_turned_square_chords_match_the_oracle(self):
+        # rounding leaves each end edge parallel to u or up to an ulp off it;
+        # in the second case the extreme station holds one vertex, and across
+        # that ulp the exact chord shrinks from the whole edge to the vertex,
+        # where the oracle's slack reads the whole edge
+        for i in range(100):
+            u = random_direction(trial_rng(113, i))
+            square = turned_square(u)
+            x_vertex = square.vertices @ perp(u)
+            vertex, interior = vertex_and_interior_stations(square, u)
+            left = vertex[1] if np.count_nonzero(x_vertex == vertex[0]) == 1 else vertex[0]
+            right = vertex[-2] if np.count_nonzero(x_vertex == vertex[-1]) == 1 else vertex[-1]
+            assert right - left > 0.99
+            for x in np.concatenate([vertex, interior]):
+                (lo,), (hi,), (ok,) = chords_at(square, u, [x])
+                assert ok
+                got = sk.chord(square, u, x)
+                assert lo - 1e-12 <= got[0] <= got[1] <= hi + 1e-12
+                if left <= x <= right:
+                    assert abs(got[0] - lo) <= 1e-12 and abs(got[1] - hi) <= 1e-12
+
+    @pytest.mark.parametrize("name, t0", [("id", 0.0), ("abs", -0.7)])
+    def test_turned_square_move_keeps_area_and_perimeter(self, name, t0):
+        # at t0 = -0.7 the kink of abs lies between the midpoint of a full
+        # chord and that of an end vertex an ulp away, so a contraction
+        # breakpoint pulls back to within an ulp of a vertex station
+        for i in range(100):
+            u = random_direction(trial_rng(127, i))
+            square = turned_square(u, t0)
+            region = sk.chord_move_polygon(square, sk.canonical_contraction(name, 8.0), u)
+            assert abs(region.area() - square.area()) <= 1e-12 * square.area()
+            if name == "id":
+                assert abs(sk.perimeter_region(region) - square.perimeter()) <= 1e-12 * square.perimeter()
+
+
 def test_convex_hull_ccw_strict():
     pts = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [0.5, 0.0]]
     hull = sk.convex_hull(pts)
@@ -125,13 +202,3 @@ def test_polygon_raster_matches_containment():
     centers = g.centers()
     expect = np.array([tri.contains(p) for p in centers]).reshape(g.dims)
     assert np.array_equal(raster.mask, expect)
-
-
-def test_reflect_across_preserves_validity():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        poly = random_convex_polygon(rng)
-        refl = poly.reflect_across(U)
-        assert abs(refl.area() - poly.area()) < 1e-12
-        back = refl.reflect_across(U)
-        assert np.allclose(np.sort(back.vertices, axis=0), np.sort(poly.vertices, axis=0))
