@@ -12,7 +12,7 @@ from importlib import import_module
 _EXPORTS = {
     "contractions": ("PLContraction", "canonical_contraction", "sawtooth_contraction"),
     "chordmaps": (
-        "ChordMovedRegion", "SetMap", "blaschke_composite_set_map", "canonical_set_map", "chord_move_gridset",
+        "SetMap", "blaschke_composite_set_map", "canonical_set_map", "chord_move_gridset",
         "chord_move_polygon", "chord_movement_set_map", "chordwise_distance", "cog_reflect",
         "cog_reflection_set_map", "graph_lengths", "grid_perimeter", "near_swap", "near_swap_set_map",
         "perimeter_region", "region_is_convex", "shake_set", "union_of_translates",
@@ -31,7 +31,7 @@ _EXPORTS = {
         "LP_EXPONENTS", "MODULUS_MAX_TRIALS", "SETMAP_LAWS", "TRANSFORMER_LAWS", "PropertyReport",
         "check_laws", "classify_rearrangement", "modulus_profile", "run_gallery", "run_verify",
     ),
-    "polygons": ("ConvexPolygon", "chord", "convex_hull", "polygon_raster"),
+    "polygons": ("ChordMovedRegion", "ConvexPolygon", "boundary_graphs", "convex_hull", "polygon_raster"),
     "rearrange": (
         "CANONICAL_MAPS", "AssociatedFunctionPair", "CanonicalMap", "PointwiseTransformer",
         "layer_cake_rearrangement", "polarize", "polarize_set", "schwarz_symmetrize_function",

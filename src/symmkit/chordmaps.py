@@ -17,8 +17,8 @@ import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
 from .errors import EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
-from .geometry import GridSet, _breakpoints, induced_set_map, reflect_grid_set
-from .polygons import _chord_direction, _graph_chord, boundary_graphs
+from .geometry import GridSet, induced_set_map, reflect_grid_set
+from .polygons import ChordMovedRegion, boundary_graphs
 from .rearrange import CANONICAL_MAPS, polarize_set
 
 BREAK_TOL = 1e-12
@@ -28,53 +28,10 @@ NEAR_SWAP_WIDTH = 1.0  # near_swap swaps the cells this close to the hyperplane
 SET_MAP_DOMAINS = ("all", "convex", "core")
 
 
-@dataclass(frozen=True)
-class ChordMovedRegion:
-    """Region between two piecewise-linear graphs over an interval of H.
-
-    ``xs`` are the shared breakpoint stations along the hyperplane direction;
-    ``lower``/``upper`` are the graph values along u.  Chord lengths
-    ``upper - lower`` agree with the source body's chord lengths.
-    """
-
-    u: tuple
-    xs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        xs, lower, upper = _breakpoints("region breakpoints", self.xs, self.lower, self.upper)
-        span = max(1.0, float(np.abs(upper).max()), float(np.abs(lower).max()))
-        if np.any(upper - lower < -1e-9 * span):
-            raise ValueError("upper graph must dominate the lower graph")
-        object.__setattr__(self, "u", tuple(float(c) for c in self.u))
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def omega(self):
-        return float(self.xs[0]), float(self.xs[-1])
-
-    def chord(self, x):
-        """Chord extents (lo, hi) at station ``x``; None off :attr:`omega`."""
-        return _graph_chord(self.xs, self.lower, self.upper, x)
-
-    def area(self):
-        gaps = self.upper - self.lower
-        return float(np.sum((gaps[1:] + gaps[:-1]) / 2.0 * np.diff(self.xs)))
-
-
-def _polyline_length(xs, ys):
-    return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
-
-
 def graph_lengths(region):
     """(upper, lower) graph arc lengths, end chords excluded."""
-    return (
-        _polyline_length(region.xs, region.upper),
-        _polyline_length(region.xs, region.lower),
-    )
+    dx = np.diff(region.xs)
+    return tuple(float(np.sum(np.hypot(dx, np.diff(ys)))) for ys in (region.upper, region.lower))
 
 
 def perimeter_region(region):
@@ -93,19 +50,13 @@ def region_is_convex(region):
 
 
 def _pullback_stations(xs, ts, phi):
-    """Stations where the chord-midpoint line crosses a contraction breakpoint."""
-    extra = []
+    """Stations where the chord-midpoint line, ``ts`` over ``xs``, crosses a contraction breakpoint."""
+    x0, x1, t0, t1 = xs[:-1, None], xs[1:, None], ts[:-1, None], ts[1:, None]
     bs = phi.ts
-    for i in range(len(xs) - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        t0, t1 = ts[i], ts[i + 1]
-        if t0 == t1:
-            continue
-        lo, hi = (t0, t1) if t0 < t1 else (t1, t0)
-        inside = bs[(bs > lo) & (bs < hi)]
-        for b in inside:
-            extra.append(x0 + (b - t0) * (x1 - x0) / (t1 - t0))
-    return extra
+    crossed = (bs > np.minimum(t0, t1)) & (bs < np.maximum(t0, t1))
+    # a flat segment crosses no breakpoint; its divisor is replaced, not divided by
+    dt = np.where(t0 == t1, 1.0, t1 - t0)
+    return (x0 + (bs - t0) * (x1 - x0) / dt)[crossed]
 
 
 def chord_move_polygon(poly, phi, u):
@@ -115,25 +66,21 @@ def chord_move_polygon(poly, phi, u):
     vertex projections together with the contraction breakpoints pulled back
     through the (piecewise-linear) chord-midpoint function.
     """
-    u = _chord_direction(u)
-    stations, lo, hi = boundary_graphs(poly, u)
-    extra = _pullback_stations(stations, (lo + hi) / 2.0, phi)
-    if extra:
-        tol = BREAK_TOL * max(stations[-1] - stations[0], 1.0)
-        # a pulled-back station within tol of a vertex station or of the
-        # previous one is dropped; the vertex stations all stay, since off the
-        # axes two of them can be an ulp apart across an edge parallel to u
-        extra = np.sort(extra)
-        i = np.searchsorted(stations, extra).clip(1, len(stations) - 1)
-        gap = np.minimum(extra - stations[i - 1], stations[i] - extra)
-        extra = extra[(gap > tol) & np.concatenate([[True], np.diff(extra) > tol])]
-        xs = np.sort(np.concatenate([stations, extra]))
-        lo, hi = np.interp(xs, stations, lo), np.interp(xs, stations, hi)
-    else:
-        xs = stations
+    graphs = boundary_graphs(poly, u)
+    stations = graphs.xs
+    extra = np.sort(_pullback_stations(stations, (graphs.lower + graphs.upper) / 2.0, phi))
+    tol = BREAK_TOL * max(stations[-1] - stations[0], 1.0)
+    # a pulled-back station within tol of a vertex station or of the previous
+    # one is dropped; the vertex stations all stay, since off the axes two of
+    # them can be an ulp apart across an edge parallel to u
+    i = np.searchsorted(stations, extra).clip(1, len(stations) - 1)
+    gap = np.minimum(extra - stations[i - 1], stations[i] - extra)
+    extra = extra[(gap > tol) & (np.diff(extra, prepend=-np.inf) > tol)]
+    xs = np.sort(np.concatenate([stations, extra]))
+    lo, hi = graphs.at(xs)
     mids = (lo + hi) / 2.0
     shift = phi(mids) - mids
-    return ChordMovedRegion(tuple(u), xs, lo + shift, hi + shift)
+    return ChordMovedRegion(graphs.u, xs, lo + shift, hi + shift)
 
 
 def union_of_translates(poly, phi, u, samples):
@@ -149,13 +96,12 @@ def union_of_translates(poly, phi, u, samples):
     """
     if samples < 2:
         raise ValueError("need at least two midpoint samples")
-    u = _chord_direction(u)
-    stations, lo_v, hi_v = boundary_graphs(poly, u)
-    edges = np.linspace(stations[0], stations[-1], ORACLE_STATIONS + 1)
+    graphs = boundary_graphs(poly, u)
+    edges = np.linspace(*graphs.omega, ORACLE_STATIONS + 1)
     xs = (edges[:-1] + edges[1:]) / 2.0
-    mids = (lo_v + hi_v) / 2.0
+    mids = (graphs.lower + graphs.upper) / 2.0
     ts = np.linspace(float(mids.min()), float(mids.max()), samples)
-    lo, hi = np.interp(xs, stations, lo_v), np.interp(xs, stations, hi_v)
+    lo, hi = graphs.at(xs)
     # (samples, stations): chord of (poly - t u) meets chord of (reflected + t u)
     t = ts[:, None]
     core_lo = np.maximum(lo - t, t - hi)
@@ -165,16 +111,13 @@ def union_of_translates(poly, phi, u, samples):
     lower = np.where(sel, core_lo + offset, np.inf).min(axis=0)
     upper = np.where(sel, core_hi + offset, -np.inf).max(axis=0)
     touched = sel.any(axis=0)
-    return ChordMovedRegion(tuple(u), xs[touched], lower[touched], upper[touched])
+    return ChordMovedRegion(graphs.u, xs[touched], lower[touched], upper[touched])
 
 
 def chordwise_distance(region_a, region_b):
     """Largest graph deviation of region_a from region_b at region_a's stations."""
-    lo_b = np.interp(region_a.xs, region_b.xs, region_b.lower)
-    hi_b = np.interp(region_a.xs, region_b.xs, region_b.upper)
-    return float(
-        max(np.abs(region_a.lower - lo_b).max(), np.abs(region_a.upper - hi_b).max())
-    )
+    lo_b, hi_b = region_b.at(region_a.xs)
+    return float(max(np.abs(region_a.lower - lo_b).max(), np.abs(region_a.upper - hi_b).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +228,9 @@ def cog_reflect(a, u_axis):
 def near_swap(a, plane):
     """Swap cells within NEAR_SWAP_WIDTH of the hyperplane with their mirror images."""
     mirrored = reflect_grid_set(a, plane)
-    dist = np.abs(plane.signed(a.grid.centers())).reshape(a.grid.dims)
-    near = dist <= NEAR_SWAP_WIDTH
+    # the distance to the plane, its per-axis terms summed in axis order
+    proj = sum(x * c for x, c in zip(a.grid.open_centers(), plane.normal))
+    near = np.abs(proj - plane.offset) <= NEAR_SWAP_WIDTH
     return GridSet(a.grid, np.where(near, mirrored.mask, a.mask))
 
 

@@ -170,7 +170,7 @@ def write_region(path, region):
 
 
 def read_region(path):
-    from .chordmaps import ChordMovedRegion
+    from .polygons import ChordMovedRegion
 
     u, gplus, gminus = _read_json_fields(path, "region", _REGION)
     gplus = np.asarray(gplus, dtype=float).reshape(-1, 2)

@@ -44,6 +44,7 @@ from .chordmaps import (
 from .contractions import sawtooth_contraction
 from .errors import GalleryMismatch, NotARearrangement, SymmkitError, UnknownName
 from .geometry import (
+    Grid,
     GridFunction,
     GridSet,
     axis_plane,
@@ -189,38 +190,50 @@ def random_convex_raster(rng, grid=DEFAULT_GRID, min_cells=12):
     )
 
 
-def _core_cut(grid, small, big):
-    """(small, big) cut to the central box, still nested, neither empty.
+def _core_box(grid):
+    """(box, place): the central box as a grid of its own, and the function that
+    places a mask drawn on it into ``grid`` as a GridSet.
 
-    The box reaches W, an eighth of the grid's extent, from its center; a set
-    in it reflects through its center of gravity into [-3W, 3W], in the grid.
-    If ``small`` misses the box, the cells within a spacing of the center
-    stand in for it.
+    The box holds the cells within W of the center on every axis: W is an
+    eighth of the grid's shortest side, so a set in the box reflects through
+    its center of gravity into [-3W, 3W], in the grid; on grids narrower than
+    eight spacings W is one spacing, so the box is never empty.
     """
-    w = 0.125 * _shortest_side(grid)
-    core = box_raster(grid, [c - w for c in grid.center], [c + w for c in grid.center]).mask
-    inner = small.mask & core
-    if not inner.any():
-        inner = disk_raster(grid, grid.center, grid.spacing).mask & core
-    return GridSet(grid, inner), GridSet(grid, (big.mask & core) | inner)
+    w = max(0.125 * _shortest_side(grid), grid.spacing)
+    core = box_mask(grid.open_centers(), [c - w for c in grid.center], [c + w for c in grid.center])
+    cut = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(core))
+    origin = tuple(o + s.start * grid.spacing for o, s in zip(grid.origin, cut))
+    box = Grid(tuple(s.stop - s.start for s in cut), origin, grid.spacing)
+
+    def place(mask):
+        out = np.zeros(grid.dims, dtype=bool)
+        out[cut] = mask
+        return GridSet(grid, out)
+
+    return box, place
 
 
 def _sample(domain, rng, grid):
     """One random set from a map's declared domain."""
     if domain == "convex":
         return random_convex_raster(rng, grid)[0]
-    a = random_blob_set(rng, grid)
-    return _core_cut(grid, a, a)[1] if domain == "core" else a
+    if domain == "core":
+        box, place = _core_box(grid)
+        return place(random_blob_set(rng, box).mask)
+    return random_blob_set(rng, grid)
 
 
 def _nested_pair(domain, rng, grid):
-    """(small, big) nested sets from a map's declared domain."""
+    """(small, big) nested sets from a map's declared domain; a "core" ``small`` is never empty."""
     if domain == "convex":
         big, poly = random_convex_raster(rng, grid)
         return polygon_raster(grid, poly.scale_about_centroid(0.3 + 0.5 * rng.random())), big
-    big = random_blob_set(rng, grid)
-    small = GridSet(grid, big.mask & (rng.random(grid.dims) < 0.7))
-    return _core_cut(grid, small, big) if domain == "core" else (small, big)
+    box, place = _core_box(grid) if domain == "core" else (grid, lambda mask: GridSet(grid, mask))
+    big = random_blob_set(rng, box).mask
+    small = big & (rng.random(box.dims) < 0.7)
+    if domain == "core" and not small.any():  # the center of gravity of an empty set is undefined
+        small = big
+    return place(small), place(big)
 
 
 def symmetric_raster(rng, plane, grid=DEFAULT_GRID, domain="all"):
@@ -245,26 +258,23 @@ def symmetric_raster(rng, plane, grid=DEFAULT_GRID, domain="all"):
 def centered_cylinder_raster(rng, plane, grid=DEFAULT_GRID):
     """Raster of a product body symmetric about the hyperplane: radius r in H,
     half-height s along the normal."""
-    centers = grid.centers()
+    axes = grid.open_centers()
     normal = np.asarray(plane.normal)
-    along = centers @ normal - plane.offset
-    in_h = centers - np.outer(centers @ normal, normal)
+    # per-axis terms summed in axis order, as ball_mask sums them
+    proj = sum(x * c for x, c in zip(axes, normal))
     mid = np.asarray(grid.center)
     mid_h = mid - (mid @ normal) * normal
     span = 0.4 * _shortest_side(grid)
     r = (0.2 + 0.8 * rng.random()) * span
     s = (0.2 + 0.8 * rng.random()) * span
-    radial = np.linalg.norm(in_h - mid_h, axis=1) if grid.n > 1 else np.zeros(len(centers))
-    mask = (radial <= r) & (np.abs(along) <= s)
-    return GridSet(grid, mask.reshape(grid.dims))
+    radial = np.sqrt(sum((x - proj * c - m) ** 2 for x, c, m in zip(axes, normal, mid_h)))
+    return GridSet(grid, (radial <= r) & (np.abs(proj - plane.offset) <= s))
 
 
 def quantized_cone(grid, center, radius, levels=6):
     """Concave bump with integer levels; every super-level set is a disk raster."""
-    centers = grid.centers()
-    d = np.linalg.norm(centers - np.asarray(center, dtype=float), axis=1)
-    vals = np.floor(np.clip(levels * (1.0 - d / radius), 0.0, levels))
-    return GridFunction(grid, vals.reshape(grid.dims))
+    d = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.open_centers(), np.asarray(center, dtype=float))))
+    return GridFunction(grid, np.floor(np.clip(levels * (1.0 - d / radius), 0.0, levels)))
 
 
 def _nearest_plane_point(grid, plane):
@@ -578,7 +588,8 @@ def _maps_balls_to_balls(dmap, plane, draw):
         return {"t": t, "reason": "cell count changed"}
     if image.cell_count == 0:
         return None
-    com = grid.centers()[image.mask.ravel()].mean(axis=0)
+    # the image's cell centers averaged as rows: at a half-lattice tie the order of the sum decides the snap
+    com = np.stack([np.broadcast_to(x, grid.dims)[image.mask] for x in grid.open_centers()], axis=1).mean(axis=0)
     # admissible ball centers live on the half-cell lattice
     snapped = np.asarray(grid.origin) + np.rint((com - np.asarray(grid.origin)) / (h / 2.0)) * (h / 2.0)
     if image != disk_raster(grid, snapped, r):

@@ -1,4 +1,4 @@
-"""Exact planar convex polygons: construction, chords, rasters."""
+"""Exact planar convex polygons and the regions between two graphs over H: construction, chords, rasters."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import UNIT_TOL, GridSet, _frozen
+from .geometry import UNIT_TOL, GridSet, _breakpoints, _frozen
 
 CROSS_TOL = 1e-12
 
@@ -97,6 +97,50 @@ def convex_hull(points):
     return np.asarray(lower[:-1] + upper[:-1], dtype=float)
 
 
+@dataclass(frozen=True)
+class ChordMovedRegion:
+    """Region between two piecewise-linear graphs over an interval of H.
+
+    ``xs`` are the shared breakpoint stations along the hyperplane direction;
+    ``lower``/``upper`` are the graph values along u.  A polygon read along u
+    (:func:`boundary_graphs`) is one, and so is its chord-moved image.
+    """
+
+    u: tuple
+    xs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        xs, lower, upper = _breakpoints("region breakpoints", self.xs, self.lower, self.upper)
+        span = max(1.0, float(np.abs(upper).max()), float(np.abs(lower).max()))
+        if np.any(upper - lower < -1e-9 * span):
+            raise ValueError("upper graph must dominate the lower graph")
+        object.__setattr__(self, "u", tuple(float(c) for c in self.u))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
+    @property
+    def omega(self):
+        return float(self.xs[0]), float(self.xs[-1])
+
+    def at(self, x):
+        """(lower, upper) at stations ``x``, linear between breakpoints: the graphs' one evaluator."""
+        return np.interp(x, self.xs, self.lower), np.interp(x, self.xs, self.upper)
+
+    def chord(self, x):
+        """Chord extents (lo, hi) at station ``x``, equal through a lone extreme vertex; None off :attr:`omega`."""
+        if not self.xs[0] <= x <= self.xs[-1]:
+            return None
+        lo, hi = self.at(x)
+        return float(lo), float(hi)
+
+    def area(self):
+        gaps = self.upper - self.lower
+        return float(np.sum((gaps[1:] + gaps[:-1]) / 2.0 * np.diff(self.xs)))
+
+
 def _chord_direction(u):
     """``u`` as a float array; ValueError unless it is a finite unit 2-vector."""
     u = np.asarray(u, dtype=float)
@@ -106,15 +150,17 @@ def _chord_direction(u):
 
 
 def boundary_graphs(poly, u):
-    """``poly`` read along the unit ``u`` as two graphs over H: (xs, lower, upper).
+    """``poly`` read along the unit ``u``: the :class:`ChordMovedRegion` between its boundary chains.
 
-    ``xs`` are the distinct vertex stations perp(u).v, increasing, and
+    Its ``xs`` are the distinct vertex stations perp(u).v, increasing, and
     ``lower``/``upper`` the boundary chains' heights u.p over them; every
-    chord is an interpolation on these graphs.  The frame (perp(u), u) is
-    right-handed, so in counter-clockwise order the lower chain runs from the
-    bottom-left vertex to the bottom-right one and the upper chain from the
-    top-right vertex to the top-left one.
+    chord is read off these graphs.  The frame (perp(u), u) is right-handed,
+    so in counter-clockwise order the lower chain runs from the bottom-left
+    vertex to the bottom-right one and the upper chain from the top-right
+    vertex to the top-left one.  ValueError unless ``u`` is a finite unit
+    2-vector.
     """
+    u = _chord_direction(u)
     x, t = poly.vertices @ perp(u), poly.vertices @ u
     n = len(x)
     # off the axes, the stations along an edge almost parallel to u can tie
@@ -128,31 +174,16 @@ def boundary_graphs(poly, u):
     # np.unique's sort-and-mask, without its lazy import of numpy.ma
     xs = x[order]
     xs = xs[np.concatenate([[True], xs[1:] != xs[:-1]])]
-    return (xs, *(np.interp(xs, np.maximum.accumulate(x[chain]), t[chain]) for chain in (lower, upper)))
-
-
-def _graph_chord(xs, lower, upper, x):
-    """(lo, hi) at station ``x`` of the region between two graphs over ``xs``;
-    None off [xs[0], xs[-1]]."""
-    if not xs[0] <= x <= xs[-1]:
-        return None
-    return float(np.interp(x, xs, lower)), float(np.interp(x, xs, upper))
-
-
-def chord(poly, u, x):
-    """Single chord query on a ConvexPolygon; None when the line misses it.
-
-    Returns (lo, hi); a chord through a lone extreme vertex has lo == hi.
-    ValueError unless ``u`` is a finite unit 2-vector.
-    """
-    return _graph_chord(*boundary_graphs(poly, _chord_direction(u)), float(x))
+    return ChordMovedRegion(
+        u, xs, *(np.interp(xs, np.maximum.accumulate(x[chain]), t[chain]) for chain in (lower, upper))
+    )
 
 
 def polygon_raster(grid, poly):
     """Cells of a 2D grid whose centers lie in the polygon."""
     if grid.n != 2:
         raise ValueError("polygon rasters need a 2D grid")
-    centers = grid.centers()
+    x, y = grid.open_centers()
     normals, rhs = poly.edge_constraints()
-    inside = np.all(centers @ normals.T >= rhs - 1e-12, axis=1)
-    return GridSet(grid, inside.reshape(grid.dims))
+    inside = np.all(x[..., None] * normals[:, 0] + y[..., None] * normals[:, 1] >= rhs - 1e-12, axis=-1)
+    return GridSet(grid, inside)

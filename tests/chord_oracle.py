@@ -1,8 +1,10 @@
-"""An independent chord construction for the tests: clip one half-plane per edge.
+"""Independent chord constructions for the tests: clip one half-plane per edge,
+and pull contraction breakpoints back one segment at a time.
 
 The library reads chords off a polygon's two boundary graphs; this oracle
 builds each chord from the polygon's edges alone, so the tests that compare
-the two compare different constructions.
+the two compare different constructions.  The pullback loop is the form the
+library's broadcast replaced, kept to compare against with ``==``.
 """
 
 import numpy as np
@@ -64,3 +66,19 @@ def amplification(poly, u):
     au = np.abs(e[:, 0] * u[1] - e[:, 1] * u[0])  # |a.u| for the inward normal a = (-e1, e0)
     bounding = au > CLIP_EPS
     return float(max(1.0, np.max(np.hypot(e[bounding, 0], e[bounding, 1]) / au[bounding])))
+
+
+def pullback_stations(xs, ts, phi):
+    """Stations where the chord-midpoint line, ``ts`` over ``xs``, crosses a
+    breakpoint of ``phi``: one segment and one breakpoint at a time."""
+    extra = []
+    bs = phi.ts
+    for i in range(len(xs) - 1):
+        x0, x1 = xs[i], xs[i + 1]
+        t0, t1 = ts[i], ts[i + 1]
+        if t0 == t1:
+            continue
+        lo, hi = (t0, t1) if t0 < t1 else (t1, t0)
+        for b in bs[(bs > lo) & (bs < hi)]:
+            extra.append(x0 + (b - t0) * (x1 - x0) / (t1 - t0))
+    return extra

@@ -113,9 +113,9 @@ class TestChordQuery:
         poly = sk.ConvexPolygon(vertices)
         region = sk.chord_move_polygon(poly, sk.canonical_contraction("id"), U)
         assert region.chord(off) is None
-        assert sk.chord(poly, U, off) is None
+        assert sk.boundary_graphs(poly, U).chord(off) is None
         for x in [-off, *np.linspace(-0.5, 2.5, 13), np.nan]:
-            moved, read = region.chord(x), sk.chord(poly, U, x)
+            moved, read = region.chord(x), sk.boundary_graphs(poly, U).chord(x)
             assert (moved is None) == (read is None) == (not region.omega[0] <= x <= region.omega[1])
             if read is not None:
                 assert np.allclose(moved, read, rtol=0.0, atol=1e-12)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from symmkit.harness import (
     PAIR_RULES,
     PropertyReport,
     _lp_norm,
+    _nested_pair,
+    _sample,
     random_blob_function,
     random_blob_set,
     symmetric_raster,
@@ -486,6 +489,21 @@ class TestSetMapBundle:
             assert reports["record"][law].verdict == "holds"
         assert len(seen) == 3 * 60
         assert all(a.cell_count > 0 and not np.any(a.mask & ~core) for a in seen)
+
+    def test_core_draws_are_varied_and_leave_the_box_unfilled(self):
+        # cut from blob sets drawn on the whole grid, the pair was the 4-cell
+        # fallback (4, 4) in 58 of these 200 draws, and 37 samples filled all
+        # 64 cells of the box, which cog reflection leaves unchanged
+        core = sk.box_raster(GRID, (-0.5, -0.5), (0.5, 0.5))
+        counts = Counter()
+        filled = 0
+        for s in range(200):
+            small, big = _nested_pair("core", trial_rng(s, 0), GRID)
+            assert 0 < small.cell_count and not np.any(small.mask & ~big.mask) and not np.any(big.mask & ~core.mask)
+            counts[small.cell_count, big.cell_count] += 1
+            filled += _sample("core", trial_rng(s, 0), GRID) == core
+        assert max(counts.values()) <= 10
+        assert filled < 5
 
     @pytest.mark.parametrize("domain", ["convx", "All", "", None])
     def test_unknown_domain_rejected(self, domain):

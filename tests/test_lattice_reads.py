@@ -1,8 +1,8 @@
 """Per-axis rasters and generators, and the canonical maps at every plane, against reference forms.
 
-The rasters and the blob generator read per-axis cell-center vectors instead
-of ``Grid.centers()``; each is checked with ``==`` against the ``centers()``
-form it replaced.  Each canonical map, function and set map, is checked at
+The rasters, the generators, ``near_swap`` and the ``maps_balls_to_balls``
+law read per-axis cell-center vectors instead of ``Grid.centers()``; each is
+checked with ``==`` against the ``centers()`` form it replaced.  Each canonical map, function and set map, is checked at
 every admissible plane, off-center ones included, against the same map
 applied to f extended by its minimum and restricted to f's grid; at center
 planes, where no mirror leaves the grid, the reflected two-point map is also
@@ -14,7 +14,19 @@ import pytest
 from grid_strategies import admissible_planes, small_grid
 
 import symmkit as sk
-from symmkit.harness import random_blob_function, trial_rng
+from symmkit.chordmaps import NEAR_SWAP_WIDTH
+from symmkit.harness import (
+    _Draw,
+    _maps_balls_to_balls,
+    _nearest_plane_point,
+    _shortest_side,
+    centered_cylinder_raster,
+    quantized_cone,
+    random_blob_function,
+    random_blob_set,
+    random_convex_polygon,
+    trial_rng,
+)
 
 
 def two_point_reflected(f, plane):
@@ -74,6 +86,75 @@ def blob_oracle(rng, grid, max_blobs=5, max_level=8):
     return sk.GridFunction(grid, values.reshape(grid.dims))
 
 
+def polygon_raster_oracle(grid, poly):
+    normals, rhs = poly.edge_constraints()
+    return np.all(grid.centers() @ normals.T >= rhs - 1e-12, axis=1).reshape(grid.dims)
+
+
+def cylinder_oracle(rng, plane, grid):
+    """centered_cylinder_raster as it was written over ``grid.centers()``."""
+    centers = grid.centers()
+    normal = np.asarray(plane.normal)
+    along = centers @ normal - plane.offset
+    in_h = centers - np.outer(centers @ normal, normal)
+    mid = np.asarray(grid.center)
+    mid_h = mid - (mid @ normal) * normal
+    span = 0.4 * _shortest_side(grid)
+    r = (0.2 + 0.8 * rng.random()) * span
+    s = (0.2 + 0.8 * rng.random()) * span
+    radial = np.linalg.norm(in_h - mid_h, axis=1) if grid.n > 1 else np.zeros(len(centers))
+    return ((radial <= r) & (np.abs(along) <= s)).reshape(grid.dims)
+
+
+def cone_oracle(grid, center, radius, levels):
+    d = np.linalg.norm(grid.centers() - np.asarray(center, dtype=float), axis=1)
+    return np.floor(np.clip(levels * (1.0 - d / radius), 0.0, levels)).reshape(grid.dims)
+
+
+def near_swap_oracle(a, plane):
+    near = np.abs(plane.signed(a.grid.centers())).reshape(a.grid.dims) <= NEAR_SWAP_WIDTH
+    return np.where(near, sk.reflect_grid_set(a, plane).mask, a.mask)
+
+
+def maps_balls_to_balls_oracle(dmap, plane, draw):
+    """The maps_balls_to_balls law as it was written over ``grid.centers()``."""
+    grid = draw.grid
+    h = grid.spacing
+    u = np.asarray(plane.normal, dtype=float)
+    t, r = draw("ball", lambda rng: (float(rng.integers(-6, 7)) * h, (4.0 + rng.random()) * h))
+    a = sk.disk_raster(grid, _nearest_plane_point(grid, plane) + t * u, r)
+    image = dmap(a)
+    if image.cell_count != a.cell_count:
+        return {"t": t, "reason": "cell count changed"}
+    if image.cell_count == 0:
+        return None
+    com = grid.centers()[image.mask.ravel()].mean(axis=0)
+    snapped = np.asarray(grid.origin) + np.rint((com - np.asarray(grid.origin)) / (h / 2.0)) * (h / 2.0)
+    if image != sk.disk_raster(grid, snapped, r):
+        return {"t": t, "reason": "image is not a ball raster"}
+    return None
+
+
+def random_plane(rng, grid):
+    """A plane through a random point of the grown grid box, along an axis or a random direction."""
+    normal = rng.normal(size=grid.n)
+    if rng.random() < 0.5:
+        normal = np.eye(grid.n)[rng.integers(grid.n)]
+    normal = normal / np.linalg.norm(normal)
+    return sk.OrientedHyperplane(tuple(normal), float(random_point(rng, grid) @ normal), int(rng.choice([1, -1])))
+
+
+def lattice_polygon(rng, grid):
+    """A convex polygon whose vertices are cell centers, so its edges run through cell centers."""
+    while True:
+        ij = np.stack([rng.integers(0, d, 6) for d in grid.dims], axis=1)
+        points = np.asarray(grid.origin) + (ij + 0.5) * grid.spacing
+        try:
+            return sk.ConvexPolygon(sk.convex_hull(points))
+        except ValueError:  # fewer than three hull points
+            continue
+
+
 class TestPerAxisRasters:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_disk_raster_equals_centers_form(self, seed):
@@ -118,6 +199,58 @@ class TestPerAxisRasters:
         for i in range(50):
             assert random_blob_function(trial_rng(617, i)) == blob_oracle(trial_rng(617, i), sk.centered_grid((32, 32), 0.125))
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_polygon_raster_equals_centers_form(self, seed):
+        rng = trial_rng(631, seed)
+        grid = random_grid(rng, n=2)
+        grid = sk.Grid(tuple(d + 2 for d in grid.dims), grid.origin, grid.spacing)  # room for a lattice triangle
+        lo, span = np.asarray(grid.origin), np.asarray(grid.upper) - np.asarray(grid.origin)
+        for _ in range(4):
+            # a polygon across the grid box, and one with edges through cell centers
+            poly = random_convex_polygon(rng, box=1.0, min_area=0.1)
+            poly = sk.ConvexPolygon(lo + (poly.vertices + 1.0) / 2.0 * span)
+            for body in (poly, lattice_polygon(rng, grid)):
+                assert np.array_equal(sk.polygon_raster(grid, body).mask, polygon_raster_oracle(grid, body))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_cylinder_raster_equals_centers_form(self, seed):
+        rng = trial_rng(641, seed)
+        grid = random_grid(rng)
+        for i in range(8):
+            plane = random_plane(rng, grid)
+            got = centered_cylinder_raster(trial_rng(seed, i), plane, grid)
+            assert np.array_equal(got.mask, cylinder_oracle(trial_rng(seed, i), plane, grid))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_quantized_cone_equals_centers_form(self, seed):
+        rng = trial_rng(643, seed)
+        grid = random_grid(rng)
+        extent = max(u - o for o, u in zip(grid.origin, grid.upper))
+        for _ in range(8):
+            center, radius, levels = random_point(rng, grid), rng.uniform(0.1, 1.5) * extent, int(rng.integers(1, 8))
+            got = quantized_cone(grid, center, radius, levels)
+            assert np.array_equal(got.values, cone_oracle(grid, center, radius, levels))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_near_swap_equals_centers_form(self, seed):
+        rng = trial_rng(647, seed)
+        grid = small_grid(rng, square=bool(seed % 2))
+        a = sk.GridSet(grid, rng.random(grid.dims) < 0.5)
+        for plane, _ in admissible_planes(grid):
+            assert np.array_equal(sk.near_swap(a, plane).mask, near_swap_oracle(a, plane))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_maps_balls_to_balls_equals_centers_form(self, seed):
+        grid = random_grid(trial_rng(653, seed), n=2 + seed % 2)
+        grid = sk.Grid(tuple(d + 8 for d in grid.dims), grid.origin, grid.spacing)
+        for k in range(grid.n):
+            plane = sk.axis_plane(k, grid.n, grid.center[k])
+            maps = [sk.canonical_set_map(label, plane) for label in sk.CANONICAL_MAPS]
+            maps.append(sk.near_swap_set_map(plane))
+            for i, dmap in enumerate(maps):
+                got = _maps_balls_to_balls(dmap, plane, _Draw(trial_rng(seed, i), grid))
+                assert got == maps_balls_to_balls_oracle(dmap, plane, _Draw(trial_rng(seed, i), grid))
+
     def test_no_centers_pass(self, monkeypatch):
         def refuse(self):
             raise AssertionError("centers() called")
@@ -130,6 +263,12 @@ class TestPerAxisRasters:
         sk.Reflection(grid, sk.axis_plane(2, 3, grid.center[2]))
         square = sk.centered_grid((6, 6), 0.25)
         sk.Reflection(square, next(center_diagonal_planes(square)))
+        plane = sk.axis_plane(1, 3, grid.center[1])
+        centered_cylinder_raster(trial_rng(619, 1), plane, grid)
+        quantized_cone(grid, grid.center, 0.75)
+        sk.near_swap(random_blob_set(trial_rng(619, 2), grid), plane)
+        _maps_balls_to_balls(sk.near_swap_set_map(plane), plane, _Draw(trial_rng(619, 3), grid))
+        sk.polygon_raster(square, sk.ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.0, 0.5]]))
 
 
 def center_axis_planes(grid):

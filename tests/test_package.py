@@ -22,8 +22,8 @@ PUBLIC = """
     GridSet LP_EXPONENTS MODULUS_MAX_TRIALS MisalignedHyperplane NonConvexColumn NotARearrangement
     OffGrid OrientedHyperplane PLContraction PointwiseTransformer PropertyReport Reflection
     SETMAP_LAWS SetMap SymmkitError TRANSFORMER_LAWS UnknownName axis_plane
-    blaschke_composite_set_map box_raster canonical_contraction canonical_set_map centered_grid
-    check_laws chord chord_move_gridset chord_move_polygon chord_movement_set_map chordmaps
+    blaschke_composite_set_map boundary_graphs box_raster canonical_contraction canonical_set_map centered_grid
+    check_laws chord_move_gridset chord_move_polygon chord_movement_set_map chordmaps
     chordwise_distance classify_rearrangement cog_reflect cog_reflection_set_map contractions
     convex_hull disk_raster distribution errors experiments geometry graph_lengths grid_perimeter
     harness induced_set_map layer_cake_rearrangement modulus_profile near_swap near_swap_set_map

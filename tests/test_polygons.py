@@ -30,19 +30,19 @@ def test_area_perimeter():
 
 def test_chord_square_full_height():
     sq = sk.ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    seg = sk.chord(sq, U, 0.5)
+    seg = sk.boundary_graphs(sq, U).chord(0.5)
     assert seg == (0.0, 1.0)
     assert (seg[0] + seg[1]) / 2.0 == 0.5
 
 
 def test_chord_missing_line():
     sq = sk.ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    assert sk.chord(sq, U, 1.7) is None
+    assert sk.boundary_graphs(sq, U).chord(1.7) is None
 
 
 def test_chord_triangle_clipping_oracle():
     tri = sk.ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    seg = sk.chord(tri, U, 1.0)
+    seg = sk.boundary_graphs(tri, U).chord(1.0)
     assert np.allclose(seg, (0.0, 1.0))
     # oracle: dense point-membership scan along the same line
     ts = np.linspace(-1.0, 3.0, 4001)
@@ -52,16 +52,16 @@ def test_chord_triangle_clipping_oracle():
 
 
 @pytest.mark.parametrize("u", [(0.0, 0.0), (0.0, 2.0), (np.nan, 1.0)], ids=["zero", "not_unit", "nan"])
-def test_chord_rejects_a_direction_that_is_not_a_finite_unit_vector(u):
+def test_boundary_graphs_rejects_a_direction_that_is_not_a_finite_unit_vector(u):
     sq = sk.ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite unit 2-vector"):
-        sk.chord(sq, u, 0.5)
+        sk.boundary_graphs(sq, u)
 
 
 def test_chord_arbitrary_direction():
     sq = sk.ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     u = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    seg = sk.chord(sq, u, 0.0)  # main diagonal
+    seg = sk.boundary_graphs(sq, u).chord(0.0)  # main diagonal
     assert np.allclose(seg, (0.0, np.sqrt(2.0)))
 
 
@@ -91,7 +91,7 @@ def test_chord_extents_lipschitz_in_station():
 
 def test_degenerate_touching_chord_kept():
     tri = sk.ConvexPolygon([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    seg = sk.chord(tri, U, 2.0)  # line through the right vertex
+    seg = sk.boundary_graphs(tri, U).chord(2.0)  # line through the right vertex
     assert seg is not None
     assert abs(seg[1] - seg[0]) < 1e-9
 
@@ -139,7 +139,7 @@ class TestRandomDirections:
             xs = np.concatenate(vertex_and_interior_stations(poly, u))
             lo, hi, ok = chords_at(poly, u, xs)
             assert ok.all()
-            got = np.array([sk.chord(poly, u, x) for x in xs])
+            got = np.array([sk.boundary_graphs(poly, u).chord(x) for x in xs])
             tol = 1e-12 * max(1.0, float(np.abs(poly.vertices).max())) * amplification(poly, u)
             assert np.abs(got[:, 0] - lo).max() <= tol
             assert np.abs(got[:, 1] - hi).max() <= tol
@@ -169,7 +169,7 @@ class TestRandomDirections:
             for x in np.concatenate([vertex, interior]):
                 (lo,), (hi,), (ok,) = chords_at(square, u, [x])
                 assert ok
-                got = sk.chord(square, u, x)
+                got = sk.boundary_graphs(square, u).chord(x)
                 assert lo - 1e-12 <= got[0] <= got[1] <= hi + 1e-12
                 if left <= x <= right:
                     assert abs(got[0] - lo) <= 1e-12 and abs(got[1] - hi) <= 1e-12
