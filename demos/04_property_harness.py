@@ -56,7 +56,7 @@ for label, T in canonical.items():
     got, _ = sk.classify_rearrangement(T, grid, plane, seed=0)
     print(f"  {label:19s} -> {got}")
 
-saw_map = sk.chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=plane)
+saw_map = sk.chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), plane=plane)
 saw_T = lambda f: layer_cake_rearrangement(saw_map, f)
 got, witness = sk.classify_rearrangement(saw_T, grid, plane, seed=0)
 x, xm = witness["pair"]

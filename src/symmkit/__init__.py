@@ -18,8 +18,8 @@ _EXPORTS = {
         "perimeter_region", "region_is_convex", "shake_set", "union_of_translates",
     ),
     "errors": (
-        "EmptySet", "GalleryMismatch", "MisalignedHyperplane", "NonConvexColumn", "NotARearrangement",
-        "OffGrid", "SymmkitError", "UnknownName",
+        "EmptySet", "MisalignedHyperplane", "NonConvexColumn", "NotARearrangement", "OffGrid",
+        "SymmkitError", "UnknownName",
     ),
     "experiments": ("ConvergenceTrace", "run_convergence"),
     "geometry": (

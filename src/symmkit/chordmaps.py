@@ -288,8 +288,12 @@ def canonical_set_map(label, plane):
     return SetMap(row.set_name, apply, plane=plane, contraction=canonical_contraction(row.contraction))
 
 
-def chord_movement_set_map(phi, axis, plane, name=None):
-    """Grid chord movement along ``axis`` by the contraction ``phi``."""
+def chord_movement_set_map(phi, plane, name=None):
+    """Grid chord movement by the contraction ``phi`` along the axis normal to ``plane``, which
+    must be axis-aligned with offset 0, as the columns fix H there; MisalignedHyperplane otherwise."""
+    axis, _ = _require_axis_plane(plane)
+    if plane.offset != 0.0:
+        raise MisalignedHyperplane(f"chord movement fixes H at coordinate 0, but the plane's offset is {plane.offset}")
     return SetMap(
         name or "chord_movement",
         lambda a: chord_move_gridset(a, phi, axis),

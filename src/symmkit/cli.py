@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import gridio
-from .errors import GalleryMismatch, OffGrid, SymmkitError
+from .errors import OffGrid, SymmkitError
 from .experiments import run_convergence
 from .geometry import OrientedHyperplane
 from .rearrange import polarize, schwarz_symmetrize_function, steiner_symmetrize_function
@@ -153,16 +153,11 @@ def _cmd_converge(args):
 def _cmd_gallery(args):
     from .harness import run_gallery
 
-    try:
-        summary = run_gallery(seed=args.seed, trials=args.trials)
-        status = 0
-    except GalleryMismatch as exc:
-        summary = exc.summary
-        status = 1
+    summary = run_gallery(seed=args.seed, trials=args.trials)
     if args.report:
         _write_json(args.report, summary)
-    print("gallery: all verdict matrices match" if status == 0 else "gallery: mismatch")
-    return status
+    print("gallery: all verdict matrices match" if summary["all_match"] else "gallery: mismatch")
+    return 0 if summary["all_match"] else 1
 
 
 _HANDLERS = {

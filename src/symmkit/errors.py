@@ -27,7 +27,3 @@ class UnknownName(SymmkitError):
 
 class NotARearrangement(SymmkitError):
     """A transformer failed the equimeasurability or monotonicity prerequisite."""
-
-
-class GalleryMismatch(SymmkitError):
-    """A counterexample fixture produced a verdict matrix different from the expected one."""

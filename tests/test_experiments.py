@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,9 +9,9 @@ import pytest
 from map_helpers import MEAN
 
 import symmkit as sk
-from symmkit.errors import GalleryMismatch
 from symmkit.experiments import draw_polarization_plane, run_convergence
 from symmkit.chordmaps import canonical_set_map, cog_reflection_set_map
+from symmkit.cli import cli_dispatch
 from symmkit.harness import (
     SETMAP_LAWS,
     TRANSFORMER_LAWS,
@@ -295,7 +296,9 @@ def test_gallery_checks_pin_expected_matrix(seed):
     assert got == want
 
 
-def test_gallery_strict_raises_on_tampered_expectation(monkeypatch):
+@pytest.fixture
+def tampered_gallery(monkeypatch):
+    """GALLERY_ROWS with the cog_reflection row expecting a verdict it does not get."""
     from symmkit import harness
 
     rows = [
@@ -305,10 +308,22 @@ def test_gallery_strict_raises_on_tampered_expectation(monkeypatch):
         for example, set_map, expected, check in harness.GALLERY_ROWS
     ]
     monkeypatch.setattr(harness, "GALLERY_ROWS", tuple(rows))
-    with pytest.raises(GalleryMismatch) as info:
-        harness.run_gallery(seed=1, trials=2)
-    bad = [row["example"] for row in info.value.summary["rows"] if not row["match"]]
+
+
+def test_gallery_reports_a_tampered_expectation(tampered_gallery):
+    summary = run_gallery(seed=1, trials=2)
+    bad = [row["example"] for row in summary["rows"] if not row["match"]]
     assert bad == ["cog_reflection"]
+    assert summary["all_match"] is False
+
+
+def test_gallery_cli_exits_1_on_a_mismatch(tampered_gallery, tmp_path, capsys):
+    report = tmp_path / "g.json"
+    assert cli_dispatch(["gallery", "--trials", "2", "--report", str(report)]) == 1
+    assert capsys.readouterr().out == "gallery: mismatch\n"
+    payload = json.loads(report.read_text())
+    assert payload["all_match"] is False
+    assert {row["example"]: row["match"] for row in payload["rows"]}["cog_reflection"] is False
 
 
 def test_verify_imports_no_thread_pool_or_masked_arrays():

@@ -8,14 +8,17 @@ from map_helpers import MEAN
 
 import symmkit as sk
 from symmkit.chordmaps import chord_movement_set_map
-from symmkit.errors import NotARearrangement, UnknownName
+from symmkit.errors import MisalignedHyperplane, NotARearrangement, UnknownName
 from symmkit.harness import (
     CONE_PROBES,
     CORE_PROBES,
     DEFAULT_GRID,
     PAIR_RULES,
     PropertyReport,
+    _Draw,
     _lp_norm,
+    _maps_balls_to_balls,
+    _nearest_plane_point,
     _nested_pair,
     _sample,
     random_blob_function,
@@ -456,9 +459,7 @@ class TestSetMapBundle:
         assert {r.verdict for r in bundle["identity"].values()} == {"holds"}
 
     def test_sawtooth_all_hold(self):
-        dmap = chord_movement_set_map(
-            sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=PLANE, name="sawtooth"
-        )
+        dmap = chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), plane=PLANE, name="sawtooth")
         bundle = sk.check_laws(sk.SETMAP_LAWS, {"sawtooth": dmap}, 60, seed=3, grid=GRID)
         assert {r.verdict for r in bundle["sawtooth"].values()} == {"holds"}
 
@@ -468,7 +469,7 @@ class TestSetMapBundle:
 
     def test_half_slope_contraction_fails_perimeter_only(self):
         phi = sk.PLContraction([-16.0, 16.0], [-8.0, 8.0])
-        dmap = chord_movement_set_map(phi, axis=1, plane=PLANE, name="half")
+        dmap = chord_movement_set_map(phi, plane=PLANE, name="half")
         bundle = sk.check_laws(sk.SETMAP_LAWS, {"half": dmap}, 40, seed=5, grid=GRID)["half"]
         assert bundle["perimeter_convex"].verdict == "fails"
         assert bundle["measure_preserving"].verdict == "holds"
@@ -543,6 +544,47 @@ class TestSetMapBundle:
         bundle = sk.check_laws(sk.SETMAP_LAWS, {"shift": dmap}, 20, seed=6, grid=GRID)
         assert bundle["shift"]["symmetric_invariant"].verdict == "fails"
 
+    @pytest.mark.parametrize("plane", [sk.OrientedHyperplane((0.6, 0.8)), sk.axis_plane(1, 2, 0.25)])
+    def test_chord_movement_refuses_a_plane_its_columns_do_not_fix(self, plane):
+        # the map moves columns about coordinate 0 of one axis, so the laws must read that plane and no other
+        with pytest.raises(MisalignedHyperplane):
+            chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), plane)
+
+
+class TestBallLawOnSmallGrids:
+    """The ball law steps its center along the normal only as far as the grid leaves room for the ball."""
+
+    @pytest.mark.parametrize("cells", range(10, 19))
+    def test_identity_and_reflection_hold(self, cells):
+        # a ball the grid cut used to fail even the identity below 20 cells
+        grid = sk.centered_grid((cells, cells), 0.125)
+        maps = {label: sk.canonical_set_map(label, PLANE) for label in ("identity", "reflection")}
+        got = sk.check_laws(sk.SETMAP_LAWS, maps, 200, seed=0, grid=grid, laws=["maps_balls_to_balls"])
+        assert {name: r["maps_balls_to_balls"].verdict for name, r in got.items()} == dict.fromkeys(maps, "holds")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_drawn_balls_are_never_cut(self, seed):
+        # rastered on the grid grown by 12 cells a side, every drawn ball lies in the grid
+        rng = trial_rng(659, seed)
+        n = 2 + seed % 2
+        dims = tuple(int(d) for d in rng.integers(11, 21, n))
+        grid = sk.Grid(dims, tuple(rng.uniform(-3.0, 3.0, n)), float(rng.uniform(0.05, 2.0)))
+        h = grid.spacing
+        grown = sk.Grid(tuple(d + 24 for d in dims), tuple(o - 12 * h for o in grid.origin), h)
+        inner = tuple(slice(12, 12 + d) for d in dims)
+        mid = np.asarray(grid.center)
+        normal = rng.normal(size=n)
+        normal /= np.linalg.norm(normal)
+        planes = [sk.axis_plane(k, n, mid[k]) for k in range(n)]
+        planes.append(sk.OrientedHyperplane(tuple(normal), float(mid @ normal)))
+        for plane in planes:
+            for i in range(10):
+                draw = _Draw(trial_rng(seed, i), grid)
+                _maps_balls_to_balls(sk.SetMap("identity", lambda a: a), plane, draw)
+                t, r = draw(("ball", plane), None)  # the ball the trial drew
+                ball = sk.disk_raster(grown, _nearest_plane_point(grid, plane) + t * np.asarray(plane.normal), r).mask
+                assert ball[inner].sum() == ball.sum() > 0
+
 
 OTHER_PLANE = sk.axis_plane(0, 2, 0.25, -1)
 
@@ -553,7 +595,7 @@ def mixed_maps():
         sk.canonical_set_map("two_point", PLANE),
         sk.canonical_set_map("identity", PLANE),
         sk.canonical_set_map("reflection", OTHER_PLANE),
-        chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=PLANE, name="sawtooth"),
+        chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), plane=PLANE, name="sawtooth"),
         sk.cog_reflection_set_map(u_axis=1),
         sk.near_swap_set_map(PLANE),
         sk.blaschke_composite_set_map(PLANE),
@@ -626,9 +668,7 @@ class TestClassify:
             assert witness is None
 
     def test_sawtooth_layer_cake_is_other(self):
-        dmap = chord_movement_set_map(
-            sk.sawtooth_contraction(1.0, 8.0), axis=1, plane=PLANE, name="sawtooth"
-        )
+        dmap = chord_movement_set_map(sk.sawtooth_contraction(1.0, 8.0), plane=PLANE, name="sawtooth")
         label, witness = sk.classify_rearrangement(layer_cake(dmap), GRID, PLANE, seed=0)
         assert label == "other"
         # the first pair already reads no rule: each half of the grid covers both of its cells

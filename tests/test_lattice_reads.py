@@ -16,9 +16,9 @@ from grid_strategies import admissible_planes, small_grid
 import symmkit as sk
 from symmkit.chordmaps import NEAR_SWAP_WIDTH
 from symmkit.harness import (
+    _ball_steps,
     _Draw,
     _maps_balls_to_balls,
-    _nearest_plane_point,
     _shortest_side,
     centered_cylinder_raster,
     quantized_cone,
@@ -121,8 +121,11 @@ def maps_balls_to_balls_oracle(dmap, plane, draw):
     grid = draw.grid
     h = grid.spacing
     u = np.asarray(plane.normal, dtype=float)
-    t, r = draw("ball", lambda rng: (float(rng.integers(-6, 7)) * h, (4.0 + rng.random()) * h))
-    a = sk.disk_raster(grid, _nearest_plane_point(grid, plane) + t * u, r)
+    base, steps = _ball_steps(grid, plane)
+    if steps is None:
+        return None
+    t, r = draw(("ball", plane), lambda rng: (float(rng.integers(-steps, steps + 1)) * h, (4.0 + rng.random()) * h))
+    a = sk.disk_raster(grid, base + t * u, r)
     image = dmap(a)
     if image.cell_count != a.cell_count:
         return {"t": t, "reason": "cell count changed"}
@@ -265,7 +268,7 @@ class TestPerAxisRasters:
         sk.Reflection(square, next(center_diagonal_planes(square)))
         plane = sk.axis_plane(1, 3, grid.center[1])
         centered_cylinder_raster(trial_rng(619, 1), plane, grid)
-        quantized_cone(grid, grid.center, 0.75)
+        quantized_cone(grid, grid.center, 0.75, 6)
         sk.near_swap(random_blob_set(trial_rng(619, 2), grid), plane)
         _maps_balls_to_balls(sk.near_swap_set_map(plane), plane, _Draw(trial_rng(619, 3), grid))
         sk.polygon_raster(square, sk.ConvexPolygon([[-0.5, -0.5], [0.5, -0.5], [0.0, 0.5]]))

@@ -29,14 +29,14 @@ class TestBallDisplacementLaw:
     @pytest.mark.parametrize("name", ["id", "neg", "abs", "negabs"])
     def test_canonical_maps(self, name):
         phi = sk.canonical_contraction(name, 8.0)
-        dmap = chord_movement_set_map(phi, axis=1, plane=PLANE)
+        dmap = chord_movement_set_map(phi, plane=PLANE)
         for t in (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75):
             got = ball_displacement(dmap, GRID, PLANE, t, 4.8 * GRID.spacing)
             assert got == pytest.approx(float(phi(t)), abs=1e-12)
 
     def test_sawtooth(self):
         phi = sk.sawtooth_contraction(1.0, 8.0)
-        dmap = chord_movement_set_map(phi, axis=1, plane=PLANE)
+        dmap = chord_movement_set_map(phi, plane=PLANE)
         for t in (-1.25, -0.75, -0.5, 0.5, 0.75, 1.25):
             got = ball_displacement(dmap, GRID, PLANE, t, 4.8 * GRID.spacing)
             assert got == pytest.approx(float(phi(t)), abs=1e-12)
@@ -50,7 +50,7 @@ class TestBallDisplacementLaw:
         ys = np.concatenate([[0.0], np.cumsum(slopes * np.diff(ts))])
         ys = ys - np.interp(0.0, ts, ys)  # anchor so images stay on the grid
         phi = sk.PLContraction(ts, ys)
-        dmap = chord_movement_set_map(phi, axis=1, plane=PLANE)
+        dmap = chord_movement_set_map(phi, plane=PLANE)
         samples = [k * GRID.spacing for k in range(-8, 9, 2)]
         values = [ball_displacement(dmap, GRID, PLANE, t, 4.3 * GRID.spacing) for t in samples]
         for (s, ps), (t, pt) in zip(zip(samples, values), list(zip(samples, values))[1:]):
