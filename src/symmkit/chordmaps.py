@@ -17,7 +17,7 @@ import numpy as np
 
 from .contractions import PLContraction, canonical_contraction
 from .errors import EmptySet, MisalignedHyperplane, NonConvexColumn, OffGrid, UnknownName
-from .geometry import GridSet, induced_set_map, reflect_grid_set
+from .geometry import GridSet, axis_plane, induced_set_map, reflect_grid_set
 from .polygons import ChordMovedRegion, boundary_graphs
 from .rearrange import CANONICAL_MAPS, polarize_set
 
@@ -199,30 +199,28 @@ def shake_set(a, plane):
 
 
 def cog_reflect(a, u_axis):
-    """Reflect a set in the hyperplane through its center of gravity.
+    """Reflect a set in the half-lattice plane nearest its center of gravity.
 
-    ``u_axis`` is the index of the coordinate axis normal to the hyperplane;
-    reflected cell centers are rounded to the nearest cell, which is exact
-    whenever the center of gravity sits on the half-cell lattice.  Raises
-    OffGrid when a cell would be reflected past the edge of the grid.
+    ``u_axis`` is the index of the coordinate axis normal to the plane.  The
+    planes orthogonal to it that map the cell-center lattice to itself sit at
+    ``origin + j*h/2``; the set is read through the plan of the one nearest
+    the center of gravity, so every cell is kept, and a center of gravity
+    midway between two of them goes to the upper one.  Raises OffGrid when a
+    cell would be reflected past the edge of the grid.
     """
-    a.grid.require_axis(u_axis)
+    grid = a.grid
+    grid.require_axis(u_axis)
     if a.cell_count == 0:
         raise EmptySet("center of gravity of an empty set is undefined")
-    h = a.grid.spacing
-    coords = a.grid.axis_centers(u_axis)
-    moved = np.moveaxis(np.asarray(a.mask), u_axis, -1)
-    weights = moved.sum(axis=tuple(range(moved.ndim - 1)))
-    c = float((coords * weights).sum() / weights.sum())
-    # target index of cell i under reflection about c; half-cell ties round up,
-    # which keeps the index map injective
-    target = np.floor((2.0 * c - coords - a.grid.origin[u_axis]) / h).astype(np.int64)
-    inside = (target >= 0) & (target < len(coords))
-    if moved[..., ~inside].any():
+    # cells per slice along the axis; the center of gravity is origin + h*s/(2*w),
+    # s summing 2i+1 over the cells, so j = floor(s/w + 1/2) is exact in integers
+    slices = a.mask.sum(axis=tuple(k for k in range(grid.n) if k != u_axis))
+    s, w = int(((2 * np.arange(grid.dims[u_axis]) + 1) * slices).sum()), int(slices.sum())
+    j = (2 * s + w) // (2 * w)
+    plane = axis_plane(u_axis, grid.n, grid.origin[u_axis] + j * grid.spacing / 2.0)
+    if (a.mask.ravel() & ~plane.reflection(grid).inside).any():
         raise OffGrid("reflection through the center of gravity pushes cells past the edge of the grid")
-    out = np.zeros_like(moved)
-    out[..., target[inside]] = moved[..., inside]
-    return GridSet(a.grid, np.moveaxis(out, -1, u_axis))
+    return reflect_grid_set(a, plane)
 
 
 def near_swap(a, plane):

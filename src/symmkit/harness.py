@@ -33,6 +33,7 @@ import numpy as np
 
 from .chordmaps import (
     SET_MAP_DOMAINS,
+    _require_axis_plane,
     blaschke_composite_set_map,
     canonical_set_map,
     chord_move_polygon,
@@ -581,7 +582,8 @@ def _maps_balls_to_balls(dmap, plane, draw):
 
 
 def _respects_cylinders(dmap, plane, draw):
-    axis = int(np.argmax(np.abs(plane.normal)))
+    # columns along the normal; MisalignedHyperplane off the axes, where a column is no line of cells
+    axis, _ = _require_axis_plane(plane)
     a = _sampled(dmap, draw)
     extra = np.asarray(dmap(a).mask).any(axis=axis) & ~np.asarray(a.mask).any(axis=axis)
     if extra.any():

@@ -1,10 +1,12 @@
-"""Independent chord constructions for the tests: clip one half-plane per edge,
-and pull contraction breakpoints back one segment at a time.
+"""Independent constructions for the tests: clip one half-plane per edge,
+pull contraction breakpoints back one segment at a time, and reflect a set
+through its center of gravity cell by cell.
 
 The library reads chords off a polygon's two boundary graphs; this oracle
 builds each chord from the polygon's edges alone, so the tests that compare
 the two compare different constructions.  The pullback loop is the form the
-library's broadcast replaced, kept to compare against with ``==``.
+library's broadcast replaced, and the per-cell center-of-gravity reflection
+the form its plan read replaced, both kept to compare against with ``==``.
 """
 
 import numpy as np
@@ -82,3 +84,23 @@ def pullback_stations(xs, ts, phi):
         for b in bs[(bs > lo) & (bs < hi)]:
             extra.append(x0 + (b - t0) * (x1 - x0) / (t1 - t0))
     return extra
+
+
+def cog_reflect_mask(a, u_axis):
+    """The mask of ``a`` reflected through its center of gravity, each cell's
+    target index floored on its own: the per-cell form the library's plan read
+    replaced.  Where the floors of two cells disagree, both land on one target
+    and a cell is lost, so it is an oracle only where they agree; None when a
+    cell lands off the grid."""
+    h = a.grid.spacing
+    coords = a.grid.axis_centers(u_axis)
+    moved = np.moveaxis(np.asarray(a.mask), u_axis, -1)
+    weights = moved.sum(axis=tuple(range(moved.ndim - 1)))
+    c = float((coords * weights).sum() / weights.sum())
+    target = np.floor((2.0 * c - coords - a.grid.origin[u_axis]) / h).astype(np.int64)
+    inside = (target >= 0) & (target < len(coords))
+    if moved[..., ~inside].any():
+        return None
+    out = np.zeros_like(moved)
+    out[..., target[inside]] = moved[..., inside]
+    return np.moveaxis(out, -1, u_axis)

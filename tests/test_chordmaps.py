@@ -1,10 +1,15 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from chord_oracle import chords_at
+from chord_oracle import chords_at, cog_reflect_mask
 
 import symmkit as sk
 from symmkit.errors import EmptySet, NonConvexColumn, OffGrid
 from symmkit.harness import (
+    _nested_pair,
+    _sample,
     random_convex_polygon,
     random_convex_raster,
     random_symmetric_polygon,
@@ -399,6 +404,54 @@ class TestCogReflect:
         mask[12, 0] = True
         with pytest.raises(OffGrid):
             sk.cog_reflect(sk.GridSet(GRID, mask), 1)
+
+    @pytest.mark.parametrize("grid", [sk.Grid((11,), (0.3,), 0.1), sk.centered_grid((11,), 0.1)])
+    def test_every_subset_reflects_in_the_nearest_half_lattice_plane(self, grid):
+        # on a grid with non-dyadic coordinates: the plane at origin + j*h/2, with
+        # j the exact center of gravity in half cells rounded half up, sends cell i
+        # to j - 1 - i, and OffGrid is raised exactly when that leaves the grid;
+        # per-cell floors used to lose a cell, as {1, 2, 3, 5} on the first grid
+        # went to {3, 5}
+        n = grid.dims[0]
+        for bits in range(1, 2**n):
+            cells = np.nonzero((bits >> np.arange(n)) & 1)[0]
+            a = sk.GridSet(grid, np.isin(np.arange(n), cells))
+            j = math.floor(Fraction(int(np.sum(2 * cells + 1)), len(cells)) + Fraction(1, 2))
+            image = j - 1 - cells
+            if image.min() < 0 or image.max() >= n:
+                with pytest.raises(OffGrid):
+                    sk.cog_reflect(a, 0)
+                continue
+            out = sk.cog_reflect(a, 0)
+            assert out.cell_count == len(cells)
+            assert np.array_equal(np.nonzero(out.mask)[0], np.sort(image))
+
+    def test_equals_the_per_cell_floor_on_a_dyadic_grid(self):
+        # with dyadic coordinates the per-cell floors agree on every subset of
+        # this grid, so the old form is an oracle for the plan read
+        grid = sk.centered_grid((12,), 0.125)
+        for bits in range(1, 2**12):
+            a = sk.GridSet(grid, (bits >> np.arange(12)) & 1 == 1)
+            self.assert_equals_the_oracle(a, 0)
+
+    @pytest.mark.parametrize("seed", [7, 41])
+    def test_equals_the_per_cell_floor_on_core_draws(self, seed):
+        # the "core" sets the harness draws on the default grid, at both axes;
+        # seed 7's first 15 trials are the gallery's
+        for i in range(60):
+            small, big = _nested_pair("core", trial_rng(seed, i), GRID)
+            for a in (_sample("core", trial_rng(seed, i), GRID), small, big):
+                for u_axis in (0, 1):
+                    self.assert_equals_the_oracle(a, u_axis)
+
+    @staticmethod
+    def assert_equals_the_oracle(a, u_axis):
+        want = cog_reflect_mask(a, u_axis)
+        if want is None:
+            with pytest.raises(OffGrid):
+                sk.cog_reflect(a, u_axis)
+        else:
+            assert np.array_equal(sk.cog_reflect(a, u_axis).mask, want)
 
     def test_cone_double_cone_monotonicity_violation(self):
         cone = sk.polygon_raster(GRID, sk.ConvexPolygon([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))

@@ -259,13 +259,17 @@ def test_verify_work_per_trial(seed):
     }
 
 
-def test_gallery_builds_one_plan():
-    # every row reads the one gallery plane on the one grid: the composite's
-    # polarization, the near swap, the symmetric rasters and the classifier
-    from symmkit import geometry
+def test_gallery_builds_one_plan_per_plane():
+    # every row but cog reflection reads the one gallery plane on the one grid:
+    # the composite's polarization, the near swap, the symmetric rasters and
+    # the classifier share 1 plan; each cog reflection reads its own plane,
+    # through the center of gravity, and builds 1 plan for it
+    from symmkit import chordmaps, geometry
 
-    watched = {geometry.Reflection.__init__.__code__: "Reflection"}
-    assert calls_made(watched, lambda: run_gallery(seed=7, trials=15)) == {"Reflection": 1}
+    watched = {geometry.Reflection.__init__.__code__: "Reflection", chordmaps.cog_reflect.__code__: "cog_reflect"}
+    calls = calls_made(watched, lambda: run_gallery(seed=7, trials=15))
+    assert calls["cog_reflect"] > 0
+    assert calls["Reflection"] == 1 + calls["cog_reflect"]
 
 
 def test_gallery_matches_expected_matrix():

@@ -14,6 +14,7 @@ from symmkit.harness import (
     CORE_PROBES,
     DEFAULT_GRID,
     PAIR_RULES,
+    Law,
     PropertyReport,
     _Draw,
     _lp_norm,
@@ -643,6 +644,53 @@ class TestSetMapDraw:
         sk.check_laws(sk.SETMAP_LAWS, maps, 4, seed=0, grid=GRID)
         # the nested pair, the sample and the symmetric set, per trial
         assert len(draws) == 3 * 4
+
+
+def argmax_cylinders(dmap, plane, draw):
+    """The cylinder law with its axis taken as the largest entry of the normal,
+    as it was before the plane named it: the form its verdicts at axis planes keep."""
+    axis = int(np.argmax(np.abs(plane.normal)))
+    a = draw(("sample", dmap.domain), lambda rng: _sample(dmap.domain, rng, draw.grid))
+    extra = np.asarray(dmap(a).mask).any(axis=axis) & ~np.asarray(a.mask).any(axis=axis)
+    return {"columns": int(extra.sum())} if extra.any() else None
+
+
+def rolled(axis):
+    """A set map that rolls every set two cells along ``axis``."""
+    return lambda a: sk.GridSet(a.grid, np.roll(np.asarray(a.mask), 2, axis=axis))
+
+
+class TestRespectsCylinders:
+    CATALOG = {"respects_cylinders": sk.SETMAP_LAWS["respects_cylinders"], "argmax": Law(argmax_cylinders, needs="plane")}
+
+    def assert_verdicts_kept(self, maps, trials, seed, grid, plane):
+        got = sk.check_laws(self.CATALOG, maps, trials, seed, grid, plane)
+        for reports in got.values():
+            new, old = reports["respects_cylinders"], reports["argmax"]
+            assert (new.holds, new.trials, new.counterexample) == (old.holds, old.trials, old.counterexample)
+        return {reports["argmax"].verdict for reports in got.values()}
+
+    @pytest.mark.parametrize("plane", [PLANE, OTHER_PLANE, sk.axis_plane(0, 2, 0.0, 1), sk.axis_plane(1, 2, -0.5, -1)])
+    def test_axis_plane_verdicts_unchanged(self, plane):
+        maps = {dmap.name: dmap for dmap in mixed_maps()}
+        maps |= {f"rolled{k}": sk.SetMap(f"rolled{k}", rolled(k), plane=plane) for k in (0, 1)}
+        assert self.assert_verdicts_kept(maps, 10, 3, GRID, plane) == {"holds", "fails"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_axis_plane_verdicts_unchanged_on_random_grids(self, seed):
+        grid, plane = random_grid_and_center_plane(trial_rng(seed, 0))
+        maps = {label: sk.canonical_set_map(label, plane) for label in sk.CANONICAL_MAPS}
+        maps |= {f"rolled{k}": sk.SetMap(f"rolled{k}", rolled(k), plane=plane) for k in range(grid.n)}
+        self.assert_verdicts_kept(maps, 5, seed, grid, plane)
+
+    def test_diagonal_plane_raises(self):
+        # the columns of the largest normal entry are not the lines a polarization moves
+        # cells along, so this map used to fail on them at trial 0
+        grid = sk.centered_grid((16, 16), 0.25)
+        d = sk.OrientedHyperplane((2**-0.5, 2**-0.5))
+        dmap = sk.SetMap("d", sk.induced_set_map(sk.CANONICAL_MAPS["two_point"].transformer(d)), plane=d)
+        with pytest.raises(MisalignedHyperplane):
+            sk.check_laws(sk.SETMAP_LAWS, {"d": dmap}, 30, 0, grid, laws=["respects_cylinders"])
 
 
 def layer_cake(dmap):
