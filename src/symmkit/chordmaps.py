@@ -143,8 +143,9 @@ def chord_move_gridset(a, phi, axis):
 
     Columns run along ``axis`` with the hyperplane fixed at coordinate 0;
     each run keeps its cell count and has its midpoint t moved to phi(t).
-    Half-cell ties round toward the positive axis direction.  Raises OffGrid
-    when a run would be pushed past the edge of the grid.
+    A half-cell tie follows the float shift: it goes toward the positive axis
+    direction on dyadic spacings, and by the last bit on others.  Raises
+    OffGrid when a run would be pushed past the edge of the grid.
     """
     a.grid.require_axis(axis)
     h = a.grid.spacing
@@ -168,34 +169,35 @@ def chord_move_gridset(a, phi, axis):
 
 
 def _require_axis_plane(plane):
-    normal = np.asarray(plane.normal)
-    axes = np.nonzero(np.abs(normal) > 1e-12)[0]
-    if len(axes) != 1 or abs(abs(normal[axes[0]]) - 1.0) > 1e-12:
+    """The plane's :attr:`~symmkit.geometry.OrientedHyperplane.axis`; MisalignedHyperplane when it has none."""
+    if plane.axis is None:
         raise MisalignedHyperplane("this map needs an axis-aligned hyperplane")
-    return int(axes[0]), float(np.sign(normal[axes[0]]))
+    return plane.axis
 
 
 def shake_set(a, plane):
     """Slide every column's negative-side cells into a run abutting the hyperplane.
 
     Cells on the positive side stay put; the cell count of each column's
-    negative part is preserved.
+    negative part is preserved.  Sides are read off the plan's ``j``, so the
+    plane must be an axis plane on the half-lattice.
     """
-    a.grid.require_plane(plane)
-    axis, direction = _require_axis_plane(plane)
-    coords = a.grid.axis_centers(axis)
-    signed = (coords * direction - plane.offset) * plane.positive
-    neg = signed < 0.0
+    axis = _require_axis_plane(plane)
+    j = plane.reflection(a.grid).j
+    # cell i lies d half-cells from the plane, on H- when d < 0, and is its ((-d - 1) // 2)-th nearest H- cell
+    d = (2 * np.arange(a.grid.dims[axis]) + 1 - j) * (plane.positive if plane.normal[axis] > 0 else -plane.positive)
     moved = np.moveaxis(np.asarray(a.mask), axis, -1)
-    keep = moved & ~neg
-    neg_counts = (moved & neg).sum(axis=-1)
-    # rank negative-side cells by distance to the hyperplane
-    rank = np.full(len(coords), len(coords), dtype=np.int64)
-    neg_idx = np.nonzero(neg)[0]
-    order = neg_idx[np.argsort(np.abs(signed[neg_idx]), kind="stable")]
-    rank[order] = np.arange(len(order))
-    filled = rank < neg_counts[..., None]
-    return GridSet(a.grid, np.moveaxis(keep | filled, -1, axis))
+    neg_counts = (moved & (d < 0)).sum(axis=-1)
+    filled = (d < 0) & ((-d - 1) // 2 < neg_counts[..., None])
+    return GridSet(a.grid, np.moveaxis(moved & (d >= 0) | filled, -1, axis))
+
+
+def _snapped_center(mask):
+    """Per axis, the half-lattice index nearest the center of gravity of ``mask``'s w cells, a tie going
+    up: it sits s/w half-cells from the origin, s summing 2i+1 over the cells, so (2s + w) // (2w) is exact."""
+    cells = np.nonzero(mask)
+    w = len(cells[0])
+    return np.array([(2 * int((2 * i + 1).sum()) + w) // (2 * w) for i in cells])
 
 
 def cog_reflect(a, u_axis):
@@ -212,12 +214,7 @@ def cog_reflect(a, u_axis):
     grid.require_axis(u_axis)
     if a.cell_count == 0:
         raise EmptySet("center of gravity of an empty set is undefined")
-    # cells per slice along the axis; the center of gravity is origin + h*s/(2*w),
-    # s summing 2i+1 over the cells, so j = floor(s/w + 1/2) is exact in integers
-    slices = a.mask.sum(axis=tuple(k for k in range(grid.n) if k != u_axis))
-    s, w = int(((2 * np.arange(grid.dims[u_axis]) + 1) * slices).sum()), int(slices.sum())
-    j = (2 * s + w) // (2 * w)
-    plane = axis_plane(u_axis, grid.n, grid.origin[u_axis] + j * grid.spacing / 2.0)
+    plane = axis_plane(u_axis, grid.n, grid.origin[u_axis] + int(_snapped_center(a.mask)[u_axis]) * grid.spacing / 2.0)
     if (a.mask.ravel() & ~plane.reflection(grid).inside).any():
         raise OffGrid("reflection through the center of gravity pushes cells past the edge of the grid")
     return reflect_grid_set(a, plane)
@@ -289,7 +286,7 @@ def canonical_set_map(label, plane):
 def chord_movement_set_map(phi, plane, name=None):
     """Grid chord movement by the contraction ``phi`` along the axis normal to ``plane``, which
     must be axis-aligned with offset 0, as the columns fix H there; MisalignedHyperplane otherwise."""
-    axis, _ = _require_axis_plane(plane)
+    axis = _require_axis_plane(plane)
     if plane.offset != 0.0:
         raise MisalignedHyperplane(f"chord movement fixes H at coordinate 0, but the plane's offset is {plane.offset}")
     return SetMap(

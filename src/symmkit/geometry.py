@@ -106,11 +106,6 @@ class Grid:
         if not 0 <= axis < self.n:
             raise ValueError(f"axis {axis} is outside 0..{self.n - 1} for a {self.n}D grid")
 
-    def require_plane(self, plane):
-        """Raise ValueError unless ``plane`` lives in this grid's dimension."""
-        if plane.n != self.n:
-            raise ValueError(f"a hyperplane in dimension {plane.n} cannot reflect a grid in dimension {self.n}")
-
     def axis_centers(self, axis):
         """Cell-center coordinates along one axis."""
         o = self.origin[axis]
@@ -249,6 +244,12 @@ class OrientedHyperplane:
     def n(self):
         return len(self.normal)
 
+    @property
+    def axis(self):
+        """Index of the normal's one nonzero entry; None when it has more than one."""
+        nonzero = [k for k, c in enumerate(self.normal) if c != 0.0]
+        return nonzero[0] if len(nonzero) == 1 else None
+
     def signed(self, points):
         """Signed distance, positive on H+."""
         pts = np.asarray(points, dtype=float)
@@ -279,7 +280,8 @@ class Reflection:
     """Mirror read of one grid across one hyperplane, built axis by axis from ``open_centers()``.
 
     Holds its grid, the clipped flat gather of the reflected cell centers, the mask of
-    cells whose mirror lies in the grid, and the H+ mask.  The three arrays are
+    cells whose mirror lies in the grid, and the H+ mask; for an axis plane, ``j`` puts it at
+    ``origin + j*h/2`` on its axis, so index i mirrors to j - 1 - i (None off the axes).  The arrays are
     read-only, because every map across the plane shares them through
     :meth:`OrientedHyperplane.reflection`, the one place a plan is built.  The projection onto the
     normal sums the per-axis terms in axis order; each axis then gets its mirror
@@ -290,7 +292,8 @@ class Reflection:
     """
 
     def __init__(self, grid, plane):
-        grid.require_plane(plane)
+        if plane.n != grid.n:
+            raise ValueError(f"a hyperplane in dimension {plane.n} cannot reflect a grid in dimension {grid.n}")
         h, dims = grid.spacing, grid.dims
         idx, inside = [], True
         # a plane far off the grid may overflow to inf or NaN; the magnitude test catches both
@@ -317,6 +320,7 @@ class Reflection:
                 inside = inside & (i >= 0) & (i < d)
                 idx.append(i)
         self.grid = grid
+        self.j = None if plane.axis is None else int(idx[plane.axis].flat[0]) + 1
         self.inside = inside.ravel()
         # off-grid mirrors clip to an edge cell, which `inside` masks in every read
         self.flat = np.ravel_multi_index(idx, dims, mode="clip").ravel()

@@ -34,6 +34,7 @@ import numpy as np
 from .chordmaps import (
     SET_MAP_DOMAINS,
     _require_axis_plane,
+    _snapped_center,
     blaschke_composite_set_map,
     canonical_set_map,
     chord_move_polygon,
@@ -154,12 +155,12 @@ def _hull_polygon(draw, min_area):
             return poly
 
 
-def random_convex_polygon(rng, box=2.0, min_area=0.4, points=10):
-    """Strictly convex ccw polygon with vertices inside [-box, box]^2."""
-    return _hull_polygon(lambda: rng.uniform(-box, box, size=(points, 2)), min_area)
+def random_convex_polygon(rng, box=2.0, min_area=0.4):
+    """Strictly convex ccw polygon, the hull of 10 points in [-box, box]^2."""
+    return _hull_polygon(lambda: rng.uniform(-box, box, size=(10, 2)), min_area)
 
 
-def random_symmetric_polygon(rng, u, box=2.0, min_area=0.4):
+def random_symmetric_polygon(rng, u, box, min_area):
     """Convex polygon symmetric under reflection in the line u_perp through 0."""
     u = np.asarray(u, dtype=float)
 
@@ -542,48 +543,45 @@ def _cylinder_invariant(dmap, plane, draw):
 
 
 def _ball_steps(grid, plane):
-    """(p, K): p the plane point nearest the grid center, K the largest k <= 6
-    such that the grid cuts no ball of radius below 5h about p + t u, |t| <= k h;
-    K is None where the grid cuts one about p itself."""
-    h = grid.spacing
-    u = np.abs(np.asarray(plane.normal, dtype=float))
-    base = _nearest_plane_point(grid, plane)
-    # per axis: from p to the nearer first lattice center outside the grid, less the largest radius
-    room = np.minimum(base - np.asarray(grid.origin), np.asarray(grid.upper) - base) + h / 2.0 - 5.0 * h
-    if np.any(room < 0.0):
-        return base, None
-    return base, min(6, int(np.floor(room[u > 0.0] / (u[u > 0.0] * h)).min()))
+    """(c, K) in half-cells from the grid origin: c the point of the axis plane
+    nearest the grid center, K the largest k <= 6 such that the grid cuts no
+    ball of radius below 5h about c + 2k along the axis; K is None where the
+    grid cuts one about c itself.  MisalignedHyperplane off the axes."""
+    axis = _require_axis_plane(plane)
+    c = np.array(grid.dims)
+    c[axis] = plane.reflection(grid).j
+    # per axis: from c to the nearer first lattice center outside the grid, less the largest radius
+    room = np.minimum(c, 2 * np.array(grid.dims) - c) - 9
+    return c, None if (room < 0).any() else min(6, int(room[axis]) // 2)
 
 
 def _maps_balls_to_balls(dmap, plane, draw):
-    """The ball of radius r in [4h, 5h) about p + k h u, p and |k| <= K those of
-    :func:`_ball_steps`, maps to a ball of radius r.  The grid never cuts it:
-    where it would cut even the ball about p, the trial draws no ball and passes."""
+    """The ball of radius r in [4h, 5h) about c + 2k half-cells along the axis, c and |k| <= K
+    those of :func:`_ball_steps`, maps to a ball of radius r.  The grid never cuts it:
+    where it would cut even the ball about c, the trial draws no ball and passes."""
     grid = draw.grid
     h = grid.spacing
-    u = np.asarray(plane.normal, dtype=float)
-    base, steps = _ball_steps(grid, plane)
+    c, steps = _ball_steps(grid, plane)
     if steps is None:
         return None
-    t, r = draw(("ball", plane), lambda rng: (float(rng.integers(-steps, steps + 1)) * h, (4.0 + rng.random()) * h))
-    a = disk_raster(grid, base + t * u, r)
+    k, r = draw(("ball", plane), lambda rng: (int(rng.integers(-steps, steps + 1)), (4.0 + rng.random()) * h))
+    c[plane.axis] += 2 * k
+    origin = np.asarray(grid.origin)
+    a = disk_raster(grid, origin + c * (h / 2.0), r)
     image = dmap(a)
     if image.cell_count != a.cell_count:
-        return {"t": t, "reason": "cell count changed"}
+        return {"t": k * h, "reason": "cell count changed"}
     if image.cell_count == 0:
         return None
-    # the image's cell centers averaged as rows: at a half-lattice tie the order of the sum decides the snap
-    com = np.stack([np.broadcast_to(x, grid.dims)[image.mask] for x in grid.open_centers()], axis=1).mean(axis=0)
     # admissible ball centers live on the half-cell lattice
-    snapped = np.asarray(grid.origin) + np.rint((com - np.asarray(grid.origin)) / (h / 2.0)) * (h / 2.0)
-    if image != disk_raster(grid, snapped, r):
-        return {"t": t, "reason": "image is not a ball raster"}
+    if image != disk_raster(grid, origin + _snapped_center(image.mask) * (h / 2.0), r):
+        return {"t": k * h, "reason": "image is not a ball raster"}
     return None
 
 
 def _respects_cylinders(dmap, plane, draw):
     # columns along the normal; MisalignedHyperplane off the axes, where a column is no line of cells
-    axis, _ = _require_axis_plane(plane)
+    axis = _require_axis_plane(plane)
     a = _sampled(dmap, draw)
     extra = np.asarray(dmap(a).mask).any(axis=axis) & ~np.asarray(a.mask).any(axis=axis)
     if extra.any():

@@ -1,12 +1,14 @@
 """Independent constructions for the tests: clip one half-plane per edge,
-pull contraction breakpoints back one segment at a time, and reflect a set
-through its center of gravity cell by cell.
+pull contraction breakpoints back one segment at a time, reflect a set
+through its center of gravity cell by cell, and shake a set by float
+distances to the plane.
 
 The library reads chords off a polygon's two boundary graphs; this oracle
 builds each chord from the polygon's edges alone, so the tests that compare
 the two compare different constructions.  The pullback loop is the form the
-library's broadcast replaced, and the per-cell center-of-gravity reflection
-the form its plan read replaced, both kept to compare against with ``==``.
+library's broadcast replaced, the per-cell center-of-gravity reflection the
+form its plan read replaced, and the float shake the form its integer
+half-lattice test replaced, all kept to compare against with ``==``.
 """
 
 import numpy as np
@@ -104,3 +106,20 @@ def cog_reflect_mask(a, u_axis):
     out = np.zeros_like(moved)
     out[..., target[inside]] = moved[..., inside]
     return np.moveaxis(out, -1, u_axis)
+
+
+def shake_mask(a, plane):
+    """The mask of ``shake_set(a, plane)`` as it was written in floats: each
+    cell's side from its signed distance to the plane, and the negative-side
+    cells ranked by an argsort of that distance."""
+    axis = plane.axis
+    coords = a.grid.axis_centers(axis)
+    signed = (coords * np.sign(plane.normal[axis]) - plane.offset) * plane.positive
+    neg = signed < 0.0
+    moved = np.moveaxis(np.asarray(a.mask), axis, -1)
+    neg_counts = (moved & neg).sum(axis=-1)
+    rank = np.full(len(coords), len(coords), dtype=np.int64)
+    neg_idx = np.nonzero(neg)[0]
+    order = neg_idx[np.argsort(np.abs(signed[neg_idx]), kind="stable")]
+    rank[order] = np.arange(len(order))
+    return np.moveaxis(moved & ~neg | (rank < neg_counts[..., None]), -1, axis)

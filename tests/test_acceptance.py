@@ -15,6 +15,7 @@ from map_helpers import compose
 import symmkit as sk
 from symmkit.experiments import run_convergence
 from symmkit.harness import (
+    _hull_polygon,
     modulus_profile,
     random_blob_function,
     random_convex_polygon,
@@ -192,7 +193,7 @@ def test_criterion_08_translate_law():
     rng = trial_rng(1008, 0)
     saw = sk.sawtooth_contraction(1.0, 16.0)
     for i in range(50):
-        poly = random_symmetric_polygon(rng, U)
+        poly = random_symmetric_polygon(rng, U, box=2.0, min_area=0.4)
         for t in np.linspace(-2.0, 2.0, 20):
             region = sk.chord_move_polygon(poly.translate(t * U), saw, U)
             lo, hi, ok = chords_at(poly, U, region.xs)
@@ -207,7 +208,7 @@ def test_criterion_09_union_oracle():
     rng = trial_rng(1009, 0)
     samples = 10_000
     for i in range(10):
-        poly = random_convex_polygon(rng, points=3, min_area=0.5)
+        poly = _hull_polygon(lambda: rng.uniform(-2.0, 2.0, size=(3, 2)), 0.5)
         phi = sk.canonical_contraction("abs", 8.0) if i % 2 else sk.sawtooth_contraction(1.0, 8.0)
         region = sk.chord_move_polygon(poly, phi, U)
         approx = sk.union_of_translates(poly, phi, U, samples=samples)

@@ -8,6 +8,7 @@ from chord_oracle import chords_at, cog_reflect_mask
 import symmkit as sk
 from symmkit.errors import EmptySet, NonConvexColumn, OffGrid
 from symmkit.harness import (
+    _hull_polygon,
     _nested_pair,
     _sample,
     random_convex_polygon,
@@ -61,7 +62,7 @@ class TestChordMovePolygon:
         rng = trial_rng(53, 0)
         phi = sk.sawtooth_contraction(1.0, 16.0)
         for i in range(10):
-            poly = random_symmetric_polygon(rng, U)
+            poly = random_symmetric_polygon(rng, U, box=2.0, min_area=0.4)
             for t in np.linspace(-2.0, 2.0, 9):
                 region = sk.chord_move_polygon(poly.translate(t * U), phi, U)
                 lo, hi, ok = chords_at(poly, U, region.xs)
@@ -176,7 +177,7 @@ class TestCanonicalCorrespondence:
         # ball-like symmetric body centered at 0.75 u: the four named maps
         # send the center to +-0.75, the sawtooth to 0.25
         rng = trial_rng(73, 0)
-        poly = random_symmetric_polygon(rng, U).translate(0.75 * U)
+        poly = random_symmetric_polygon(rng, U, box=2.0, min_area=0.4).translate(0.75 * U)
         saw = sk.chord_move_polygon(poly, sk.sawtooth_contraction(1.0, 8.0), U)
         for name in ("id", "neg", "abs", "negabs"):
             named = sk.chord_move_polygon(poly, sk.canonical_contraction(name, 8.0), U)
@@ -263,7 +264,7 @@ class TestUnionOracle:
             else sk.sawtooth_contraction(1.0, 8.0)
         )
         for i in range(3):
-            poly = random_convex_polygon(rng, points=3, min_area=0.5)
+            poly = _hull_polygon(lambda: rng.uniform(-2.0, 2.0, size=(3, 2)), 0.5)
             region = sk.chord_move_polygon(poly, phi, U)
             approx = sk.union_of_translates(poly, phi, U, samples=4000)
             lo, hi, _ = chords_at(poly, U, np.unique(poly.vertices @ np.array([1.0, 0.0])))

@@ -18,6 +18,7 @@ import pytest
 import symmkit as sk
 from symmkit.harness import (
     DEFAULT_GRID,
+    _hull_polygon,
     _nested_pair,
     random_convex_polygon,
     random_convex_raster,
@@ -54,8 +55,8 @@ def _draw_digest(draw):
 
 DRAWS = {
     "random_convex_polygon": lambda rng: random_convex_polygon(rng),
-    "random_convex_polygon[points=3]": lambda rng: random_convex_polygon(rng, points=3, min_area=0.5),
-    "random_symmetric_polygon": lambda rng: random_symmetric_polygon(rng, U),
+    "random_convex_polygon[points=3]": lambda rng: _hull_polygon(lambda: rng.uniform(-2.0, 2.0, size=(3, 2)), 0.5),
+    "random_symmetric_polygon": lambda rng: random_symmetric_polygon(rng, U, box=2.0, min_area=0.4),
     "random_convex_raster": lambda rng: random_convex_raster(rng, DEFAULT_GRID),
 }
 for i, plane in enumerate(PLANES):

@@ -576,15 +576,19 @@ class TestBallLawOnSmallGrids:
         mid = np.asarray(grid.center)
         normal = rng.normal(size=n)
         normal /= np.linalg.norm(normal)
-        planes = [sk.axis_plane(k, n, mid[k]) for k in range(n)]
-        planes.append(sk.OrientedHyperplane(tuple(normal), float(mid @ normal)))
-        for plane in planes:
+        identity = sk.SetMap("identity", lambda a: a)
+        for plane in [sk.axis_plane(k, n, mid[k]) for k in range(n)]:
             for i in range(10):
                 draw = _Draw(trial_rng(seed, i), grid)
-                _maps_balls_to_balls(sk.SetMap("identity", lambda a: a), plane, draw)
-                t, r = draw(("ball", plane), None)  # the ball the trial drew
-                ball = sk.disk_raster(grown, _nearest_plane_point(grid, plane) + t * np.asarray(plane.normal), r).mask
+                _maps_balls_to_balls(identity, plane, draw)
+                k, r = draw(("ball", plane), None)  # the ball the trial drew
+                center = _nearest_plane_point(grid, plane) + k * h * np.asarray(plane.normal)
+                ball = sk.disk_raster(grown, center, r).mask
                 assert ball[inner].sum() == ball.sum() > 0
+        # the ball steps along the plane's axis, so a plane off the axes has none
+        slanted = sk.OrientedHyperplane(tuple(normal), float(mid @ normal))
+        with pytest.raises(MisalignedHyperplane):
+            _maps_balls_to_balls(identity, slanted, _Draw(trial_rng(seed, 0), grid))
 
 
 OTHER_PLANE = sk.axis_plane(0, 2, 0.25, -1)

@@ -19,6 +19,7 @@ from symmkit.harness import (
     _ball_steps,
     _Draw,
     _maps_balls_to_balls,
+    _nearest_plane_point,
     _shortest_side,
     centered_cylinder_raster,
     quantized_cone,
@@ -121,7 +122,8 @@ def maps_balls_to_balls_oracle(dmap, plane, draw):
     grid = draw.grid
     h = grid.spacing
     u = np.asarray(plane.normal, dtype=float)
-    base, steps = _ball_steps(grid, plane)
+    base = _nearest_plane_point(grid, plane)
+    _, steps = _ball_steps(grid, plane)
     if steps is None:
         return None
     t, r = draw(("ball", plane), lambda rng: (float(rng.integers(-steps, steps + 1)) * h, (4.0 + rng.random()) * h))

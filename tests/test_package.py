@@ -1,5 +1,7 @@
-"""The package surface: 78 public names, each loaded from its home module on first use."""
+"""The package surface: 78 public names, each loaded from its home module on first use,
+and the small float constants of the source, each a tolerance, pinned."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -125,3 +127,22 @@ def test_name_follows_a_patch_of_its_home_and_the_undo(monkeypatch):
         patch.setattr(rearrange, "polarize", patched)
         assert sk.polarize is patched
     assert sk.polarize is original
+
+
+# every float constant of src/symmkit with 0 < |v| < 1e-6, by module: the six
+# named *_TOL constants, the harness perimeter's slack, and the polygons
+# dominance and raster slacks.  A new tolerance fails here, and a removed one
+# is struck from this list in the same change.
+SMALL_FLOATS = sorted([
+    ("chordmaps", 1e-12), ("chordmaps", 1e-9), ("contractions", 1e-12), ("geometry", 1e-12), ("geometry", 1e-9),
+    ("harness", 1e-9), ("polygons", 1e-12), ("polygons", 1e-9), ("polygons", 1e-12),
+])
+
+
+def test_small_float_constants_are_pinned():
+    found = []
+    for path in sorted((ROOT / "src" / "symmkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and type(node.value) is float and 0 < abs(node.value) < 1e-6:
+                found.append((path.stem, node.value))
+    assert sorted(found) == SMALL_FLOATS
