@@ -183,8 +183,9 @@ def shake_set(a, plane):
     plane must be an axis plane on the half-lattice.
     """
     axis = _require_axis_plane(plane)
-    j = plane.reflection(a.grid).j
-    # cell i lies d half-cells from the plane, on H- when d < 0, and is its ((-d - 1) // 2)-th nearest H- cell
+    # a plane past an edge of the grid is read at that edge, which leaves every side and H- rank as it is
+    j = min(max(plane.reflection(a.grid).j, 0), 2 * a.grid.dims[axis])
+    # cell i lies d half-cells from that j, on H- when d < 0, and is its ((-d - 1) // 2)-th nearest H- cell
     d = (2 * np.arange(a.grid.dims[axis]) + 1 - j) * (plane.positive if plane.normal[axis] > 0 else -plane.positive)
     moved = np.moveaxis(np.asarray(a.mask), axis, -1)
     neg_counts = (moved & (d < 0)).sum(axis=-1)

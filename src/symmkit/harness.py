@@ -556,7 +556,7 @@ def _ball_steps(grid, plane):
 
 
 def _maps_balls_to_balls(dmap, plane, draw):
-    """The ball of radius r in [4h, 5h) about c + 2k half-cells along the axis, c and |k| <= K
+    """The ball of radius r in [4h, 5h) 2k half-cells along the normal from c, c and |k| <= K
     those of :func:`_ball_steps`, maps to a ball of radius r.  The grid never cuts it:
     where it would cut even the ball about c, the trial draws no ball and passes."""
     grid = draw.grid
@@ -565,7 +565,7 @@ def _maps_balls_to_balls(dmap, plane, draw):
     if steps is None:
         return None
     k, r = draw(("ball", plane), lambda rng: (int(rng.integers(-steps, steps + 1)), (4.0 + rng.random()) * h))
-    c[plane.axis] += 2 * k
+    c[plane.axis] += 2 * k * (1 if plane.normal[plane.axis] > 0 else -1)  # k steps along the normal
     origin = np.asarray(grid.origin)
     a = disk_raster(grid, origin + c * (h / 2.0), r)
     image = dmap(a)

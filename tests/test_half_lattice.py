@@ -25,12 +25,12 @@ SPACINGS = (0.1, 0.3, 0.07)
 
 def axis_planes(grid, rounded=True):
     """(plane, j, P) for every axis plane at every half-lattice position j of
-    the grid, both normal signs and both orientations, with P = origin + j*h/2
-    the plane's exact position on its axis.  The offset is P rounded to the
-    nearest float or, unless ``rounded``, origin + j*h/2 summed in floats, as
-    the cell centers are."""
+    the grid and up to two cells past either edge, both normal signs and both
+    orientations, with P = origin + j*h/2 the plane's exact position on its
+    axis.  The offset is P rounded to the nearest float or, unless
+    ``rounded``, origin + j*h/2 summed in floats, as the cell centers are."""
     for k in range(grid.n):
-        for j in range(2 * grid.dims[k] + 1):
+        for j in range(-4, 2 * grid.dims[k] + 5):
             at = Fraction(grid.origin[k]) + j * Fraction(grid.spacing) / 2
             offset = float(at) if rounded else grid.origin[k] + j * grid.spacing / 2
             for sign in (1.0, -1.0):
@@ -121,6 +121,13 @@ class TestShakeSet:
         pairs = zip(axis_planes(a.grid), axis_planes(a.grid, rounded=False))
         for (rounded, _, _), (summed, _, _) in pairs:
             assert sk.shake_set(a, rounded) == sk.shake_set(a, summed)
+
+    def test_a_plane_past_the_edge_keeps_every_cell(self):
+        # the nearest H- cell is rank 0 however far the plane sits from it
+        grid = sk.Grid((4,), (0.0,), 1.0)
+        a = sk.GridSet(grid, np.ones(4, bool))
+        for offset, positive in ((-1.0, -1), (5.0, 1)):
+            assert sk.shake_set(a, sk.axis_plane(0, 1, offset, positive)) == a
 
     def test_an_on_plane_cell_stays_on_the_positive_side(self):
         # cell 3 lies on the plane, an ulp from its rounded offset, so cell 4 already abuts it

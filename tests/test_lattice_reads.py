@@ -249,12 +249,20 @@ class TestPerAxisRasters:
         grid = random_grid(trial_rng(653, seed), n=2 + seed % 2)
         grid = sk.Grid(tuple(d + 8 for d in grid.dims), grid.origin, grid.spacing)
         for k in range(grid.n):
-            plane = sk.axis_plane(k, grid.n, grid.center[k])
-            maps = [sk.canonical_set_map(label, plane) for label in sk.CANONICAL_MAPS]
-            maps.append(sk.near_swap_set_map(plane))
-            for i, dmap in enumerate(maps):
-                got = _maps_balls_to_balls(dmap, plane, _Draw(trial_rng(seed, i), grid))
-                assert got == maps_balls_to_balls_oracle(dmap, plane, _Draw(trial_rng(seed, i), grid))
+            # a negative normal steps the ball the other way along the axis
+            down = sk.OrientedHyperplane(tuple(-1.0 if i == k else 0.0 for i in range(grid.n)), -grid.center[k])
+            for plane in (sk.axis_plane(k, grid.n, grid.center[k]), down):
+                maps = [sk.canonical_set_map(label, plane) for label in sk.CANONICAL_MAPS]
+                maps.append(sk.near_swap_set_map(plane))
+                for i, dmap in enumerate(maps):
+                    got = _maps_balls_to_balls(dmap, plane, _Draw(trial_rng(seed, i), grid))
+                    assert got == maps_balls_to_balls_oracle(dmap, plane, _Draw(trial_rng(seed, i), grid))
+                # the same draw gives the same ball, not its mirror image about the plane point
+                seen = []
+                spy = sk.SetMap("spy", lambda a: seen.append(a) or a)
+                for law in (_maps_balls_to_balls, maps_balls_to_balls_oracle):
+                    law(spy, plane, _Draw(trial_rng(seed, len(maps)), grid))
+                assert seen[0] == seen[1]
 
     def test_no_centers_pass(self, monkeypatch):
         def refuse(self):
